@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +27,7 @@ from .errors import CarpetError, ConfigError
 from .formulas import ratio_limsup_dimension
 from .grid import GridIFS, validate_ifs
 from .schedules import RateSchedule
-from .shrinking import dimension_report, max_row_counts
+from .shrinking import RowCounts, StageKernel, dimension_report
 from .words import DigitWord
 
 NAMED_IFS = {
@@ -130,6 +129,8 @@ def _parse_target(ifs: GridIFS, node, path: str) -> TargetSpec:
             return target_from_word(ifs, word)
         if "point" in node:
             z, w = node["point"]
+            if isinstance(z, float) or isinstance(w, float):
+                raise ConfigError(f"{path}.point", 'floats are rejected; write "1/3"-style strings')
             return make_target(ifs, Fraction(str(z)), Fraction(str(w)))
         if "word" in node:
             return target_from_word(ifs, _parse_word(node["word"], f"{path}.word"))
@@ -159,17 +160,28 @@ def _parse_schedule(node, path: str) -> RateSchedule:
     raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}")
 
 
+def _parse_int(value, path: str) -> int:
+    if isinstance(value, (bool, float)):
+        raise ConfigError(path, f"expected an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, f"expected an integer, got {value!r}") from exc
+
+
 def _parse_n_range(node, path: str) -> list[int]:
     if node is None:
         return list(range(1, 401))
     if isinstance(node, dict) and "values" in node:
-        values = [int(v) for v in node["values"]]
+        if not isinstance(node["values"], list):
+            raise ConfigError(f"{path}.values", "expected a list of integers")
+        values = [_parse_int(v, f"{path}.values[{i}]") for i, v in enumerate(node["values"])]
         if not values or any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError(path, "values must be strictly increasing and nonempty")
         return values
     if isinstance(node, dict):
-        start = int(node.get("start", 1))
-        stop = int(node.get("stop", 400))
+        start = _parse_int(node.get("start", 1), f"{path}.start")
+        stop = _parse_int(node.get("stop", 400), f"{path}.stop")
         if start < 1 or stop < start:
             raise ConfigError(path, f"bad range [{start}, {stop}]")
         return list(range(start, stop + 1))
@@ -177,8 +189,14 @@ def _parse_n_range(node, path: str) -> list[int]:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path) as fh:
-        return RunConfig.from_dict(json.load(fh))
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError("$", f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError("$", f"malformed JSON in {path}: {exc}") from exc
+    return RunConfig.from_dict(data)
 
 
 # commands
@@ -230,19 +248,16 @@ def cmd_slice(config: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_sn_table(config: RunConfig, out_dir: Path) -> int:
-    ifs, target, schedule = config.ifs, config.target, config.schedule
-    log_j = math.log(len(ifs.digits))
-    log_b = math.log(ifs.base)
+    ifs = config.ifs
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sn_table.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "j", "weighted_row_count", "quotient"])
         for n in config.n_values:
-            lam, xi = schedule.lam(n), schedule.xi(n)
-            for j in range(lam, xi + 1):
-                a = max_row_counts(ifs, target, schedule, n, j).log_value(ifs)
-                q = (n * log_j + a) / ((n + j) * log_b)
-                writer.writerow([n, j, fmt(a), fmt(q)])
+            kernel = StageKernel(ifs, config.target, config.schedule, n)
+            for j in range(kernel.lam, kernel.xi + 1):
+                a = RowCounts(kernel.best(j)[1]).log_value(ifs)
+                writer.writerow([n, j, fmt(a), fmt(kernel.quotient(j, a))])
     print(f"wrote surface for {len(config.n_values)} stages")
     return 0
 

@@ -140,12 +140,6 @@ class DyadicBox:
     def side(self) -> Fraction:
         return Fraction(1, self.base ** self.level)
 
-    def x_interval(self) -> tuple[Fraction, Fraction]:
-        return self.corner[0], self.corner[0] + self.side
-
-    def y_interval(self) -> tuple[Fraction, Fraction]:
-        return self.corner[1], self.corner[1] + self.side
-
 
 def project_prefix(ifs: GridIFS, prefix: Sequence[tuple[int, int]]) -> DyadicBox:
     """The base-b square holding every point whose coding extends `prefix`.

@@ -10,12 +10,18 @@ The stage exponent minimizes (n log #J + best weighted row count) over the
 window depth j. Row counts are kept as exact integer vectors; logarithms only
 enter when a value is reported, and near-tie comparisons fall back to exact
 integer cross-powers.
+
+Every reader of a stage (exponent, row-count surface, agreement length,
+verify constructions) builds one `StageKernel` per stage in O(b xi). It then
+gives the best row counts at any depth j in O(b) per pattern, so a stage's
+whole surface row j = lam..xi costs O(xi), and its float scan O(xi) too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 from .coding import TargetSpec
@@ -125,6 +131,11 @@ def window_hit(
     )
 
 
+def _paired(ifs: GridIFS, h: WindowPattern, v: WindowPattern) -> bool:
+    """Do the two axis patterns form pairs of J wherever both are constrained?"""
+    return all(map(ifs.digits.__contains__, zip(h.digits, v.digits)))
+
+
 def _stage_patterns(
     ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int
 ) -> tuple[list[WindowPattern], list[WindowPattern], list[WindowPattern]]:
@@ -136,71 +147,11 @@ def _stage_patterns(
     lam, xi = schedule.lam(n), schedule.xi(n)
     hpats = axis_window_patterns(ifs, target.col_digits(lam - 1), lam, axis="horizontal")
     vpats = axis_window_patterns(ifs, target.row_digits(xi - 1), xi, axis="vertical")
-    J = ifs.digits
-    realizable = []
-    for v in vpats:
-        if any(ifs.row_size(v.digits[i]) == 0 for i in range(lam - 1, xi - 1)):
-            continue
-        for h in hpats:
-            if all((h.digits[i], v.digits[i]) in J for i in range(lam - 1)):
-                realizable.append(v)
-                break
+    realizable = [
+        v for v in vpats
+        if all(map(ifs.row_size, v.digits[lam - 1 :])) and any(_paired(ifs, h, v) for h in hpats)
+    ]
     return hpats, vpats, realizable
-
-
-class _StageWindow:
-    """Realizable vertical patterns of one stage, with prefix sums so the
-    weighted row count is O(1) per depth j."""
-
-    def __init__(self, ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int):
-        self.ifs = ifs
-        self.n = n
-        self.lam = schedule.lam(n)
-        self.xi = schedule.xi(n)
-        _, _, realizable = _stage_patterns(ifs, target, schedule, n)
-        if not realizable:
-            raise EmptyWindowSetError(f"stage {n}: no jointly realizable window pattern")
-        self.patterns = realizable
-        self.prefix_logs: list[list[float]] = []
-        for v in realizable:
-            acc = 0.0
-            row = [0.0]
-            for i in range(self.lam - 1, self.xi - 1):
-                acc += ifs.row_log(v.digits[i])
-                row.append(acc)
-            self.prefix_logs.append(row)
-        self.free_log = math.log(ifs.max_row_size)
-        self.free_row = ifs.max_row_digit
-
-    def _forced_span(self, j: int) -> int:
-        return max(0, min(j, self.xi - 1) - self.lam + 1)
-
-    def _free_span(self, j: int) -> int:
-        return max(0, j - self.xi + 1)
-
-    def a_float(self, j: int) -> float:
-        t = self._forced_span(j)
-        return max(pl[t] for pl in self.prefix_logs) + self._free_span(j) * self.free_log
-
-    def counts_for(self, idx: int, j: int) -> tuple[int, ...]:
-        counts = [0] * self.ifs.base
-        v = self.patterns[idx]
-        for i in range(self.lam - 1, self.lam - 1 + self._forced_span(j)):
-            counts[v.digits[i]] += 1
-        counts[self.free_row] += self._free_span(j)
-        return tuple(counts)
-
-    def best_counts(self, j: int) -> tuple[int, ...]:
-        """Row-count vector attaining the stage maximum at depth j, with the
-        winner decided by exact integer products."""
-        best = None
-        best_prod = -1
-        for idx in range(len(self.patterns)):
-            c = self.counts_for(idx, j)
-            p = _row_product(self.ifs, c)
-            if p > best_prod:
-                best, best_prod = c, p
-        return best
 
 
 def _row_product(ifs: GridIFS, counts: Sequence[int]) -> int:
@@ -213,6 +164,113 @@ def _row_product(ifs: GridIFS, counts: Sequence[int]) -> int:
 
 def _counts_log(ifs: GridIFS, counts: Sequence[int]) -> float:
     return sum(m * ifs.row_log(a) for a, m in enumerate(counts) if m)
+
+
+def _product_exceeds(ifs: GridIFS, c1: Sequence[int], c2: Sequence[int]) -> bool:
+    """Is the row product of c1 larger than that of c2? Exact, raising only
+    the count differences to powers."""
+    gain = [max(x - y, 0) for x, y in zip(c1, c2)]
+    loss = [max(y - x, 0) for x, y in zip(c1, c2)]
+    return _row_product(ifs, gain) > _row_product(ifs, loss)
+
+
+class StageKernel:
+    """One stage's window, answering every depth j from a single build.
+
+    Holds the realizable vertical patterns of `_stage_patterns`, each as four
+    parts: the target's row digits up to its deviation position p (the exact
+    pattern deviates at xi, past the window), the deviating digit, the
+    constant carry tail, and the free row that fills depths beyond xi - 1.
+    Per-digit prefix counts of the target's rows give a pattern's exact
+    row-count vector at any depth in O(b).
+    """
+
+    def __init__(self, ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int):
+        lam, xi = schedule.lam(n), schedule.xi(n)
+        hpats, vpats, realizable = _stage_patterns(ifs, target, schedule, n)
+        if not realizable:
+            raise EmptyWindowSetError(f"stage {n}: no jointly realizable window pattern")
+        self.ifs, self.n, self.lam, self.xi = ifs, n, lam, xi
+        self.hpats = hpats
+        self.patterns = realizable
+        top = ifs.base - 1
+        self._parts = [
+            (xi, 0, 0) if v.deviate_pos is None
+            else (v.deviate_pos, v.digits[v.deviate_pos - 1], top if v.deviate_sign < 0 else 0)
+            for v in realizable
+        ]
+        self.first_deviation = min(p for p, _, _ in self._parts)
+        # axis_window_patterns lists the exact pattern, the target's rows, first;
+        # _prefix[a][k] counts digit a among the first k rows of the window
+        rows = vpats[0].digits[lam - 1 :]
+        self._prefix = [list(accumulate(map(a.__eq__, rows), initial=0)) for a in range(ifs.base)]
+        self._n_log_j = n * math.log(len(ifs.digits))
+        self._log_b = math.log(ifs.base)
+
+    def quotient(self, j: int, a: float) -> float:
+        """Stage quotient (n log #J + a) / ((n + j) log b) of a weighted row
+        count a at depth j."""
+        return (self._n_log_j + a) / ((self.n + j) * self._log_b)
+
+    def partners(self, v: WindowPattern) -> list[WindowPattern]:
+        """Horizontal patterns that pair with the vertical pattern v."""
+        return [h for h in self.hpats if _paired(self.ifs, h, v)]
+
+    def counts(self, idx: int, j: int) -> tuple[int, ...]:
+        """Row-digit counts of pattern idx over window positions lam..j."""
+        lam, xi = self.lam, self.xi
+        p, dev, tail = self._parts[idx]
+        last = min(j, xi - 1)
+        copied = max(0, min(last, p - 1) - lam + 1)
+        counts = [col[copied] for col in self._prefix]
+        if lam <= p <= last:
+            counts[dev] += 1
+        run = last - max(lam, p + 1) + 1
+        if run > 0:
+            counts[tail] += run
+        if j >= xi:
+            counts[self.ifs.max_row_digit] += j - xi + 1
+        return tuple(counts)
+
+    def best(self, j: int) -> tuple[WindowPattern, tuple[int, ...]]:
+        """The pattern with the largest exact row product at depth j (the
+        first one on equal products) and its counts."""
+        best_idx, best = 0, self.counts(0, j)
+        if min(j, self.xi - 1) < self.first_deviation:
+            return self.patterns[0], best  # no pattern has left the target yet
+        for idx in range(1, len(self._parts)):
+            c = self.counts(idx, j)
+            if _product_exceeds(self.ifs, c, best):
+                best_idx, best = idx, c
+        return self.patterns[best_idx], best
+
+    def argmin(self, upto: int) -> tuple[int, tuple[int, ...]]:
+        """The depth j in lam..upto minimising the stage quotient, and its
+        best counts.
+
+        Float prefix sums of row logs rank the depths; a near-tie is settled
+        by exact integer cross-powers, so exact ties go to the smallest j.
+        """
+        ifs, lam = self.ifs, self.lam
+        sums = [
+            list(accumulate(map(ifs.row_log, v.digits[lam - 1 :]), initial=0.0))
+            for v in self.patterns
+        ]
+        # a_max[j - lam + 1] is the float A(j); depth xi adds one free row
+        a_max = list(map(max, *sums)) if len(sums) > 1 else sums[0]
+        a_max.append(a_max[-1] + math.log(ifs.max_row_size))
+        best_j, best_val, best_prod = lam, math.inf, None
+        for j in range(lam, upto + 1):
+            v = self.quotient(j, a_max[j - lam + 1])
+            if v < best_val - _TIE_EPS:
+                best_j, best_val, best_prod = j, v, None
+            elif v < best_val + _TIE_EPS:
+                if best_prod is None:
+                    best_prod = _row_product(ifs, self.best(best_j)[1])
+                prod = _row_product(ifs, self.best(j)[1])
+                if _exact_stage_compare(ifs, self.n, j, prod, best_j, best_prod) < 0:
+                    best_j, best_val, best_prod = j, v, prod
+        return best_j, self.best(best_j)[1]
 
 
 @dataclass(frozen=True)
@@ -235,10 +293,10 @@ def max_row_counts(
 
     Positions past the vertical window contribute the most populated row.
     """
-    win = _StageWindow(ifs, target, schedule, n)
-    if j < win.lam:
-        raise ValueError(f"j = {j} below lam({n}) = {win.lam}")
-    return RowCounts(win.best_counts(j))
+    kernel = StageKernel(ifs, target, schedule, n)
+    if j < kernel.lam:
+        raise ValueError(f"j = {j} below lam({n}) = {kernel.lam}")
+    return RowCounts(kernel.best(j)[1])
 
 
 def row_agreement_length(
@@ -252,11 +310,7 @@ def row_agreement_length(
     xi = schedule.xi(n)
     if xi < 2:
         raise ScheduleError(f"agreement length needs xi(n) >= 2, got {xi}")
-    _, _, realizable = _stage_patterns(ifs, target, schedule, n)
-    if not realizable:
-        raise EmptyWindowSetError(f"stage {n}: no jointly realizable window pattern")
-    dev = [v.deviate_pos for v in realizable if v.match_kind == "deviate"]
-    return min(dev) - 1 if dev else xi - 1
+    return StageKernel(ifs, target, schedule, n).first_deviation - 1
 
 
 @dataclass(frozen=True)
@@ -294,23 +348,10 @@ def stage_exponent(
 ) -> ExponentRecord:
     """Minimize (n log #J + weighted row count) / ((n + j) log b) over the
     window depths j = lam(n)..xi(n); ties resolve to the smallest j."""
-    win = _StageWindow(ifs, target, schedule, n)
-    log_j = math.log(len(ifs.digits))
-    log_b = math.log(ifs.base)
-    best_j = None
-    best_val = math.inf
-    for j in range(win.lam, win.xi + 1):
-        v = (n * log_j + win.a_float(j)) / ((n + j) * log_b)
-        if v < best_val - _TIE_EPS:
-            best_j, best_val = j, v
-        elif v < best_val + _TIE_EPS and best_j is not None:
-            p_new = _row_product(ifs, win.best_counts(j))
-            p_old = _row_product(ifs, win.best_counts(best_j))
-            if _exact_stage_compare(ifs, n, j, p_new, best_j, p_old) < 0:
-                best_j, best_val = j, v
-    counts = win.best_counts(best_j)
-    value = (n * log_j + _counts_log(ifs, counts)) / ((n + best_j) * log_b)
-    return ExponentRecord(n, win.lam, win.xi, value, best_j, counts)
+    kernel = StageKernel(ifs, target, schedule, n)
+    j, counts = kernel.argmin(kernel.xi)
+    value = kernel.quotient(j, _counts_log(ifs, counts))
+    return ExponentRecord(n, kernel.lam, kernel.xi, value, j, counts)
 
 
 @dataclass

@@ -8,6 +8,7 @@ misclassified by rounding. Eventually periodic samples are exact points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -19,6 +20,7 @@ from .coding import TargetSpec
 from .errors import (
     BadBreakPointsError,
     DepthTooLargeError,
+    EmptyWindowSetError,
     EnumerationTooLargeError,
     InsufficientDepthError,
     RadiusTooSmallError,
@@ -27,7 +29,7 @@ from .errors import (
 from .grid import DigitPair, DyadicBox, GridIFS
 from .schedules import RateSchedule
 from .shrinking import (
-    _StageWindow,
+    StageKernel,
     _row_product,
     axis_window_patterns,
     stage_exponent,
@@ -186,6 +188,26 @@ def _interior_thresholds(
         )
 
 
+def _base_digits(value: int, base: int, n: int) -> tuple[int, ...]:
+    """The n base-b digits of value, most significant first."""
+    ds = []
+    for _ in range(n):
+        value, d = divmod(value, base)
+        ds.append(d)
+    return tuple(reversed(ds))
+
+
+def _witnesses(ifs: GridIFS, digits_of, bn: int, kx: int, ky: int, valid_sx, valid_sy) -> list:
+    """Shifts (sx, sy) whose translated level-n prefix (kx - sx, ky - sy)
+    lies in [0, b^n) on both axes and pairs up inside the digit set."""
+    return [
+        (sx, sy)
+        for sx in valid_sx if 0 <= kx - sx < bn
+        for sy in valid_sy if 0 <= ky - sy < bn
+        and all(map(ifs.digits.__contains__, zip(digits_of(kx - sx), digits_of(ky - sy))))
+    ]
+
+
 def check_set_relation(
     ifs: GridIFS,
     target: TargetSpec,
@@ -211,17 +233,7 @@ def check_set_relation(
     ry = Fraction(1, b ** xi)
     bn = b ** n
     report = CheckReport("set-relation", True, 0, details={"interior": interior})
-    digit_cache = {}
-
-    def digits_of(value: int) -> tuple[int, ...]:
-        if value not in digit_cache:
-            ds = []
-            v = value
-            for _ in range(n):
-                ds.append(v % b)
-                v //= b
-            digit_cache[value] = tuple(reversed(ds))
-        return digit_cache[value]
+    digits_of = functools.cache(functools.partial(_base_digits, base=b, n=n))
 
     nonzero_shift_witnesses = 0
     for word in samples:
@@ -238,19 +250,7 @@ def check_set_relation(
             _fail(report, word, "witness shift outside {-1,0,1}")
             continue
         eq1 = 0 in valid_sx and 0 in valid_sy
-        witnesses = []
-        for sx in valid_sx:
-            p = kx - sx
-            if not 0 <= p <= bn - 1:
-                continue
-            pd = digits_of(p)
-            for sy in valid_sy:
-                q = ky - sy
-                if not 0 <= q <= bn - 1:
-                    continue
-                qd = digits_of(q)
-                if all((pu, qv) in ifs.digits for pu, qv in zip(pd, qd)):
-                    witnesses.append((sx, sy))
+        witnesses = _witnesses(ifs, digits_of, bn, kx, ky, valid_sx, valid_sy)
         eq2 = bool(witnesses)
         if eq1 and (0, 0) not in witnesses:
             _fail(report, word, "rectangle hit but own prefix not a witness")
@@ -298,15 +298,7 @@ def exhaustive_relation_check(
     blam = b ** lam
     bxi = b ** xi
 
-    pair_digits = {}
-    for p in range(bn):
-        ds = []
-        v = p
-        for _ in range(n):
-            ds.append(v % b)
-            v //= b
-        pair_digits[p] = tuple(reversed(ds))
-    in_j = ifs.digits
+    pair_digits = [_base_digits(p, b, n) for p in range(bn)]
     sorted_digits = ifs.sorted_digits()
     tails = sorted({sorted_digits[0], sorted_digits[-1]})
 
@@ -335,19 +327,9 @@ def exhaustive_relation_check(
                       "witness shift outside {-1,0,1}")
                 continue
             eq1 = 0 in valid_sx and 0 in valid_sy
-            witnesses = []
-            for sx in valid_sx:
-                p = kx - sx
-                if not 0 <= p <= bn - 1:
-                    continue
-                pd = pair_digits[p]
-                for sy in valid_sy:
-                    q = ky - sy
-                    if not 0 <= q <= bn - 1:
-                        continue
-                    qd = pair_digits[q]
-                    if all((pu, qv) in in_j for pu, qv in zip(pd, qd)):
-                        witnesses.append((sx, sy))
+            witnesses = _witnesses(
+                ifs, pair_digits.__getitem__, bn, kx, ky, valid_sx, valid_sy
+            )
             eq2 = bool(witnesses)
             bad = None
             if eq1 and (0, 0) not in witnesses:
@@ -391,37 +373,38 @@ def brute_force_window_set(
     return out
 
 
+def _window_slots(kernel: StageKernel, j: int) -> list[list[tuple[DigitPair, ...]]]:
+    """Digit-pair choices at window positions 1..j, one slot list for each
+    realizable pairing of a horizontal with a vertical pattern."""
+    ifs, lam, xi = kernel.ifs, kernel.lam, kernel.xi
+    free = [ifs.sorted_digits()] * max(0, j - xi + 1)
+    out = []
+    for v in kernel.patterns:
+        rows = [tuple(sorted(ifs.row_set(a))) for a in v.digits[lam - 1 : min(j, xi - 1)]]
+        for h in kernel.partners(v):
+            forced = [(DigitPair(u, r),) for u, r in zip(h.digits, v.digits)]
+            out.append(forced + rows + free)
+    return out
+
+
+def _stage_windows(
+    ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int
+) -> tuple[StageKernel | None, set[tuple[DigitPair, ...]]]:
+    """The stage kernel (None when no pattern is realizable) and the
+    length-xi(n) windows it expands to."""
+    try:
+        kernel = StageKernel(ifs, target, schedule, n)
+    except EmptyWindowSetError:
+        return None, set()
+    slots = _window_slots(kernel, kernel.xi)
+    return kernel, {win for s in slots for win in itertools.product(*s)}
+
+
 def pattern_window_set(
     ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int
 ) -> set[tuple[DigitPair, ...]]:
-    """The same windows, expanded from the axis pattern lists."""
-    lam, xi = schedule.lam(n), schedule.xi(n)
-    hpats = axis_window_patterns(ifs, target.col_digits(lam - 1), lam, axis="horizontal")
-    vpats = axis_window_patterns(ifs, target.row_digits(xi - 1), xi, axis="vertical")
-    out: set[tuple[DigitPair, ...]] = set()
-    for h in hpats:
-        for v in vpats:
-            forced = []
-            ok = True
-            for i in range(lam - 1):
-                pair = DigitPair(h.digits[i], v.digits[i])
-                if pair not in ifs.digits:
-                    ok = False
-                    break
-                forced.append((pair,))
-            if not ok:
-                continue
-            for i in range(lam - 1, xi - 1):
-                row = sorted(ifs.row_set(v.digits[i]))
-                if not row:
-                    ok = False
-                    break
-                forced.append(tuple(row))
-            if not ok:
-                continue
-            forced.append(ifs.sorted_digits())  # the final, unconstrained slot
-            out.update(itertools.product(*forced))
-    return out
+    """The same windows, expanded from the stage kernel's patterns."""
+    return _stage_windows(ifs, target, schedule, n)[1]
 
 
 def oracle_window_report(
@@ -429,11 +412,9 @@ def oracle_window_report(
 ) -> CheckReport:
     """Pattern machinery versus the exhaustive predicate oracle: the window
     sets must coincide and the best row products must agree at every depth."""
-    from .shrinking import max_row_counts
-
     lam, xi = schedule.lam(n), schedule.xi(n)
     brute = brute_force_window_set(ifs, target, schedule, n)
-    patt = pattern_window_set(ifs, target, schedule, n)
+    kernel, patt = _stage_windows(ifs, target, schedule, n)
     report = CheckReport("window-oracle", True, len(brute))
     if brute != patt:
         report.passed = False
@@ -445,6 +426,8 @@ def oracle_window_report(
              "examples": [[list(p) for p in w] for w in sample]}
         )
         return report
+    if kernel is None:
+        raise EmptyWindowSetError(f"stage {n}: no jointly realizable window pattern")
     row_strings = {tuple(p.v for p in win) for win in brute}
     for j in range(lam, xi + 1):
         best = 0
@@ -453,7 +436,7 @@ def oracle_window_report(
             for i in range(lam, j + 1):
                 prod *= ifs.row_size(rows[i - 1])
             best = max(best, prod)
-        fast = max_row_counts(ifs, target, schedule, n, j).product(ifs)
+        fast = _row_product(ifs, kernel.best(j)[1])
         if fast != best:
             report.passed = False
             report.failures.append(
@@ -485,27 +468,8 @@ def build_cover(
     if len(ifs.digits) ** n > ENUMERATION_GUARD:
         raise EnumerationTooLargeError(f"{len(ifs.digits)}^{n} prefixes exceed the guard")
     b = ifs.base
-    win = _StageWindow(ifs, target, schedule, n)
-    hpats = axis_window_patterns(ifs, target.col_digits(lam - 1), lam, axis="horizontal")
-
-    window_slots: list[tuple[tuple[DigitPair, ...], ...]] = []
-    for v in win.patterns:
-        for h in hpats:
-            slots = []
-            ok = True
-            for i in range(lam - 1):
-                pair = DigitPair(h.digits[i], v.digits[i])
-                if pair not in ifs.digits:
-                    ok = False
-                    break
-                slots.append((pair,))
-            if not ok:
-                continue
-            for i in range(lam - 1, min(j, xi - 1)):
-                slots.append(tuple(sorted(ifs.row_set(v.digits[i]))))
-            for _ in range(max(0, j - xi + 1)):
-                slots.append(ifs.sorted_digits())
-            window_slots.append(tuple(slots))
+    kernel = StageKernel(ifs, target, schedule, n)
+    window_slots = _window_slots(kernel, j)
 
     corners: set[tuple[int, int]] = set()
     for prefix in itertools.product(ifs.sorted_digits(), repeat=n):
@@ -527,7 +491,7 @@ def build_cover(
         DyadicBox(b, level, (Fraction(xn, den), Fraction(yn, den)))
         for xn, yn in sorted(corners)
     )
-    max_prod = max(_row_product(ifs, win.best_counts(j)), 1)
+    max_prod = max(_row_product(ifs, kernel.best(j)[1]), 1)
     bound = 9 * len(ifs.digits) ** n * max_prod
     return CoverFamily(n, j, boxes, bound)
 
@@ -638,18 +602,9 @@ def _spine_word_digits(
     """Window digits (positions n+1 .. n+xi+2) of a window word whose row
     products over lam..j_star are maximal; free slots take the fullest row."""
     lam, xi = schedule.lam(n), schedule.xi(n)
-    win = _StageWindow(ifs, target, schedule, n)
-    best_idx, best_prod = 0, -1
-    for idx in range(len(win.patterns)):
-        prod = _row_product(ifs, win.counts_for(idx, j_star))
-        if prod > best_prod:
-            best_idx, best_prod = idx, prod
-    v = win.patterns[best_idx]
-    hpats = axis_window_patterns(ifs, target.col_digits(lam - 1), lam, axis="horizontal")
-    h = next(
-        h for h in hpats
-        if all((h.digits[i], v.digits[i]) in ifs.digits for i in range(lam - 1))
-    )
+    kernel = StageKernel(ifs, target, schedule, n)
+    v, _ = kernel.best(j_star)
+    h = kernel.partners(v)[0]
     filler = min(ifs.row_set(ifs.max_row_digit))
     pairs = []
     for i in range(1, xi + 3):
@@ -735,19 +690,12 @@ def _argmin_j_below_xi(
     ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int
 ) -> int:
     """Depth minimizing the stage quotient over lam(n)..xi(n)-1 (the measure
-    construction stops the window one level short)."""
+    construction stops the window one level short), with the exact tie-break
+    of stage_exponent."""
     lam, xi = schedule.lam(n), schedule.xi(n)
     if xi == lam:
         return lam
-    win = _StageWindow(ifs, target, schedule, n)
-    log_j = math.log(len(ifs.digits))
-    log_b = math.log(ifs.base)
-    best_j, best_v = lam, math.inf
-    for j in range(lam, xi):
-        v = (n * log_j + win.a_float(j)) / ((n + j) * log_b)
-        if v < best_v - 1e-12:
-            best_j, best_v = j, v
-    return best_j
+    return StageKernel(ifs, target, schedule, n).argmin(xi - 1)[0]
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InsufficientDepthError
 from .grid import DigitPair
 
 
 def _coerce(pairs: Iterable[tuple[int, int]]) -> tuple[DigitPair, ...]:
-    return tuple(DigitPair(*p) for p in pairs)
+    return tuple(p if isinstance(p, DigitPair) else DigitPair(*p) for p in pairs)
 
 
 def _primitive(period: tuple[DigitPair, ...]) -> tuple[DigitPair, ...]:
@@ -106,10 +106,6 @@ class DigitWord:
 
     def row_digit(self, i: int) -> int:
         return self.pair_at(i).v
-
-    def iter_pairs(self, upto: int) -> Iterator[DigitPair]:
-        for i in range(1, upto + 1):
-            yield self.pair_at(i)
 
     # dynamics and projection
 

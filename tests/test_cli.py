@@ -67,6 +67,43 @@ class TestConfigParsing:
             RunConfig.from_dict({**BASE_CONFIG, "n_range": {"values": [4, 2]}})
 
 
+class TestInputErrors:
+    def _run(self, cfg, tmp_path):
+        return main(["dimension", "--config", cfg, "--out", str(tmp_path / "out")])
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        assert self._run(str(tmp_path / "absent.json"), tmp_path) == 2
+        assert capsys.readouterr().out.startswith("error: $: cannot read")
+
+    def test_malformed_json(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"ifs": {"name": "vicsek"},')
+        assert self._run(str(path), tmp_path) == 2
+        assert capsys.readouterr().out.startswith("error: $: malformed JSON")
+
+    @pytest.mark.parametrize(
+        "n_range, field",
+        [
+            ({"start": "x", "stop": 4}, "n_range.start"),
+            ({"start": 1, "stop": 4.5}, "n_range.stop"),
+            ({"values": [1, "two", 3]}, "n_range.values[1]"),
+        ],
+    )
+    def test_non_integer_n_range(self, tmp_path, n_range, field):
+        data = {**BASE_CONFIG, "n_range": n_range}
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_dict(data)
+        assert exc.value.path == field
+        assert self._run(write_config(tmp_path, data), tmp_path) == 2
+
+    def test_float_point_rejected(self, tmp_path):
+        data = {**BASE_CONFIG, "target": {"point": [0.5, "1/2"]}}
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_dict(data)
+        assert exc.value.path == "target.point"
+        assert self._run(write_config(tmp_path, data), tmp_path) == 2
+
+
 class TestDimensionCommand:
     def test_outputs(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)

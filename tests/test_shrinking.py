@@ -242,6 +242,25 @@ def random_stage_cases(draw):
     return ifs, target, table, n
 
 
+def _recounted(ifs, target, schedule, n, j):
+    """Reference for the stage kernel: walk every realizable pattern's digits
+    over window positions lam..j. Returns each pattern's counts and the first
+    counts with the largest row product."""
+    lam, xi = schedule.lam(n), schedule.xi(n)
+    _, _, realizable = shrinking._stage_patterns(ifs, target, schedule, n)
+    every, best, best_prod = [], None, -1
+    for v in realizable:
+        counts = [0] * ifs.base
+        for i in range(lam - 1, min(j, xi - 1)):
+            counts[v.digits[i]] += 1
+        counts[ifs.max_row_digit] += max(0, j - xi + 1)
+        every.append(tuple(counts))
+        prod = math.prod(ifs.row_size(a) ** m for a, m in enumerate(counts))
+        if prod > best_prod:
+            best, best_prod = tuple(counts), prod
+    return every, best
+
+
 @given(random_stage_cases())
 @settings(max_examples=120, deadline=None)
 def test_stage_invariants_on_random_systems(case):
@@ -255,6 +274,11 @@ def test_stage_invariants_on_random_systems(case):
         for j in range(rec.lam, rec.xi + 1)
     ]
     assert all(b2 >= a - 1e-12 for a, b2 in zip(values, values[1:]))
+    kernel = shrinking.StageKernel(ifs, target, schedule, n)
+    for j in range(rec.lam, rec.xi + 3):
+        every, best = _recounted(ifs, target, schedule, n, j)
+        assert [kernel.counts(i, j) for i in range(len(every))] == every, j
+        assert kernel.best(j)[1] == best, j
 
 
 @given(random_stage_cases(), st.randoms())

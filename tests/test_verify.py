@@ -21,6 +21,7 @@ from carpetdim import (
     oracle_window_report,
     pattern_window_set,
     random_words,
+    validate_ifs,
     window_hit,
 )
 from carpetdim.errors import (
@@ -31,7 +32,7 @@ from carpetdim.errors import (
     ThresholdNotMetError,
 )
 
-from carpetdim.verify import shifted_intervals
+from carpetdim.verify import _argmin_j_below_xi, shifted_intervals
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +248,16 @@ class TestMeasure:
             build_lower_bound_measure(vicsek, origin, linear12, [3, 12], 2)
         with pytest.raises(BadBreakPointsError):
             build_lower_bound_measure(vicsek, origin, linear12, [3, 17], Fraction(1, 2))
+
+    def test_argmin_below_xi_settles_exact_ties_on_lam(self):
+        # uniform-fibre carpet: rows 0 and 1 hold two pairs each, so with
+        # lam(n) = n + 1 every depth gives the quotient 1/2 exactly
+        ifs = validate_ifs(4, [(0, 0), (1, 0), (0, 1), (1, 1)])
+        target = make_target(ifs, 0, 0)
+        table = range(1, 41)
+        sch = RateSchedule.from_tables([n + 1 for n in table], [2 * n for n in table])
+        for n in (3, 10, 40):
+            assert _argmin_j_below_xi(ifs, target, sch, n) == n + 1
 
     def test_depth_guard(self, vicsek, linear12):
         origin = make_target(vicsek, 0, 0)
