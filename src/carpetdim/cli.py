@@ -68,21 +68,26 @@ class RunConfig:
         target = _parse_target(ifs, data.get("target"), "target")
         schedule = _parse_schedule(data.get("schedule"), "schedule")
         n_values = _parse_n_range(data.get("n_range"), "n_range")
-        verify_cfg = data.get("verify", {})
-        if not isinstance(verify_cfg, dict):
-            raise ConfigError("verify", "must be an object")
+        verify_cfg = _parse_object(data.get("verify", {}), "verify")
         return cls(ifs, target, schedule, n_values, verify_cfg, data)
 
     def to_dict(self) -> dict:
         return self.raw
 
 
-def _parse_ifs(node, path: str) -> GridIFS:
+def _parse_object(node, path: str) -> dict:
     if node is None:
         raise ConfigError(path, "missing")
+    if not isinstance(node, dict):
+        raise ConfigError(path, f"expected an object, got {node!r}")
+    return node
+
+
+def _parse_ifs(node, path: str) -> GridIFS:
+    node = _parse_object(node, path)
     if "name" in node:
         name = node["name"]
-        if name not in NAMED_IFS:
+        if not isinstance(name, str) or name not in NAMED_IFS:
             raise ConfigError(f"{path}.name", f"unknown system {name!r}; have {sorted(NAMED_IFS)}")
         base, pairs = NAMED_IFS[name]
     else:
@@ -98,6 +103,7 @@ def _parse_ifs(node, path: str) -> GridIFS:
 
 
 def _parse_word(node, path: str) -> DigitWord:
+    node = _parse_object(node, path)
     try:
         pre = [tuple(int(c) for c in p) for p in node.get("preperiod", [])]
         per = [tuple(int(c) for c in p) for p in node.get("period", [])]
@@ -111,20 +117,19 @@ def _parse_word(node, path: str) -> DigitWord:
 
 
 def _parse_target(ifs: GridIFS, node, path: str) -> TargetSpec:
-    if node is None:
-        raise ConfigError(path, "missing")
+    node = _parse_object(node, path)
     try:
         if "name" in node:
             name = node["name"]
-            if name not in NAMED_TARGETS:
+            if not isinstance(name, str) or name not in NAMED_TARGETS:
                 raise ConfigError(
                     f"{path}.name", f"unknown target {name!r}; have {sorted(NAMED_TARGETS)}"
                 )
             _, kind, extra = NAMED_TARGETS[name]
             if kind == "point":
                 return make_target(ifs, Fraction(extra[0]), Fraction(extra[1]))
-            block_base = int(node.get("block_base", 4))
-            depth = int(node.get("depth", 16384))
+            block_base = _parse_int(node.get("block_base", 4), f"{path}.block_base")
+            depth = _parse_int(node.get("depth", 16384), f"{path}.depth")
             word = alternating_block_word(block_base=block_base, depth=depth)
             return target_from_word(ifs, word)
         if "point" in node:
@@ -136,23 +141,33 @@ def _parse_target(ifs: GridIFS, node, path: str) -> TargetSpec:
             return target_from_word(ifs, _parse_word(node["word"], f"{path}.word"))
     except ConfigError:
         raise
-    except (CarpetError, ValueError, ZeroDivisionError) as exc:
+    except (CarpetError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(path, str(exc)) from exc
     raise ConfigError(path, "need one of name/point/word")
 
 
 def _parse_schedule(node, path: str) -> RateSchedule:
-    if node is None:
-        raise ConfigError(path, "missing")
+    node = _parse_object(node, path)
     kind = node.get("kind", "linear")
     try:
         if kind == "linear":
-            return RateSchedule.linear(Fraction(str(node["lam"])), Fraction(str(node["xi"])))
+            return RateSchedule.linear(
+                _parse_fraction(node["lam"], f"{path}.lam"),
+                _parse_fraction(node["xi"], f"{path}.xi"),
+            )
         if kind == "table":
-            return RateSchedule.from_tables(node["lam"], node["xi"])
+            return RateSchedule.from_tables(
+                _parse_int_list(node["lam"], f"{path}.lam"),
+                _parse_int_list(node["xi"], f"{path}.xi"),
+            )
         if kind == "alternating":
-            ratios = [(Fraction(str(l)), Fraction(str(x))) for l, x in node["ratios"]]
-            return RateSchedule.alternating(ratios, int(node.get("block_base", 4)))
+            ratios = [
+                (_parse_fraction(l, f"{path}.ratios[{i}][0]"),
+                 _parse_fraction(x, f"{path}.ratios[{i}][1]"))
+                for i, (l, x) in enumerate(node["ratios"])
+            ]
+            block_base = _parse_int(node.get("block_base", 4), f"{path}.block_base")
+            return RateSchedule.alternating(ratios, block_base)
     except ConfigError:
         raise
     except (CarpetError, KeyError, TypeError, ValueError) as exc:
@@ -169,13 +184,30 @@ def _parse_int(value, path: str) -> int:
         raise ConfigError(path, f"expected an integer, got {value!r}") from exc
 
 
+def _parse_int_list(node, path: str) -> list[int]:
+    if not isinstance(node, list):
+        raise ConfigError(path, "expected a list of integers")
+    if all(type(v) is int for v in node):  # plain JSON integers: nothing to convert
+        return list(node)
+    return [_parse_int(v, f"{path}[{i}]") for i, v in enumerate(node)]
+
+
+def _parse_fraction(value, path: str) -> Fraction:
+    """An exact rational: an integer or a string such as "3/2"; JSON floats
+    are rejected."""
+    if isinstance(value, (bool, float)):
+        raise ConfigError(path, f'expected an integer or a string such as "3/2", got {value!r}')
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(path, f"expected a rational, got {value!r}") from exc
+
+
 def _parse_n_range(node, path: str) -> list[int]:
     if node is None:
         return list(range(1, 401))
     if isinstance(node, dict) and "values" in node:
-        if not isinstance(node["values"], list):
-            raise ConfigError(f"{path}.values", "expected a list of integers")
-        values = [_parse_int(v, f"{path}.values[{i}]") for i, v in enumerate(node["values"])]
+        values = _parse_int_list(node["values"], f"{path}.values")
         if not values or any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError(path, "values must be strictly increasing and nonempty")
         return values
@@ -262,9 +294,13 @@ def cmd_sn_table(config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _verify_samples(config: RunConfig, opts: dict, n: int, seed: int):
-    count = int(opts.get("samples", 2000))
-    depth = int(opts.get("depth", n + config.schedule.xi(n) + 5))
+def _opt_int(checks: dict, check: str, key: str, default) -> int:
+    return _parse_int(checks[check].get(key, default), f"verify.checks.{check}.{key}")
+
+
+def _verify_samples(config: RunConfig, checks: dict, check: str, n: int, seed: int):
+    count = _opt_int(checks, check, "samples", 2000)
+    depth = _opt_int(checks, check, "depth", n + config.schedule.xi(n) + 5)
     rng = random.Random(seed)
     return verify_mod.random_words(
         config.ifs, config.target, config.schedule, n, count, depth, rng
@@ -272,27 +308,30 @@ def _verify_samples(config: RunConfig, opts: dict, n: int, seed: int):
 
 
 def cmd_verify(config: RunConfig, out_dir: Path, seed_override: int | None = None) -> int:
-    checks = config.verify.get("checks", {})
+    checks = _parse_object(config.verify.get("checks", {}), "verify.checks")
+    for name, opts in checks.items():
+        _parse_object(opts, f"verify.checks.{name}")
     if not checks:
         checks = {
             "oracle": {"n": 2},
             "containment": {"n": 3, "samples": 2000},
             "set_relation": {"n": 3, "samples": 2000},
         }
-    seed = int(config.verify.get("seed", 0)) if seed_override is None else seed_override
+    if seed_override is None:
+        seed = _parse_int(config.verify.get("seed", 0), "verify.seed")
+    else:
+        seed = seed_override
     reports: list[verify_mod.CheckReport] = []
 
     if "oracle" in checks:
-        opts = checks["oracle"]
         reports.append(
             verify_mod.oracle_window_report(
-                config.ifs, config.target, config.schedule, int(opts.get("n", 2))
+                config.ifs, config.target, config.schedule, _opt_int(checks, "oracle", "n", 2)
             )
         )
     if "containment" in checks:
-        opts = checks["containment"]
-        n = int(opts.get("n", 3))
-        samples = _verify_samples(config, opts, n, seed)
+        n = _opt_int(checks, "containment", "n", 3)
+        samples = _verify_samples(config, checks, "containment", n, seed)
         reports.append(
             verify_mod.check_containment_forward(
                 config.ifs, config.target, config.schedule, n, samples
@@ -304,9 +343,8 @@ def cmd_verify(config: RunConfig, out_dir: Path, seed_override: int | None = Non
             )
         )
     if "containment_exhaustive" in checks:
-        opts = checks["containment_exhaustive"]
-        n = int(opts.get("n", 2))
-        depth = int(opts.get("depth", 10))
+        n = _opt_int(checks, "containment_exhaustive", "n", 2)
+        depth = _opt_int(checks, "containment_exhaustive", "depth", 10)
         words = list(verify_mod.exhaustive_truncations(config.ifs, depth))
         reports.append(
             verify_mod.check_containment_forward(
@@ -319,22 +357,23 @@ def cmd_verify(config: RunConfig, out_dir: Path, seed_override: int | None = Non
             )
         )
     if "set_relation" in checks:
-        opts = checks["set_relation"]
-        n = int(opts.get("n", 3))
-        if opts.get("exhaustive"):
+        n = _opt_int(checks, "set_relation", "n", 3)
+        if checks["set_relation"].get("exhaustive"):
+            depth = _opt_int(checks, "set_relation", "depth", 8)
             reports.append(
                 verify_mod.exhaustive_relation_check(
-                    config.ifs, config.target, config.schedule, n, int(opts.get("depth", 8))
+                    config.ifs, config.target, config.schedule, n, depth
                 )
             )
         else:
             rng = random.Random(seed)
-            depth = int(opts.get("depth", n + config.schedule.xi(n) + 4))
+            depth = _opt_int(checks, "set_relation", "depth", n + config.schedule.xi(n) + 4)
+            samples = _opt_int(checks, "set_relation", "samples", 2000)
             words = [
                 DigitWord.periodic(
                     (), [rng.choice(config.ifs.sorted_digits()) for _ in range(depth)]
                 )
-                for _ in range(int(opts.get("samples", 2000)))
+                for _ in range(samples)
             ]
             reports.append(
                 verify_mod.check_set_relation(
@@ -342,9 +381,8 @@ def cmd_verify(config: RunConfig, out_dir: Path, seed_override: int | None = Non
                 )
             )
     if "cover" in checks:
-        opts = checks["cover"]
-        n = int(opts.get("n", 2))
-        j = int(opts.get("j", config.schedule.lam(n)))
+        n = _opt_int(checks, "cover", "n", 2)
+        j = _opt_int(checks, "cover", "j", config.schedule.lam(n))
         family = verify_mod.build_cover(config.ifs, config.target, config.schedule, n, j)
         rep = verify_mod.CheckReport(
             "cover-bound",
@@ -355,10 +393,10 @@ def cmd_verify(config: RunConfig, out_dir: Path, seed_override: int | None = Non
         reports.append(rep)
     if "measure" in checks:
         opts = checks["measure"]
-        bps = [int(v) for v in opts.get("break_points", [])]
+        bps = _parse_int_list(opts.get("break_points", []), "verify.checks.measure.break_points")
         if not bps:
             raise ConfigError("verify.checks.measure.break_points", "missing")
-        delta = Fraction(str(opts.get("delta", 2)))
+        delta = _parse_fraction(opts.get("delta", 2), "verify.checks.measure.delta")
         builder = verify_mod.build_lower_bound_measure(
             config.ifs, config.target, config.schedule, bps, delta
         )
@@ -379,7 +417,10 @@ def cmd_verify(config: RunConfig, out_dir: Path, seed_override: int | None = Non
         ]
         radii = [Fraction(1, config.ifs.base ** m) for m in range(bps[0] + 1, builder.depth + 1)]
         samples = verify_mod.holder_exponent_samples(builder, points, radii)
-        slack = float(opts.get("holder_slack", 0.05))
+        try:
+            slack = float(opts.get("holder_slack", 0.05))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("verify.checks.measure.holder_slack", "expected a number") from exc
         threshold = {}
         for k, n_k in enumerate(bps):
             threshold[n_k] = (1.0 - 1.0 / float(delta)) * builder.stage_values[n_k] - slack

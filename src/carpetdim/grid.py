@@ -10,6 +10,7 @@ two-dimensional base-b expansion uses only pairs from J.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -45,6 +46,10 @@ class GridIFS:
     _cols: tuple[frozenset[DigitPair], ...] = field(init=False, compare=False, repr=False)
     _row_sizes: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _row_logs: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    _primes: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _prime_logs: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    _size_exps: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _row_exps: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         b = self.base
@@ -56,6 +61,17 @@ class GridIFS:
         object.__setattr__(self, "_cols", tuple(cols))
         object.__setattr__(self, "_row_sizes", sizes)
         object.__setattr__(self, "_row_logs", logs)
+        # #J <= b^2 and every row size <= b factor over a few small primes;
+        # _row_exps[i][a] is the exponent of prime i in row size a (0 for an
+        # uninhabited row, which no stage's row counts ever use)
+        factored = [_factor(m) for m in (len(self.digits),) + sizes]
+        primes = tuple(sorted(set().union(*factored)))
+        object.__setattr__(self, "_primes", primes)
+        object.__setattr__(self, "_prime_logs", tuple(map(math.log, primes)))
+        object.__setattr__(self, "_size_exps", tuple(factored[0].get(p, 0) for p in primes))
+        object.__setattr__(
+            self, "_row_exps", tuple(tuple(f.get(p, 0) for f in factored[1:]) for p in primes)
+        )
 
     # row / column structure
 
@@ -81,6 +97,24 @@ class GridIFS:
         return self._row_logs[a]
 
     @property
+    def primes(self) -> tuple[int, ...]:
+        """The primes dividing #J or some row size, ascending."""
+        return self._primes
+
+    @property
+    def prime_logs(self) -> tuple[float, ...]:
+        """math.log of each prime in `primes`."""
+        return self._prime_logs
+
+    def exponents(self, counts: Sequence[int], n: int = 0) -> list[int]:
+        """Exponent vector over `primes` of #J^n times the product of
+        row_size(a)^counts[a]."""
+        return [
+            n * e + sum(map(operator.mul, counts, col))
+            for e, col in zip(self._size_exps, self._row_exps)
+        ]
+
+    @property
     def max_row_size(self) -> int:
         return max(self._row_sizes)
 
@@ -102,6 +136,20 @@ class GridIFS:
     def _check_digit(self, a: int) -> None:
         if not 0 <= a <= self.base - 1:
             raise DigitOutOfRangeError(f"digit {a} outside 0..{self.base - 1}")
+
+
+def _factor(m: int) -> dict[int, int]:
+    """Prime factorization of m >= 0 by trial division; {} for 0 and 1."""
+    out: dict[int, int] = {}
+    p = 2
+    while m > 1 and p * p <= m:
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+        p += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
 
 
 def validate_ifs(base: int, pairs: Iterable[tuple[int, int]]) -> GridIFS:

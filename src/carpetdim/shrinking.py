@@ -8,8 +8,14 @@ Each axis therefore admits at most an exact pattern plus two deviations.
 
 The stage exponent minimizes (n log #J + best weighted row count) over the
 window depth j. Row counts are kept as exact integer vectors; logarithms only
-enter when a value is reported, and near-tie comparisons fall back to exact
-integer cross-powers.
+enter when a value is reported or ranked. Comparisons that decide an output
+(two depths whose float quotients nearly tie, or two patterns' row products)
+are exact: #J and every row size factor over a few small primes (`GridIFS.
+primes`), so each comparison is the sign of an integer linear form
+sum_p w_p log p. The logs of distinct primes are linearly independent over Q,
+so w = 0 is an exact tie, found in O(#primes); any other w is decided by a
+float sum with a certified error bound, and only a sum inside that bound
+falls back to comparing two big-integer prime powers (see `_log_sign`).
 
 Every reader of a stage (exponent, row-count surface, agreement length,
 verify constructions) builds one `StageKernel` per stage in O(b xi). It then
@@ -20,6 +26,8 @@ whole surface row j = lam..xi costs O(xi), and its float scan O(xi) too.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
@@ -30,7 +38,9 @@ from .grid import GridIFS
 from .schedules import RateSchedule
 from .words import DigitWord
 
+# float prefilter: stage quotients closer than this are compared exactly
 _TIE_EPS = 1e-12
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -166,12 +176,52 @@ def _counts_log(ifs: GridIFS, counts: Sequence[int]) -> float:
     return sum(m * ifs.row_log(a) for a, m in enumerate(counts) if m)
 
 
+def _power_sign(primes: Sequence[int], w: Sequence[int]) -> int:
+    """Sign of prod_p p^w_p - 1, comparing the positive and the negative
+    powers as big integers."""
+    gain = math.prod(p**x for p, x in zip(primes, w) if x > 0)
+    loss = math.prod(p**-x for p, x in zip(primes, w) if x < 0)
+    return (gain > loss) - (gain < loss)
+
+
+def _log_sign(ifs: GridIFS, w: Sequence[int]) -> int:
+    """Sign of sum_p w_p log p over `ifs.primes`, exactly.
+
+    w = 0 gives 0: the logs of distinct primes are linearly independent over
+    Q. Otherwise, with every |w_p| < 2^53, the float terms t_p = w_p * log p
+    are each within 2 eps |t_p| of the true terms (eps = 2^-52; math.log is
+    taken to be within one ulp, and the product rounds once) and math.fsum
+    adds them with one more rounding, so the float sum S is within
+    3 eps sum|t_p| of the true sum. A sum with |S| > 8 (#primes + 1) eps
+    sum|t_p|, a loose multiple of that, has the sign of S. Only a sum inside
+    that bound, or a larger |w_p|, falls back to `_power_sign`.
+    """
+    if not any(w):
+        return 0
+    if max(map(abs, w)) < 2**53:
+        terms = list(map(operator.mul, w, ifs.prime_logs))
+        s = math.fsum(terms)
+        if abs(s) > 8 * (len(terms) + 1) * _EPS * math.fsum(map(abs, terms)):
+            return 1 if s > 0 else -1
+    return _power_sign(ifs.primes, w)
+
+
 def _product_exceeds(ifs: GridIFS, c1: Sequence[int], c2: Sequence[int]) -> bool:
-    """Is the row product of c1 larger than that of c2? Exact, raising only
-    the count differences to powers."""
-    gain = [max(x - y, 0) for x, y in zip(c1, c2)]
-    loss = [max(y - x, 0) for x, y in zip(c1, c2)]
-    return _row_product(ifs, gain) > _row_product(ifs, loss)
+    """Is the row product of c1 larger than that of c2? Exact."""
+    return _log_sign(ifs, ifs.exponents(list(map(operator.sub, c1, c2)))) > 0
+
+
+def _depth_sign(
+    ifs: GridIFS, n: int, j1: int, x1: Sequence[int], j2: int, x2: Sequence[int]
+) -> int:
+    """Sign of value(j1) - value(j2) at stage n, exactly, where x1 and x2 are
+    the prime-exponent vectors of #J^n times each depth's row product.
+
+    value(j) = log N / ((n + j) log b), so the sign is that of
+    (n + j2) log N1 - (n + j1) log N2 = sum_p w_p log p with
+    w = (n + j2) x1 - (n + j1) x2.
+    """
+    return _log_sign(ifs, [(n + j2) * a - (n + j1) * c for a, c in zip(x1, x2)])
 
 
 class StageKernel:
@@ -249,9 +299,9 @@ class StageKernel:
         best counts.
 
         Float prefix sums of row logs rank the depths; a near-tie is settled
-        by exact integer cross-powers, so exact ties go to the smallest j.
+        exactly by `_depth_sign`, so exact ties go to the smallest j.
         """
-        ifs, lam = self.ifs, self.lam
+        ifs, n, lam = self.ifs, self.n, self.lam
         sums = [
             list(accumulate(map(ifs.row_log, v.digits[lam - 1 :]), initial=0.0))
             for v in self.patterns
@@ -259,17 +309,17 @@ class StageKernel:
         # a_max[j - lam + 1] is the float A(j); depth xi adds one free row
         a_max = list(map(max, *sums)) if len(sums) > 1 else sums[0]
         a_max.append(a_max[-1] + math.log(ifs.max_row_size))
-        best_j, best_val, best_prod = lam, math.inf, None
+        best_j, best_val, best_vec = lam, math.inf, None
         for j in range(lam, upto + 1):
             v = self.quotient(j, a_max[j - lam + 1])
             if v < best_val - _TIE_EPS:
-                best_j, best_val, best_prod = j, v, None
+                best_j, best_val, best_vec = j, v, None
             elif v < best_val + _TIE_EPS:
-                if best_prod is None:
-                    best_prod = _row_product(ifs, self.best(best_j)[1])
-                prod = _row_product(ifs, self.best(j)[1])
-                if _exact_stage_compare(ifs, self.n, j, prod, best_j, best_prod) < 0:
-                    best_j, best_val, best_prod = j, v, prod
+                if best_vec is None:
+                    best_vec = ifs.exponents(self.best(best_j)[1], n)
+                vec = ifs.exponents(self.best(j)[1], n)
+                if _depth_sign(ifs, n, j, vec, best_j, best_vec) < 0:
+                    best_j, best_val, best_vec = j, v, vec
         return best_j, self.best(best_j)[1]
 
 
@@ -326,21 +376,6 @@ class ExponentRecord:
 
     def weighted_row_count(self, ifs: GridIFS) -> float:
         return _counts_log(ifs, self.row_counts)
-
-
-def _exact_stage_compare(
-    ifs: GridIFS, n: int, j1: int, prod1: int, j2: int, prod2: int
-) -> int:
-    """Sign of value(j1) - value(j2) in exact integer arithmetic.
-
-    value(j) = log(#J^n * prod) / ((n + j) log b), so cross-raising removes
-    the logarithms.
-    """
-    base1 = len(ifs.digits) ** n * prod1
-    base2 = len(ifs.digits) ** n * prod2
-    lhs = base1 ** (n + j2)
-    rhs = base2 ** (n + j1)
-    return (lhs > rhs) - (lhs < rhs)
 
 
 def stage_exponent(

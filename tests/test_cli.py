@@ -103,6 +103,86 @@ class TestInputErrors:
         assert exc.value.path == "target.point"
         assert self._run(write_config(tmp_path, data), tmp_path) == 2
 
+    @pytest.mark.parametrize(
+        "key, node, field",
+        [
+            ("schedule", "linear", "schedule"),
+            ("ifs", [3, [[0, 0], [2, 0]]], "ifs"),
+            ("target", "vicsek-origin", "target"),
+            ("target", {"word": "0101"}, "target.word"),
+            ("target", {"point": 0}, "target"),
+            ("verify", [], "verify"),
+        ],
+    )
+    def test_node_types(self, tmp_path, capsys, key, node, field):
+        data = {**BASE_CONFIG, key: node}
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_dict(data)
+        assert exc.value.path == field
+        assert self._run(write_config(tmp_path, data), tmp_path) == 2
+        assert capsys.readouterr().out.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize(
+        "schedule, field",
+        [
+            ({"kind": "linear", "lam": 1.5, "xi": "2"}, "schedule.lam"),
+            ({"kind": "linear", "lam": "1", "xi": 2.0}, "schedule.xi"),
+            ({"kind": "table", "lam": [1, 1.5], "xi": [2, 3]}, "schedule.lam[1]"),
+            ({"kind": "table", "lam": [1], "xi": "2"}, "schedule.xi"),
+            ({"kind": "alternating", "ratios": [["1", "2"], [1.5, "3"]]}, "schedule.ratios[1][0]"),
+            ({"kind": "alternating", "ratios": [["1", "2"]], "block_base": 4.0},
+             "schedule.block_base"),
+        ],
+    )
+    def test_float_rates_rejected(self, tmp_path, schedule, field):
+        data = {**BASE_CONFIG, "schedule": schedule}
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_dict(data)
+        assert exc.value.path == field
+        assert self._run(write_config(tmp_path, data), tmp_path) == 2
+
+    def test_exact_rates_accepted(self):
+        linear = RunConfig.from_dict(
+            {**BASE_CONFIG, "schedule": {"kind": "linear", "lam": "3/2", "xi": 2}}
+        )
+        assert (linear.schedule.lam(4), linear.schedule.xi(4)) == (6, 8)
+        table = RunConfig.from_dict(
+            {**BASE_CONFIG, "schedule": {"kind": "table", "lam": [1, 2], "xi": [2, "4"]}}
+        )
+        assert (table.schedule.lam(2), table.schedule.xi(2)) == (2, 4)
+
+    @pytest.mark.parametrize(
+        "verify, field",
+        [
+            ({"checks": []}, "verify.checks"),
+            ({"checks": {"oracle": "n=2"}}, "verify.checks.oracle"),
+            ({"seed": "x", "checks": {"oracle": {"n": 2}}}, "verify.seed"),
+            ({"checks": {"oracle": {"n": "x"}}}, "verify.checks.oracle.n"),
+            ({"checks": {"containment": {"n": 3, "samples": 1.5}}},
+             "verify.checks.containment.samples"),
+            ({"checks": {"containment": {"n": 3, "depth": True}}},
+             "verify.checks.containment.depth"),
+            ({"checks": {"containment_exhaustive": {"depth": "deep"}}},
+             "verify.checks.containment_exhaustive.depth"),
+            ({"checks": {"set_relation": {"n": 2, "depth": "x", "exhaustive": True}}},
+             "verify.checks.set_relation.depth"),
+            ({"checks": {"set_relation": {"samples": [200]}}},
+             "verify.checks.set_relation.samples"),
+            ({"checks": {"cover": {"n": 2, "j": "x"}}}, "verify.checks.cover.j"),
+            ({"checks": {"measure": {"break_points": [3, "x"]}}},
+             "verify.checks.measure.break_points[1]"),
+            ({"checks": {"measure": {"break_points": [3, 17], "delta": 2.5}}},
+             "verify.checks.measure.delta"),
+            ({"checks": {"measure": {"break_points": [3, 17], "delta": "two"}}},
+             "verify.checks.measure.delta"),
+        ],
+    )
+    def test_bad_verify_options(self, tmp_path, capsys, verify, field):
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "verify": verify})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+        assert capsys.readouterr().out.startswith(f"error: {field}: ")
+        assert not (tmp_path / "v" / "verify.json").exists()
+
 
 class TestDimensionCommand:
     def test_outputs(self, tmp_path):
