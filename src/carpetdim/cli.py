@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,9 +188,7 @@ def _parse_int(value, path: str) -> int:
 def _parse_int_list(node, path: str) -> list[int]:
     if not isinstance(node, list):
         raise ConfigError(path, "expected a list of integers")
-    if all(type(v) is int for v in node):  # plain JSON integers: nothing to convert
-        return list(node)
-    return [_parse_int(v, f"{path}[{i}]") for i, v in enumerate(node)]
+    return [v if type(v) is int else _parse_int(v, f"{path}[{i}]") for i, v in enumerate(node)]
 
 
 def _parse_fraction(value, path: str) -> Fraction:
@@ -201,6 +200,19 @@ def _parse_fraction(value, path: str) -> Fraction:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(path, f"expected a rational, got {value!r}") from exc
+
+
+def _parse_real(value, path: str) -> float:
+    """A finite number; bools, NaN and infinities are rejected."""
+    if not isinstance(value, bool):
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if math.isfinite(x):
+                return x
+    raise ConfigError(path, f"expected a finite number, got {value!r}")
 
 
 def _parse_n_range(node, path: str) -> list[int]:
@@ -294,96 +306,98 @@ def cmd_sn_table(config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _opt_int(checks: dict, check: str, key: str, default) -> int:
-    return _parse_int(checks[check].get(key, default), f"verify.checks.{check}.{key}")
+_DEFAULT_CHECKS = {
+    "oracle": {"n": 2},
+    "containment": {"n": 3, "samples": 2000},
+    "set_relation": {"n": 3, "samples": 2000},
+}
 
 
-def _verify_samples(config: RunConfig, checks: dict, check: str, n: int, seed: int):
-    count = _opt_int(checks, check, "samples", 2000)
-    depth = _opt_int(checks, check, "depth", n + config.schedule.xi(n) + 5)
-    rng = random.Random(seed)
-    return verify_mod.random_words(
-        config.ifs, config.target, config.schedule, n, count, depth, rng
-    )
+def _verify_options(config: RunConfig) -> dict[str, dict]:
+    """Every verify check's options, parsed with their paths before any check
+    runs, so a bad option exits 2 without running a check."""
+    checks = _parse_object(config.verify.get("checks", {}), "verify.checks") or _DEFAULT_CHECKS
+    lam, xi = config.schedule.lam, config.schedule.xi
+    options = {}
+    for name, node in checks.items():
+        path = f"verify.checks.{name}"
+        node = _parse_object(node, path)
+
+        def opt(key, default, parse=_parse_int):
+            return parse(node.get(key, default), f"{path}.{key}")
+
+        if name == "oracle":
+            options[name] = {"n": opt("n", 2)}
+        elif name == "containment":
+            n = opt("n", 3)
+            samples = opt("samples", 2000)
+            options[name] = {"n": n, "samples": samples, "depth": opt("depth", n + xi(n) + 5)}
+        elif name == "containment_exhaustive":
+            options[name] = {"n": opt("n", 2), "depth": opt("depth", 10)}
+        elif name == "set_relation":
+            n = opt("n", 3)
+            if node.get("exhaustive"):
+                options[name] = {"n": n, "exhaustive": True, "depth": opt("depth", 8)}
+            else:
+                depth = opt("depth", n + xi(n) + 4)
+                options[name] = {"n": n, "exhaustive": False, "depth": depth,
+                                 "samples": opt("samples", 2000)}
+        elif name == "cover":
+            n = opt("n", 2)
+            options[name] = {"n": n, "j": opt("j", lam(n))}
+        elif name == "measure":
+            bps = _parse_int_list(node.get("break_points", []), f"{path}.break_points")
+            if not bps:
+                raise ConfigError(f"{path}.break_points", "missing")
+            options[name] = {
+                "break_points": bps,
+                "delta": opt("delta", 2, _parse_fraction),
+                "holder_slack": opt("holder_slack", 0.05, _parse_real),
+            }
+    return options
 
 
 def cmd_verify(config: RunConfig, out_dir: Path, seed_override: int | None = None) -> int:
-    checks = _parse_object(config.verify.get("checks", {}), "verify.checks")
-    for name, opts in checks.items():
-        _parse_object(opts, f"verify.checks.{name}")
-    if not checks:
-        checks = {
-            "oracle": {"n": 2},
-            "containment": {"n": 3, "samples": 2000},
-            "set_relation": {"n": 3, "samples": 2000},
-        }
+    options = _verify_options(config)
     if seed_override is None:
         seed = _parse_int(config.verify.get("seed", 0), "verify.seed")
     else:
         seed = seed_override
+    ifs, target, schedule = config.ifs, config.target, config.schedule
     reports: list[verify_mod.CheckReport] = []
 
-    if "oracle" in checks:
-        reports.append(
-            verify_mod.oracle_window_report(
-                config.ifs, config.target, config.schedule, _opt_int(checks, "oracle", "n", 2)
-            )
+    if "oracle" in options:
+        n = options["oracle"]["n"]
+        reports.append(verify_mod.oracle_window_report(ifs, target, schedule, n))
+    containment = (verify_mod.check_containment_forward, verify_mod.check_containment_backward)
+    if "containment" in options:
+        o = options["containment"]
+        rng = random.Random(seed)
+        words = verify_mod.random_words(
+            ifs, target, schedule, o["n"], o["samples"], o["depth"], rng
         )
-    if "containment" in checks:
-        n = _opt_int(checks, "containment", "n", 3)
-        samples = _verify_samples(config, checks, "containment", n, seed)
-        reports.append(
-            verify_mod.check_containment_forward(
-                config.ifs, config.target, config.schedule, n, samples
-            )
-        )
-        reports.append(
-            verify_mod.check_containment_backward(
-                config.ifs, config.target, config.schedule, n, samples
-            )
-        )
-    if "containment_exhaustive" in checks:
-        n = _opt_int(checks, "containment_exhaustive", "n", 2)
-        depth = _opt_int(checks, "containment_exhaustive", "depth", 10)
-        words = list(verify_mod.exhaustive_truncations(config.ifs, depth))
-        reports.append(
-            verify_mod.check_containment_forward(
-                config.ifs, config.target, config.schedule, n, words
-            )
-        )
-        reports.append(
-            verify_mod.check_containment_backward(
-                config.ifs, config.target, config.schedule, n, words
-            )
-        )
-    if "set_relation" in checks:
-        n = _opt_int(checks, "set_relation", "n", 3)
-        if checks["set_relation"].get("exhaustive"):
-            depth = _opt_int(checks, "set_relation", "depth", 8)
+        reports += [check(ifs, target, schedule, o["n"], words) for check in containment]
+    if "containment_exhaustive" in options:
+        o = options["containment_exhaustive"]
+        words = list(verify_mod.exhaustive_truncations(ifs, o["depth"]))
+        reports += [check(ifs, target, schedule, o["n"], words) for check in containment]
+    if "set_relation" in options:
+        o = options["set_relation"]
+        if o["exhaustive"]:
             reports.append(
-                verify_mod.exhaustive_relation_check(
-                    config.ifs, config.target, config.schedule, n, depth
-                )
+                verify_mod.exhaustive_relation_check(ifs, target, schedule, o["n"], o["depth"])
             )
         else:
             rng = random.Random(seed)
-            depth = _opt_int(checks, "set_relation", "depth", n + config.schedule.xi(n) + 4)
-            samples = _opt_int(checks, "set_relation", "samples", 2000)
+            digits = ifs.sorted_digits()
             words = [
-                DigitWord.periodic(
-                    (), [rng.choice(config.ifs.sorted_digits()) for _ in range(depth)]
-                )
-                for _ in range(samples)
+                DigitWord.periodic((), [rng.choice(digits) for _ in range(o["depth"])])
+                for _ in range(o["samples"])
             ]
-            reports.append(
-                verify_mod.check_set_relation(
-                    config.ifs, config.target, config.schedule, n, words
-                )
-            )
-    if "cover" in checks:
-        n = _opt_int(checks, "cover", "n", 2)
-        j = _opt_int(checks, "cover", "j", config.schedule.lam(n))
-        family = verify_mod.build_cover(config.ifs, config.target, config.schedule, n, j)
+            reports.append(verify_mod.check_set_relation(ifs, target, schedule, o["n"], words))
+    if "cover" in options:
+        o = options["cover"]
+        family = verify_mod.build_cover(ifs, target, schedule, o["n"], o["j"])
         rep = verify_mod.CheckReport(
             "cover-bound",
             len(family.boxes) <= family.cardinality_bound,
@@ -391,15 +405,10 @@ def cmd_verify(config: RunConfig, out_dir: Path, seed_override: int | None = Non
             details={"boxes": len(family.boxes), "bound": family.cardinality_bound},
         )
         reports.append(rep)
-    if "measure" in checks:
-        opts = checks["measure"]
-        bps = _parse_int_list(opts.get("break_points", []), "verify.checks.measure.break_points")
-        if not bps:
-            raise ConfigError("verify.checks.measure.break_points", "missing")
-        delta = _parse_fraction(opts.get("delta", 2), "verify.checks.measure.delta")
-        builder = verify_mod.build_lower_bound_measure(
-            config.ifs, config.target, config.schedule, bps, delta
-        )
+    if "measure" in options:
+        o = options["measure"]
+        bps, delta = o["break_points"], o["delta"]
+        builder = verify_mod.build_lower_bound_measure(ifs, target, schedule, bps, delta)
         level_ok = all(builder.level_sum(m) == 1 for m in range(1, builder.depth + 1))
         bound_ok = all(builder.mass_bound_holds(k) for k in range(len(bps)))
         rep = verify_mod.CheckReport(
@@ -415,12 +424,9 @@ def cmd_verify(config: RunConfig, out_dir: Path, seed_override: int | None = Non
         points = [builder.support_word(builder.depth)] + [
             builder.support_word(builder.depth, rng) for _ in range(2)
         ]
-        radii = [Fraction(1, config.ifs.base ** m) for m in range(bps[0] + 1, builder.depth + 1)]
+        radii = [Fraction(1, ifs.base ** m) for m in range(bps[0] + 1, builder.depth + 1)]
         samples = verify_mod.holder_exponent_samples(builder, points, radii)
-        try:
-            slack = float(opts.get("holder_slack", 0.05))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("verify.checks.measure.holder_slack", "expected a number") from exc
+        slack = o["holder_slack"]
         threshold = {}
         for k, n_k in enumerate(bps):
             threshold[n_k] = (1.0 - 1.0 / float(delta)) * builder.stage_values[n_k] - slack

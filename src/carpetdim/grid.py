@@ -47,7 +47,6 @@ class GridIFS:
     _row_sizes: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _row_logs: tuple[float, ...] = field(init=False, compare=False, repr=False)
     _primes: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _prime_logs: tuple[float, ...] = field(init=False, compare=False, repr=False)
     _size_exps: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _row_exps: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
@@ -67,7 +66,6 @@ class GridIFS:
         factored = [_factor(m) for m in (len(self.digits),) + sizes]
         primes = tuple(sorted(set().union(*factored)))
         object.__setattr__(self, "_primes", primes)
-        object.__setattr__(self, "_prime_logs", tuple(map(math.log, primes)))
         object.__setattr__(self, "_size_exps", tuple(factored[0].get(p, 0) for p in primes))
         object.__setattr__(
             self, "_row_exps", tuple(tuple(f.get(p, 0) for f in factored[1:]) for p in primes)
@@ -100,11 +98,6 @@ class GridIFS:
     def primes(self) -> tuple[int, ...]:
         """The primes dividing #J or some row size, ascending."""
         return self._primes
-
-    @property
-    def prime_logs(self) -> tuple[float, ...]:
-        """math.log of each prime in `primes`."""
-        return self._prime_logs
 
     def exponents(self, counts: Sequence[int], n: int = 0) -> list[int]:
         """Exponent vector over `primes` of #J^n times the product of

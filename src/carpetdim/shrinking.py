@@ -13,9 +13,8 @@ enter when a value is reported or ranked. Comparisons that decide an output
 are exact: #J and every row size factor over a few small primes (`GridIFS.
 primes`), so each comparison is the sign of an integer linear form
 sum_p w_p log p. The logs of distinct primes are linearly independent over Q,
-so w = 0 is an exact tie, found in O(#primes); any other w is decided by a
-float sum with a certified error bound, and only a sum inside that bound
-falls back to comparing two big-integer prime powers (see `_log_sign`).
+so w = 0 is an exact tie, found in O(#primes); any other w is decided by
+comparing two big-integer prime powers (see `_log_sign`).
 
 Every reader of a stage (exponent, row-count surface, agreement length,
 verify constructions) builds one `StageKernel` per stage in O(b xi). It then
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
@@ -40,7 +38,6 @@ from .words import DigitWord
 
 # float prefilter: stage quotients closer than this are compared exactly
 _TIE_EPS = 1e-12
-_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -176,34 +173,17 @@ def _counts_log(ifs: GridIFS, counts: Sequence[int]) -> float:
     return sum(m * ifs.row_log(a) for a, m in enumerate(counts) if m)
 
 
-def _power_sign(primes: Sequence[int], w: Sequence[int]) -> int:
-    """Sign of prod_p p^w_p - 1, comparing the positive and the negative
-    powers as big integers."""
-    gain = math.prod(p**x for p, x in zip(primes, w) if x > 0)
-    loss = math.prod(p**-x for p, x in zip(primes, w) if x < 0)
-    return (gain > loss) - (gain < loss)
-
-
 def _log_sign(ifs: GridIFS, w: Sequence[int]) -> int:
-    """Sign of sum_p w_p log p over `ifs.primes`, exactly.
-
-    w = 0 gives 0: the logs of distinct primes are linearly independent over
-    Q. Otherwise, with every |w_p| < 2^53, the float terms t_p = w_p * log p
-    are each within 2 eps |t_p| of the true terms (eps = 2^-52; math.log is
-    taken to be within one ulp, and the product rounds once) and math.fsum
-    adds them with one more rounding, so the float sum S is within
-    3 eps sum|t_p| of the true sum. A sum with |S| > 8 (#primes + 1) eps
-    sum|t_p|, a loose multiple of that, has the sign of S. Only a sum inside
-    that bound, or a larger |w_p|, falls back to `_power_sign`.
+    """Sign of sum_p w_p log p over `ifs.primes`, exactly: the sign of
+    prod_p p^w_p - 1, comparing the positive and the negative powers as big
+    integers. The logs of distinct primes are linearly independent over Q,
+    so only w = 0 gives 0, found in O(#primes) without any powers.
     """
     if not any(w):
         return 0
-    if max(map(abs, w)) < 2**53:
-        terms = list(map(operator.mul, w, ifs.prime_logs))
-        s = math.fsum(terms)
-        if abs(s) > 8 * (len(terms) + 1) * _EPS * math.fsum(map(abs, terms)):
-            return 1 if s > 0 else -1
-    return _power_sign(ifs.primes, w)
+    gain = math.prod(p**x for p, x in zip(ifs.primes, w) if x > 0)
+    loss = math.prod(p**-x for p, x in zip(ifs.primes, w) if x < 0)
+    return (gain > loss) - (gain < loss)
 
 
 def _product_exceeds(ifs: GridIFS, c1: Sequence[int], c2: Sequence[int]) -> bool:

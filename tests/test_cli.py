@@ -175,6 +175,12 @@ class TestInputErrors:
              "verify.checks.measure.delta"),
             ({"checks": {"measure": {"break_points": [3, 17], "delta": "two"}}},
              "verify.checks.measure.delta"),
+            ({"checks": {"measure": {"break_points": [3, 17], "holder_slack": True}}},
+             "verify.checks.measure.holder_slack"),
+            ({"checks": {"measure": {"break_points": [3, 17], "holder_slack": "nan"}}},
+             "verify.checks.measure.holder_slack"),
+            ({"checks": {"measure": {"break_points": [3, 17], "holder_slack": math.inf}}},
+             "verify.checks.measure.holder_slack"),
         ],
     )
     def test_bad_verify_options(self, tmp_path, capsys, verify, field):
@@ -182,6 +188,17 @@ class TestInputErrors:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
         assert capsys.readouterr().out.startswith(f"error: {field}: ")
         assert not (tmp_path / "v" / "verify.json").exists()
+
+    def test_bad_verify_option_stops_before_any_check(self, tmp_path, monkeypatch):
+        import carpetdim.verify as verify_mod
+
+        def ran(*args):
+            raise AssertionError("a check ran before the options were read")
+
+        monkeypatch.setattr(verify_mod, "oracle_window_report", ran)
+        checks = {"oracle": {"n": 2}, "measure": {"break_points": [3, 17], "holder_slack": "x"}}
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "verify": {"checks": checks}})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
 
 
 class TestDimensionCommand:
