@@ -92,11 +92,10 @@ def _parse_ifs(node, path: str) -> GridIFS:
             raise ConfigError(f"{path}.name", f"unknown system {name!r}; have {sorted(NAMED_IFS)}")
         base, pairs = NAMED_IFS[name]
     else:
-        try:
-            base = int(node["base"])
-            pairs = [tuple(int(c) for c in p) for p in node["pairs"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(path, f"need base and pairs: {exc}") from exc
+        if "base" not in node or "pairs" not in node:
+            raise ConfigError(path, "need base and pairs")
+        base = _parse_int(node["base"], f"{path}.base")
+        pairs = _parse_pairs(node["pairs"], f"{path}.pairs")
     try:
         return validate_ifs(base, pairs)
     except CarpetError as exc:
@@ -105,11 +104,8 @@ def _parse_ifs(node, path: str) -> GridIFS:
 
 def _parse_word(node, path: str) -> DigitWord:
     node = _parse_object(node, path)
-    try:
-        pre = [tuple(int(c) for c in p) for p in node.get("preperiod", [])]
-        per = [tuple(int(c) for c in p) for p in node.get("period", [])]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, f"bad digit pairs: {exc}") from exc
+    pre = _parse_pairs(node.get("preperiod", []), f"{path}.preperiod")
+    per = _parse_pairs(node.get("period", []), f"{path}.period")
     if per:
         return DigitWord.periodic(pre, per)
     if not pre:
@@ -191,6 +187,18 @@ def _parse_int_list(node, path: str) -> list[int]:
     return [v if type(v) is int else _parse_int(v, f"{path}[{i}]") for i, v in enumerate(node)]
 
 
+def _parse_pairs(node, path: str) -> list[tuple[int, int]]:
+    """A list of digit pairs, each a list of exactly two integers."""
+    if not isinstance(node, list):
+        raise ConfigError(path, "expected a list of [u, v] pairs")
+    pairs = []
+    for i, pair in enumerate(node):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f"{path}[{i}]", f"expected a pair [u, v], got {pair!r}")
+        pairs.append(tuple(_parse_int_list(pair, f"{path}[{i}]")))
+    return pairs
+
+
 def _parse_fraction(value, path: str) -> Fraction:
     """An exact rational: an integer or a string such as "3/2"; JSON floats
     are rejected."""
@@ -248,7 +256,6 @@ def load_config(path: str) -> RunConfig:
 
 def cmd_dimension(config: RunConfig, out_dir: Path) -> int:
     report = dimension_report(config.ifs, config.target, config.schedule, config.n_values)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sn.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "s_n", "argmin_j"])
@@ -279,7 +286,6 @@ def cmd_dimension(config: RunConfig, out_dir: Path) -> int:
 
 def cmd_slice(config: RunConfig, out_dir: Path) -> int:
     result = slice_dimension(config.ifs, config.target.word)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "value": _round12(result.value),
         "liminf_attained": result.liminf_attained,
@@ -293,7 +299,6 @@ def cmd_slice(config: RunConfig, out_dir: Path) -> int:
 
 def cmd_sn_table(config: RunConfig, out_dir: Path) -> int:
     ifs = config.ifs
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sn_table.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "j", "weighted_row_count", "quotient"])
@@ -443,7 +448,6 @@ def cmd_verify(config: RunConfig, out_dir: Path, seed_override: int | None = Non
             )
         )
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"passed": all(r.passed for r in reports), "checks": [r.to_dict() for r in reports]}
     with open(out_dir / "verify.json", "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -471,6 +475,10 @@ def main(argv=None) -> int:
         if args.n_max is not None:
             config.n_values = [n for n in config.n_values if n <= args.n_max] or [args.n_max]
         out_dir = Path(args.out)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("--out", f"cannot create {out_dir}: {exc.strerror or exc}") from exc
         if args.command == "dimension":
             return cmd_dimension(config, out_dir)
         if args.command == "slice":

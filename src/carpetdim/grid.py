@@ -188,14 +188,21 @@ def project_prefix(ifs: GridIFS, prefix: Sequence[tuple[int, int]]) -> DyadicBox
     Corner coordinates are exact rationals with denominator b^len(prefix).
     """
     b = ifs.base
-    xn = 0
-    yn = 0
     for p in prefix:
         pair = DigitPair(*p)
         if pair not in ifs.digits:
             raise InadmissiblePairError(f"pair {tuple(pair)} not in the digit set")
-        xn = xn * b + pair.u
-        yn = yn * b + pair.v
+    xn, yn = pair_value(prefix, b)
     m = len(prefix)
     den = b ** m
     return DyadicBox(b, m, (Fraction(xn, den), Fraction(yn, den)))
+
+
+def pair_value(pairs: Iterable[tuple[int, int]], base: int) -> tuple[int, int]:
+    """The integer base-b numerals (x, y) of a pair string, most significant
+    digit first: x reads the column digits u, y the row digits v."""
+    x = y = 0
+    for u, v in pairs:
+        x = x * base + u
+        y = y * base + v
+    return x, y

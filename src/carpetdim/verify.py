@@ -4,6 +4,7 @@ Everything here runs in exact rational or integer arithmetic. Truncated
 words are treated as intervals: inclusion tests shrink the rectangle by the
 truncation slack and exclusion tests grow it, so no sample can be
 misclassified by rounding. Eventually periodic samples are exact points.
+Both set-relation checks feed integer samples to one verdict, `_set_relation`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     RadiusTooSmallError,
     ThresholdNotMetError,
 )
-from .grid import DigitPair, DyadicBox, GridIFS
+from .grid import DigitPair, DyadicBox, GridIFS, pair_value
 from .schedules import RateSchedule
 from .shrinking import (
     StageKernel,
@@ -83,13 +84,8 @@ def shifted_intervals(
     if shifted.is_periodic:
         x, y = shifted.point(base)
         return (x, x), (y, y)
-    digits = shifted.preperiod
-    m = len(digits)
-    xn = yn = 0
-    for u, v in digits:
-        xn = xn * base + u
-        yn = yn * base + v
-    den = base ** m
+    xn, yn = pair_value(shifted.preperiod, base)
+    den = base ** len(shifted.preperiod)
     slack = Fraction(1, den)
     xlo = Fraction(xn, den)
     ylo = Fraction(yn, den)
@@ -197,15 +193,74 @@ def _base_digits(value: int, base: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(ds))
 
 
-def _witnesses(ifs: GridIFS, digits_of, bn: int, kx: int, ky: int, valid_sx, valid_sy) -> list:
-    """Shifts (sx, sy) whose translated level-n prefix (kx - sx, ky - sy)
-    lies in [0, b^n) on both axes and pairs up inside the digit set."""
-    return [
-        (sx, sy)
-        for sx in valid_sx if 0 <= kx - sx < bn
-        for sy in valid_sy if 0 <= ky - sy < bn
-        and all(map(ifs.digits.__contains__, zip(digits_of(kx - sx), digits_of(ky - sy))))
-    ]
+def _valid_shifts(num: int, den: int, cn: int, cd: int, scale: int) -> list[int]:
+    """Shifts s in -2..2 with |s + num/den - cn/cd| <= 1/scale, in integers."""
+    step = den * cd
+    off = num * cd - cn * den
+    return [s for s in (-2, -1, 0, 1, 2) if abs(s * step + off) * scale <= step]
+
+
+def _set_relation(
+    ifs: GridIFS,
+    target: TargetSpec,
+    schedule: RateSchedule,
+    n: int,
+    name: str,
+    samples: Iterable[tuple],
+) -> CheckReport:
+    """The set-relation verdict over a stream of samples.
+
+    Each sample is (word, kx, ky, xs_num, xs_den, ys_num, ys_den): the
+    (preperiod, period) of an eventually periodic word, the integer level-n
+    prefix values of its point per axis, and its shift-n point
+    (xs_num/xs_den, ys_num/ys_den). The word becomes a DigitWord only when the
+    sample fails. A shift s is valid on an axis when s plus the shifted
+    coordinate lies within the stage radius of the target; a witness is a
+    valid (sx, sy) whose translated prefix (kx - sx, ky - sy) lies in [0, b^n)
+    on both axes and pairs up inside the digit set. Every broken condition of
+    a sample is recorded.
+    """
+    lam, xi = schedule.lam(n), schedule.xi(n)
+    z, w = _target_point(target)
+    interior = 0 < z < 1 and 0 < w < 1
+    if interior:
+        _interior_thresholds(ifs, z, w, lam, xi)
+    b = ifs.base
+    bn, blam, bxi = b ** n, b ** lam, b ** xi
+    zn, zd, wn, wd = z.numerator, z.denominator, w.numerator, w.denominator
+    digits_of = functools.cache(functools.partial(_base_digits, base=b, n=n))
+    admissible = ifs.digits.__contains__
+    report = CheckReport(name, True, 0, details={"interior": interior})
+    nonzero_shift_witnesses = 0
+    for word, kx, ky, xs_num, xs_den, ys_num, ys_den in samples:
+        report.checked += 1
+        valid_sx = _valid_shifts(xs_num, xs_den, zn, zd, blam)
+        valid_sy = _valid_shifts(ys_num, ys_den, wn, wd, bxi)
+        if any(abs(s) > 1 for s in valid_sx + valid_sy):
+            _fail(report, DigitWord(*word), "witness shift outside {-1,0,1}")
+            continue
+        witnesses = [
+            (sx, sy)
+            for sx in valid_sx if 0 <= kx - sx < bn
+            for sy in valid_sy if 0 <= ky - sy < bn
+            and all(map(admissible, zip(digits_of(kx - sx), digits_of(ky - sy))))
+        ]
+        eq1 = 0 in valid_sx and 0 in valid_sy
+        eq2 = bool(witnesses)
+        if eq1 and (0, 0) not in witnesses:
+            _fail(report, DigitWord(*word), "rectangle hit but own prefix not a witness")
+        if interior:
+            if eq2 != eq1:
+                _fail(report, DigitWord(*word),
+                      f"interior equivalence broken: eq1={eq1} eq2={eq2}")
+            if any(s != (0, 0) for s in witnesses):
+                _fail(report, DigitWord(*word), "interior witness with nonzero shift")
+        else:
+            if eq1 and not eq2:
+                _fail(report, DigitWord(*word), "rectangle hit without any witness")
+            nonzero_shift_witnesses += sum(1 for s in witnesses if s != (0, 0))
+    report.details["nonzero_shift_witnesses"] = nonzero_shift_witnesses
+    return report
 
 
 def check_set_relation(
@@ -221,58 +276,30 @@ def check_set_relation(
     point itself; each witness carries an integer shift per axis which must
     lie in {-1, 0, 1}, and for interior targets must vanish (making the two
     conditions equivalent). Boundary targets only get the one-sided
-    implications plus the 3x3 rectangle containment.
+    implications plus the 3x3 rectangle containment. The verdict is
+    `_set_relation`'s, shared with exhaustive_relation_check.
     """
-    lam, xi = schedule.lam(n), schedule.xi(n)
     b = ifs.base
-    z, w = _target_point(target)
-    interior = 0 < z < 1 and 0 < w < 1
-    if interior:
-        _interior_thresholds(ifs, z, w, lam, xi)
-    rx = Fraction(1, b ** lam)
-    ry = Fraction(1, b ** xi)
     bn = b ** n
-    report = CheckReport("set-relation", True, 0, details={"interior": interior})
-    digits_of = functools.cache(functools.partial(_base_digits, base=b, n=n))
 
-    nonzero_shift_witnesses = 0
-    for word in samples:
-        if not word.is_periodic:
-            raise InsufficientDepthError("set-relation samples must be eventually periodic")
-        report.checked += 1
-        x, y = word.point(b)
-        xs, ys = word.shift(n).point(b)
-        kx = int(bn * x - xs)
-        ky = int(bn * y - ys)
-        valid_sx = [s for s in (-2, -1, 0, 1, 2) if abs(s + xs - z) <= rx]
-        valid_sy = [s for s in (-2, -1, 0, 1, 2) if abs(s + ys - w) <= ry]
-        if any(abs(s) > 1 for s in valid_sx + valid_sy):
-            _fail(report, word, "witness shift outside {-1,0,1}")
-            continue
-        eq1 = 0 in valid_sx and 0 in valid_sy
-        witnesses = _witnesses(ifs, digits_of, bn, kx, ky, valid_sx, valid_sy)
-        eq2 = bool(witnesses)
-        if eq1 and (0, 0) not in witnesses:
-            _fail(report, word, "rectangle hit but own prefix not a witness")
-        if interior:
-            if eq2 != eq1:
-                _fail(report, word, f"interior equivalence broken: eq1={eq1} eq2={eq2}")
-            if any(s != (0, 0) for s in witnesses):
-                _fail(report, word, "interior witness with nonzero shift")
-        else:
-            if eq1 and not eq2:
-                _fail(report, word, "rectangle hit without any witness")
-            nonzero_shift_witnesses += sum(1 for s in witnesses if s != (0, 0))
-    report.details["nonzero_shift_witnesses"] = nonzero_shift_witnesses
-    return report
+    def points():
+        for word in samples:
+            if not word.is_periodic:
+                raise InsufficientDepthError("set-relation samples must be eventually periodic")
+            x, y = word.point(b)
+            xs, ys = word.shift(n).point(b)
+            yield ((word.preperiod, word.period), int(bn * x - xs), int(bn * y - ys),
+                   xs.numerator, xs.denominator, ys.numerator, ys.denominator)
+
+    return _set_relation(ifs, target, schedule, n, "set-relation", points())
 
 
 def exhaustive_relation_check(
     ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int, depth: int
 ) -> CheckReport:
     """check_set_relation over every depth-`depth` prefix extended by a
-    constant tail (the lowest and highest pair of the digit set), in plain
-    integer arithmetic so exhaustive runs stay fast.
+    constant tail (the lowest and highest pair of the digit set), with the
+    samples formed in plain integer arithmetic so exhaustive runs stay fast.
 
     The constant-tail extensions matter: they include the words whose shifted
     point sits at a box boundary, where witness translates pick up a nonzero
@@ -283,69 +310,24 @@ def exhaustive_relation_check(
         raise EnumerationTooLargeError(f"{len(ifs.digits)}^{depth} words exceed the guard")
     if depth < n:
         raise InsufficientDepthError(f"depth {depth} below n = {n}")
-    lam, xi = schedule.lam(n), schedule.xi(n)
-    z, w = _target_point(target)
-    interior = 0 < z < 1 and 0 < w < 1
-    if interior:
-        _interior_thresholds(ifs, z, w, lam, xi)
-    bn = b ** n
     # shifted coordinate of prefix + constant tail (alpha, beta):
     #   xs = ((b-1) * A' + alpha) / ((b-1) * b^(depth-n))
     # with A' the value of the last depth-n prefix digits
-    den = (b - 1) * b ** (depth - n)
-    zn, zd = z.numerator, z.denominator
-    wn, wd = w.numerator, w.denominator
-    blam = b ** lam
-    bxi = b ** xi
-
-    pair_digits = [_base_digits(p, b, n) for p in range(bn)]
-    sorted_digits = ifs.sorted_digits()
-    tails = sorted({sorted_digits[0], sorted_digits[-1]})
-
-    report = CheckReport("set-relation-exhaustive", True, 0, details={"interior": interior})
-    nonzero = 0
     tail_mod = b ** (depth - n)
+    den = (b - 1) * tail_mod
+    digits = ifs.sorted_digits()
+    tails = [((t,), t.u, t.v) for t in sorted({digits[0], digits[-1]})]
 
-    def axis_valid(shift: int, xs_num: int, cn: int, cd: int, be: int) -> bool:
-        return abs((shift * den + xs_num) * cd - cn * den) * be <= den * cd
+    def points():
+        for prefix in itertools.product(digits, repeat=depth):
+            xnum, ynum = pair_value(prefix, b)
+            kx, ax = divmod(xnum, tail_mod)
+            ky, ay = divmod(ynum, tail_mod)
+            for period, alpha, beta in tails:
+                yield ((prefix, period), kx, ky,
+                       (b - 1) * ax + alpha, den, (b - 1) * ay + beta, den)
 
-    for prefix in itertools.product(sorted_digits, repeat=depth):
-        xnum = ynum = 0
-        for u, v in prefix:
-            xnum = xnum * b + u
-            ynum = ynum * b + v
-        kx, ax_tail = divmod(xnum, tail_mod)
-        ky, ay_tail = divmod(ynum, tail_mod)
-        for alpha, beta in tails:
-            xs_num = (b - 1) * ax_tail + alpha
-            ys_num = (b - 1) * ay_tail + beta
-            report.checked += 1
-            valid_sx = [s for s in (-2, -1, 0, 1, 2) if axis_valid(s, xs_num, zn, zd, blam)]
-            valid_sy = [s for s in (-2, -1, 0, 1, 2) if axis_valid(s, ys_num, wn, wd, bxi)]
-            if any(abs(s) > 1 for s in valid_sx + valid_sy):
-                _fail(report, DigitWord.periodic(prefix, ((alpha, beta),)),
-                      "witness shift outside {-1,0,1}")
-                continue
-            eq1 = 0 in valid_sx and 0 in valid_sy
-            witnesses = _witnesses(
-                ifs, pair_digits.__getitem__, bn, kx, ky, valid_sx, valid_sy
-            )
-            eq2 = bool(witnesses)
-            bad = None
-            if eq1 and (0, 0) not in witnesses:
-                bad = "rectangle hit but own prefix not a witness"
-            elif interior and eq2 != eq1:
-                bad = f"interior equivalence broken: eq1={eq1} eq2={eq2}"
-            elif interior and any(s != (0, 0) for s in witnesses):
-                bad = "interior witness with nonzero shift"
-            elif not interior and eq1 and not eq2:
-                bad = "rectangle hit without any witness"
-            if bad:
-                _fail(report, DigitWord.periodic(prefix, ((alpha, beta),)), bad)
-            if not interior:
-                nonzero += sum(1 for s in witnesses if s != (0, 0))
-    report.details["nonzero_shift_witnesses"] = nonzero
-    return report
+    return _set_relation(ifs, target, schedule, n, "set-relation-exhaustive", points())
 
 
 # window enumeration: definition-style oracle versus pattern expansion
@@ -359,6 +341,7 @@ def brute_force_window_set(
     lam, xi = schedule.lam(n), schedule.xi(n)
     if len(ifs.digits) ** xi > ENUMERATION_GUARD:
         raise EnumerationTooLargeError(f"{len(ifs.digits)}^{xi} windows exceed the guard")
+    # looked up when called, so the oracle follows a patched shrinking predicate
     from .shrinking import axis_digits_admissible
 
     tcols = target.col_digits(lam - 1)
@@ -469,21 +452,17 @@ def build_cover(
         raise EnumerationTooLargeError(f"{len(ifs.digits)}^{n} prefixes exceed the guard")
     b = ifs.base
     kernel = StageKernel(ifs, target, schedule, n)
-    window_slots = _window_slots(kernel, j)
 
+    # every slot list has length j, so a corner is prefix * b^j + window tail
+    tails = {
+        pair_value(t, b) for slots in _window_slots(kernel, j) for t in itertools.product(*slots)
+    }
+    scale = b ** j
     corners: set[tuple[int, int]] = set()
     for prefix in itertools.product(ifs.sorted_digits(), repeat=n):
-        px = py = 0
-        for u, v in prefix:
-            px = px * b + u
-            py = py * b + v
-        for slots in window_slots:
-            for tail in itertools.product(*slots):
-                xn, yn = px, py
-                for u, v in tail:
-                    xn = xn * b + u
-                    yn = yn * b + v
-                corners.add((xn, yn))
+        px, py = pair_value(prefix, b)
+        px, py = px * scale, py * scale
+        corners.update((px + tx, py + ty) for tx, ty in tails)
 
     level = n + j
     den = b ** level
@@ -740,7 +719,7 @@ def holder_exponent_samples(
             ky_hi = min(scale - 1, math.floor((y + r) * scale))
             for kx in range(kx_lo, kx_hi + 1):
                 for ky in range(ky_lo, ky_hi + 1):
-                    nu += _grid_cylinder_mass(builder, level, kx, ky)
+                    nu += builder.mass(zip(_base_digits(kx, b, level), _base_digits(ky, b, level)))
             if nu == 0:
                 exponent = math.inf
             else:
@@ -749,24 +728,6 @@ def holder_exponent_samples(
                 exponent = log_nu / log_r
             out.append(HolderSample((x, y), r, level, nu, exponent))
     return out
-
-
-def _grid_cylinder_mass(builder: MeasureBuilder, level: int, kx: int, ky: int) -> Fraction:
-    b = builder.ifs.base
-    xd = []
-    yd = []
-    vx, vy = kx, ky
-    for _ in range(level):
-        xd.append(vx % b)
-        yd.append(vy % b)
-        vx //= b
-        vy //= b
-    m = Fraction(1)
-    for ell, (u, v) in enumerate(zip(reversed(xd), reversed(yd)), start=1):
-        m *= builder.dist(ell).get(DigitPair(u, v), Fraction(0))
-        if m == 0:
-            return m
-    return m
 
 
 # sample word generation

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InsufficientDepthError
-from .grid import DigitPair
+from .grid import DigitPair, pair_value
 
 
 def _coerce(pairs: Iterable[tuple[int, int]]) -> tuple[DigitPair, ...]:
@@ -126,18 +126,10 @@ class DigitWord:
         """Exact projected coordinates; infinite words only."""
         if not self.period:
             raise InsufficientDepthError("truncations project to a box, not a point")
-        p = len(self.preperiod)
-        q = len(self.period)
-        ax = ay = 0
-        for u, v in self.preperiod:
-            ax = ax * base + u
-            ay = ay * base + v
-        bx = by = 0
-        for u, v in self.period:
-            bx = bx * base + u
-            by = by * base + v
-        denp = base ** p
-        denq = base ** q - 1
+        ax, ay = pair_value(self.preperiod, base)
+        bx, by = pair_value(self.period, base)
+        denp = base ** len(self.preperiod)
+        denq = base ** len(self.period) - 1
         x = Fraction(ax, denp) + Fraction(bx, denp * denq)
         y = Fraction(ay, denp) + Fraction(by, denp * denq)
         return x, y

@@ -112,6 +112,14 @@ class TestInputErrors:
             ("target", {"word": "0101"}, "target.word"),
             ("target", {"point": 0}, "target"),
             ("verify", [], "verify"),
+            ("ifs", {"base": 3.9, "pairs": [[0, 0], [2, 0], [0, 2]]}, "ifs.base"),
+            ("ifs", {"base": 3, "pairs": [[0, 0], [2, 0], [0, 2.7]]}, "ifs.pairs[2][1]"),
+            ("ifs", {"base": 3, "pairs": [[0, 0, 1], [2, 0], [0, 2]]}, "ifs.pairs[0]"),
+            ("ifs", {"base": 3, "pairs": [[0, 0], [2], [0, 2]]}, "ifs.pairs[1]"),
+            ("ifs", {"base": 3, "pairs": "0002"}, "ifs.pairs"),
+            ("target", {"word": {"period": [[0.9, 0], [2, 2.5]]}}, "target.word.period[0][0]"),
+            ("target", {"word": {"preperiod": [[1, 1, 1]], "period": [[0, 0]]}},
+             "target.word.preperiod[0]"),
         ],
     )
     def test_node_types(self, tmp_path, capsys, key, node, field):
@@ -140,6 +148,20 @@ class TestInputErrors:
             RunConfig.from_dict(data)
         assert exc.value.path == field
         assert self._run(write_config(tmp_path, data), tmp_path) == 2
+
+    @pytest.mark.parametrize("command, out", [("dimension", "afile/x"), ("slice", "afile")])
+    def test_unwritable_out(self, tmp_path, capsys, monkeypatch, command, out):
+        import carpetdim.cli as cli_mod
+
+        def ran(*args):
+            raise AssertionError("the command ran before --out was created")
+
+        monkeypatch.setattr(cli_mod, "dimension_report", ran)
+        monkeypatch.setattr(cli_mod, "slice_dimension", ran)
+        (tmp_path / "afile").write_text("")
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().out.startswith("error: --out: cannot create")
 
     def test_exact_rates_accepted(self):
         linear = RunConfig.from_dict(

@@ -1,10 +1,12 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import carpetdim.shrinking as shrinking
+import carpetdim.verify as verify
 from carpetdim import (
     DigitWord,
     RateSchedule,
@@ -21,6 +23,7 @@ from carpetdim import (
     oracle_window_report,
     pattern_window_set,
     random_words,
+    target_from_word,
     validate_ifs,
     window_hit,
 )
@@ -105,7 +108,7 @@ class TestSetRelation:
         assert rep.details["nonzero_shift_witnesses"] >= 1
 
     def test_exhaustive_small_matches_general(self, vicsek, origin, linear12):
-        fast = exhaustive_relation_check(vicsek, origin, linear12, 2, 4)
+        interior = make_target(vicsek, Fraction(4, 9), Fraction(4, 9))
         digits = sorted(vicsek.digits)
         tails = [digits[0], digits[-1]]
         words = [
@@ -113,11 +116,43 @@ class TestSetRelation:
             for p in itertools.product(digits, repeat=4)
             for t in tails
         ]
-        slow = check_set_relation(vicsek, origin, linear12, 2, words)
-        assert fast.passed and slow.passed
-        assert fast.checked == len(words)
-        assert fast.details["nonzero_shift_witnesses"] == slow.details["nonzero_shift_witnesses"]
-        assert fast.details["nonzero_shift_witnesses"] > 0
+        for target, boundary in ((origin, True), (interior, False)):
+            fast = exhaustive_relation_check(vicsek, target, linear12, 2, 4)
+            slow = check_set_relation(vicsek, target, linear12, 2, words)
+            assert fast.passed and slow.passed
+            assert fast.checked == len(words)
+            assert fast.details == slow.details
+            assert (fast.details["nonzero_shift_witnesses"] > 0) == boundary
+
+    def test_entry_points_report_the_same_failures(self, monkeypatch):
+        # the relation only breaks below the interior thresholds
+        monkeypatch.setattr(verify, "_interior_thresholds", lambda *args: None)
+        ifs = validate_ifs(2, [(0, 0), (0, 1), (1, 0)])
+        target = target_from_word(ifs, DigitWord.periodic((), [(1, 0), (0, 1)]))
+        schedule = RateSchedule.linear(1, 1)
+        digits = ifs.sorted_digits()
+        words = [
+            DigitWord.periodic(p, (t,))
+            for p in itertools.product(digits, repeat=3)
+            for t in (digits[0], digits[-1])
+        ]
+        fast = exhaustive_relation_check(ifs, target, schedule, 1, 3)
+        slow = check_set_relation(ifs, target, schedule, 1, words)
+
+        def failures(report):
+            return Counter(
+                (tuple(map(tuple, f["word"]["preperiod"])), tuple(map(tuple, f["word"]["period"])),
+                 f["reason"])
+                for f in report.failures
+            )
+
+        assert fast.checked == slow.checked == len(words) == 54
+        assert failures(fast) == failures(slow)
+        # every broken condition of a word is recorded, not only the first
+        assert Counter(f["reason"] for f in fast.failures) == {
+            "interior equivalence broken: eq1=False eq2=True": 4,
+            "interior witness with nonzero shift": 4,
+        }
 
     def test_enumeration_guard(self, vicsek, origin, linear12):
         with pytest.raises(EnumerationTooLargeError):
