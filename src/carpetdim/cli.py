@@ -36,11 +36,11 @@ NAMED_IFS = {
     "corner": (3, [(0, 0), (2, 0), (0, 2)]),
 }
 
-# named targets: (ifs name, builder kind, extras)
+# named targets: (builder kind, extras)
 NAMED_TARGETS = {
-    "vicsek-origin": ("vicsek", "point", ("0", "0")),
-    "vicsek-center": ("vicsek", "point", ("1/2", "1/2")),
-    "corner-blocks": ("corner", "blocks", None),
+    "vicsek-origin": ("point", ("0", "0")),
+    "vicsek-center": ("point", ("1/2", "1/2")),
+    "corner-blocks": ("blocks", None),
 }
 
 
@@ -122,7 +122,7 @@ def _parse_target(ifs: GridIFS, node, path: str) -> TargetSpec:
                 raise ConfigError(
                     f"{path}.name", f"unknown target {name!r}; have {sorted(NAMED_TARGETS)}"
                 )
-            _, kind, extra = NAMED_TARGETS[name]
+            kind, extra = NAMED_TARGETS[name]
             if kind == "point":
                 return make_target(ifs, Fraction(extra[0]), Fraction(extra[1]))
             block_base = _parse_int(node.get("block_base", 4), f"{path}.block_base")
@@ -341,7 +341,12 @@ def _verify_options(config: RunConfig) -> dict[str, dict]:
             options[name] = {"n": opt("n", 2), "depth": opt("depth", 10)}
         elif name == "set_relation":
             n = opt("n", 3)
-            if node.get("exhaustive"):
+            exhaustive = node.get("exhaustive", False)
+            if not isinstance(exhaustive, bool):
+                raise ConfigError(
+                    f"{path}.exhaustive", f"expected true or false, got {exhaustive!r}"
+                )
+            if exhaustive:
                 options[name] = {"n": n, "exhaustive": True, "depth": opt("depth", 8)}
             else:
                 depth = opt("depth", n + xi(n) + 4)
@@ -359,6 +364,9 @@ def _verify_options(config: RunConfig) -> dict[str, dict]:
                 "delta": opt("delta", 2, _parse_fraction),
                 "holder_slack": opt("holder_slack", 0.05, _parse_real),
             }
+        else:
+            raise ConfigError(path, "unknown check; have oracle, containment, "
+                              "containment_exhaustive, set_relation, cover, measure")
     return options
 
 
@@ -384,8 +392,10 @@ def cmd_verify(config: RunConfig, out_dir: Path, seed_override: int | None = Non
         reports += [check(ifs, target, schedule, o["n"], words) for check in containment]
     if "containment_exhaustive" in options:
         o = options["containment_exhaustive"]
-        words = list(verify_mod.exhaustive_truncations(ifs, o["depth"]))
-        reports += [check(ifs, target, schedule, o["n"], words) for check in containment]
+        reports += [
+            check(ifs, target, schedule, o["n"], verify_mod.exhaustive_truncations(ifs, o["depth"]))
+            for check in containment
+        ]
     if "set_relation" in options:
         o = options["set_relation"]
         if o["exhaustive"]:
@@ -466,26 +476,31 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--n-max", type=int, default=None, help="override the largest sampled n")
-        p.add_argument("--seed", type=int, default=None, help="seed for sampled verification")
+        if name in ("dimension", "sn-table"):
+            p.add_argument("--n-max", type=int, help="override the largest sampled n")
+        if name == "verify":
+            p.add_argument("--seed", type=int, help="seed for sampled verification")
     args = parser.parse_args(argv)
 
     try:
         config = load_config(args.config)
-        if args.n_max is not None:
-            config.n_values = [n for n in config.n_values if n <= args.n_max] or [args.n_max]
+        n_max = getattr(args, "n_max", None)
+        if n_max is not None:
+            config.n_values = [n for n in config.n_values if n <= n_max] or [n_max]
         out_dir = Path(args.out)
+        # creating --out and writing any output file fail the same way
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
+            if args.command == "dimension":
+                return cmd_dimension(config, out_dir)
+            if args.command == "slice":
+                return cmd_slice(config, out_dir)
+            if args.command == "verify":
+                return cmd_verify(config, out_dir, seed_override=args.seed)
+            return cmd_sn_table(config, out_dir)
         except OSError as exc:
-            raise ConfigError("--out", f"cannot create {out_dir}: {exc.strerror or exc}") from exc
-        if args.command == "dimension":
-            return cmd_dimension(config, out_dir)
-        if args.command == "slice":
-            return cmd_slice(config, out_dir)
-        if args.command == "verify":
-            return cmd_verify(config, out_dir, seed_override=args.seed)
-        return cmd_sn_table(config, out_dir)
+            where = exc.filename or out_dir
+            raise ConfigError("--out", f"cannot create {where}: {exc.strerror or exc}") from exc
     except CarpetError as exc:
         print(f"error: {exc}")
         return 2

@@ -108,16 +108,13 @@ def ratio_limsup_dimension(
         )
     gamma = ifs.attractor_dimension()
     gamma2 = frequency_slice_value(ifs, freqs)
-    best = -math.inf
-    for n in n_values:
-        lam_ratio = Fraction(schedule.lam(n), n)
-        xi_ratio = Fraction(schedule.xi(n), n)
-        value = min(
-            gamma / (1.0 + float(lam_ratio)),
-            (gamma + float(xi_ratio - lam_ratio) * gamma2) / (1.0 + float(xi_ratio)),
-        )
-        best = max(best, value)
-    return best
+    values = (
+        closed_form_dimension(
+            gamma, gamma2, Fraction(schedule.lam(n), n), Fraction(schedule.xi(n), n)
+        )[0]
+        for n in n_values
+    )
+    return max(values, default=-math.inf)
 
 
 CLOSED_FORM_FREQUENCY = "frequency-closed-form"
@@ -133,24 +130,23 @@ def closed_form_for(
     Only linear schedules have one. Targets with an extreme row frequency of
     1 get the constant-row form when they really are the constant-row point;
     otherwise no closed form is reported (the stage sequence still applies).
+    The constant-row form's slice term, the log of that one row's size, is
+    what the frequency form gives for such a target, so only the source
+    label differs.
     """
     if schedule.kind != "linear":
         return None
     if not target.frequencies_exist:
         return None
-    lam, xi = schedule.params["lam"], schedule.params["xi"]
-    gamma = ifs.attractor_dimension()
     freqs = target.frequency_map()
-    b = ifs.base
-    if freqs.get(0) == 1 or freqs.get(b - 1) == 1:
+    source = CLOSED_FORM_FREQUENCY
+    if freqs.get(0) == 1 or freqs.get(ifs.base - 1) == 1:
         w_val = target.point[1] if target.point is not None else None
-        if w_val == 0:
-            value, branch = special_case_dimension(ifs, W_ZERO, gamma, lam, xi)
-            return value, branch, CLOSED_FORM_ZERO_ROW
-        if w_val == 1:
-            value, branch = special_case_dimension(ifs, W_ONE, gamma, lam, xi)
-            return value, branch, CLOSED_FORM_TOP_ROW
-        return None
-    gamma2 = frequency_slice_value(ifs, freqs)
-    value, branch = closed_form_dimension(gamma, gamma2, lam, xi)
-    return value, branch, CLOSED_FORM_FREQUENCY
+        if w_val not in (0, 1):
+            return None
+        source = CLOSED_FORM_ZERO_ROW if w_val == 0 else CLOSED_FORM_TOP_ROW
+    value, branch = closed_form_dimension(
+        ifs.attractor_dimension(), frequency_slice_value(ifs, freqs),
+        schedule.params["lam"], schedule.params["xi"],
+    )
+    return value, branch, source

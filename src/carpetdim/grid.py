@@ -86,10 +86,6 @@ class GridIFS:
     def row_size(self, a: int) -> int:
         return self._row_sizes[a]
 
-    @property
-    def row_sizes(self) -> tuple[int, ...]:
-        return self._row_sizes
-
     def row_log(self, a: int) -> float:
         """log of the row size; -inf marks an uninhabited row."""
         return self._row_logs[a]
@@ -119,9 +115,6 @@ class GridIFS:
     def attractor_dimension(self) -> float:
         """log #J / log b."""
         return math.log(len(self.digits)) / math.log(self.base)
-
-    def __contains__(self, pair) -> bool:
-        return tuple(pair) in self.digits
 
     def sorted_digits(self) -> tuple[DigitPair, ...]:
         return tuple(sorted(self.digits))

@@ -32,12 +32,15 @@ from typing import Sequence
 
 from .coding import TargetSpec
 from .errors import EmptyWindowSetError, ScheduleError
+from .formulas import closed_form_for
 from .grid import GridIFS
 from .schedules import RateSchedule
 from .words import DigitWord
 
 # float prefilter: stage quotients closer than this are compared exactly
 _TIE_EPS = 1e-12
+# share of the sampled stages whose maximum is the reported limsup estimate
+_TAIL_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,6 @@ class WindowPattern:
     target's digits.
     """
 
-    axis: str
     match_kind: str  # "exact" | "deviate"
     deviate_pos: int | None
     deviate_sign: int | None
@@ -60,7 +62,6 @@ def axis_window_patterns(
     ifs: GridIFS,
     target_digits: Sequence[int],
     length: int,
-    axis: str = "vertical",
 ) -> list[WindowPattern]:
     """All digit strings one axis of the window may carry.
 
@@ -80,7 +81,7 @@ def axis_window_patterns(
         if not 0 <= d <= b - 1:
             raise ValueError(f"target digit {d} outside 0..{b - 1}")
 
-    pats = [WindowPattern(axis, "exact", None, None, t)]
+    pats = [WindowPattern("exact", None, None, t)]
     last = length - 1
     tail_zero = True
     tail_high = True
@@ -88,10 +89,10 @@ def axis_window_patterns(
         d = t[j - 1]
         if d >= 1 and tail_zero:
             digits = t[: j - 1] + (d - 1,) + (b - 1,) * (last - j)
-            pats.append(WindowPattern(axis, "deviate", j, -1, digits))
+            pats.append(WindowPattern("deviate", j, -1, digits))
         if d <= b - 2 and tail_high:
             digits = t[: j - 1] + (d + 1,) + (0,) * (last - j)
-            pats.append(WindowPattern(axis, "deviate", j, +1, digits))
+            pats.append(WindowPattern("deviate", j, +1, digits))
         tail_zero = tail_zero and d == 0
         tail_high = tail_high and d == b - 1
         if not tail_zero and not tail_high:
@@ -152,8 +153,8 @@ def _stage_patterns(
     horizontal window and some horizontal pattern pairs with it inside.
     """
     lam, xi = schedule.lam(n), schedule.xi(n)
-    hpats = axis_window_patterns(ifs, target.col_digits(lam - 1), lam, axis="horizontal")
-    vpats = axis_window_patterns(ifs, target.row_digits(xi - 1), xi, axis="vertical")
+    hpats = axis_window_patterns(ifs, target.col_digits(lam - 1), lam)
+    vpats = axis_window_patterns(ifs, target.row_digits(xi - 1), xi)
     realizable = [
         v for v in vpats
         if all(map(ifs.row_size, v.digits[lam - 1 :])) and any(_paired(ifs, h, v) for h in hpats)
@@ -396,8 +397,6 @@ def dimension_report(
     target: TargetSpec,
     schedule: RateSchedule,
     n_values: Sequence[int],
-    tail_fraction: float = 0.2,
-    attach_closed_form: bool = True,
 ) -> DimensionReport:
     """Run the stage exponent over n_values and estimate the limiting value."""
     ns = list(n_values)
@@ -418,7 +417,7 @@ def dimension_report(
         raise EmptyWindowSetError("every sampled stage had an empty window set")
 
     values = [r.value for r in records]
-    tail_start = max(0, math.floor(len(values) * (1.0 - tail_fraction)))
+    tail_start = max(0, math.floor(len(values) * (1.0 - _TAIL_FRACTION)))
     if tail_start >= len(values):
         tail_start = len(values) - 1
     running_max = -math.inf
@@ -434,14 +433,11 @@ def dimension_report(
         running_max=running_max,
         tail_start=tail_start,
         still_rising=last_improvement >= tail_start,
-        tail_fraction=tail_fraction,
+        tail_fraction=_TAIL_FRACTION,
     )
     if skipped:
         report.warnings.append(f"{len(skipped)} stages had no realizable window and were skipped")
-    if attach_closed_form:
-        from .formulas import closed_form_for
-
-        cf = closed_form_for(ifs, target, schedule)
-        if cf is not None:
-            report.closed_form, report.closed_form_branch, report.formula_source = cf
+    cf = closed_form_for(ifs, target, schedule)
+    if cf is not None:
+        report.closed_form, report.closed_form_branch, report.formula_source = cf
     return report

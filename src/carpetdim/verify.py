@@ -31,8 +31,9 @@ from .grid import DigitPair, DyadicBox, GridIFS, pair_value
 from .schedules import RateSchedule
 from .shrinking import (
     StageKernel,
+    WindowPattern,
     _row_product,
-    axis_window_patterns,
+    _stage_patterns,
     stage_exponent,
     window_hit,
 )
@@ -356,18 +357,26 @@ def brute_force_window_set(
     return out
 
 
+def _pair_slots(
+    ifs: GridIFS, h: WindowPattern, v: WindowPattern, lam: int
+) -> list[tuple[DigitPair, ...]]:
+    """Digit-pair choices at window positions 1..xi-1 of the horizontal
+    pattern h paired with the vertical pattern v: below lam the single pair
+    (h_i, v_i), or no choice where that pair is not in J; from lam on the
+    sorted pairs of row v_i."""
+    forced = [(p,) if p in ifs.digits else () for p in map(DigitPair, h.digits, v.digits)]
+    return forced + [tuple(sorted(ifs.row_set(a))) for a in v.digits[lam - 1 :]]
+
+
 def _window_slots(kernel: StageKernel, j: int) -> list[list[tuple[DigitPair, ...]]]:
     """Digit-pair choices at window positions 1..j, one slot list for each
     realizable pairing of a horizontal with a vertical pattern."""
-    ifs, lam, xi = kernel.ifs, kernel.lam, kernel.xi
-    free = [ifs.sorted_digits()] * max(0, j - xi + 1)
-    out = []
-    for v in kernel.patterns:
-        rows = [tuple(sorted(ifs.row_set(a))) for a in v.digits[lam - 1 : min(j, xi - 1)]]
-        for h in kernel.partners(v):
-            forced = [(DigitPair(u, r),) for u, r in zip(h.digits, v.digits)]
-            out.append(forced + rows + free)
-    return out
+    free = [kernel.ifs.sorted_digits()] * max(0, j - kernel.xi + 1)
+    return [
+        _pair_slots(kernel.ifs, h, v, kernel.lam)[:j] + free
+        for v in kernel.patterns
+        for h in kernel.partners(v)
+    ]
 
 
 def _stage_windows(
@@ -413,12 +422,7 @@ def oracle_window_report(
         raise EmptyWindowSetError(f"stage {n}: no jointly realizable window pattern")
     row_strings = {tuple(p.v for p in win) for win in brute}
     for j in range(lam, xi + 1):
-        best = 0
-        for rows in row_strings:
-            prod = 1
-            for i in range(lam, j + 1):
-                prod *= ifs.row_size(rows[i - 1])
-            best = max(best, prod)
+        best = max(math.prod(map(ifs.row_size, rows[lam - 1 : j])) for rows in row_strings)
         fast = _row_product(ifs, kernel.best(j)[1])
         if fast != best:
             report.passed = False
@@ -523,8 +527,8 @@ class MeasureBuilder:
             size *= len(self.dist(ell))
         return size
 
-    def enumerate_level(self, level: int, limit: int = 10 ** 6) -> Iterator[tuple[tuple[DigitPair, ...], Fraction]]:
-        if self.support_size(level) > limit:
+    def enumerate_level(self, level: int) -> Iterator[tuple[tuple[DigitPair, ...], Fraction]]:
+        if self.support_size(level) > 10 ** 6:
             raise EnumerationTooLargeError(
                 f"level {level} support has {self.support_size(level)} cylinders"
             )
@@ -575,27 +579,6 @@ class MeasureBuilder:
         return DigitWord.periodic(digits, (digits[-1],))
 
 
-def _spine_word_digits(
-    ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int, j_star: int
-) -> tuple[DigitPair, ...]:
-    """Window digits (positions n+1 .. n+xi+2) of a window word whose row
-    products over lam..j_star are maximal; free slots take the fullest row."""
-    lam, xi = schedule.lam(n), schedule.xi(n)
-    kernel = StageKernel(ifs, target, schedule, n)
-    v, _ = kernel.best(j_star)
-    h = kernel.partners(v)[0]
-    filler = min(ifs.row_set(ifs.max_row_digit))
-    pairs = []
-    for i in range(1, xi + 3):
-        if i <= lam - 1:
-            pairs.append(DigitPair(h.digits[i - 1], v.digits[i - 1]))
-        elif i <= xi - 1:
-            pairs.append(min(ifs.row_set(v.digits[i - 1])))
-        else:
-            pairs.append(filler)
-    return tuple(pairs)
-
-
 def build_lower_bound_measure(
     ifs: GridIFS,
     target: TargetSpec,
@@ -628,13 +611,16 @@ def build_lower_bound_measure(
     if depth > max_depth:
         raise DepthTooLargeError(f"depth {depth} beyond last phase end {max_depth}")
 
+    # spine: window positions 1..xi+2 of a word with the best rows at j*, then the fullest row
+    filler = (min(ifs.row_set(ifs.max_row_digit)),) * 3
     spines: dict[int, tuple[DigitPair, ...]] = {}
     stage_values: dict[int, float] = {}
     for n_k in bps:
-        rec = stage_exponent(ifs, target, schedule, n_k)
-        stage_values[n_k] = rec.value
-        j_star = _argmin_j_below_xi(ifs, target, schedule, n_k)
-        spines[n_k] = _spine_word_digits(ifs, target, schedule, n_k, j_star)
+        stage_values[n_k] = stage_exponent(ifs, target, schedule, n_k).value
+        kernel = StageKernel(ifs, target, schedule, n_k)
+        v, _ = kernel.best(_argmin_j_below_xi(kernel))
+        slots = _pair_slots(ifs, kernel.partners(v)[0], v, kernel.lam)
+        spines[n_k] = tuple(map(min, slots)) + filler
 
     uniform = {p: Fraction(1, len(ifs.digits)) for p in ifs.sorted_digits()}
     dists: list[dict[DigitPair, Fraction]] = []
@@ -665,16 +651,11 @@ def build_lower_bound_measure(
     )
 
 
-def _argmin_j_below_xi(
-    ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int
-) -> int:
+def _argmin_j_below_xi(kernel: StageKernel) -> int:
     """Depth minimizing the stage quotient over lam(n)..xi(n)-1 (the measure
     construction stops the window one level short), with the exact tie-break
-    of stage_exponent."""
-    lam, xi = schedule.lam(n), schedule.xi(n)
-    if xi == lam:
-        return lam
-    return StageKernel(ifs, target, schedule, n).argmin(xi - 1)[0]
+    of stage_exponent; lam(n) when xi(n) = lam(n) leaves that range empty."""
+    return kernel.argmin(kernel.xi - 1)[0]
 
 
 @dataclass(frozen=True)
@@ -744,34 +725,23 @@ def random_words(
 ) -> list[DigitWord]:
     """Sample truncations biased toward the window boundary: a mix of plain
     uniform words, exact-match continuations, and pattern-following words."""
-    lam, xi = schedule.lam(n), schedule.xi(n)
     digits = ifs.sorted_digits()
-    hpats = axis_window_patterns(ifs, target.col_digits(lam - 1), lam, axis="horizontal")
-    vpats = axis_window_patterns(ifs, target.row_digits(xi - 1), xi, axis="vertical")
+    hpats, vpats, _ = _stage_patterns(ifs, target, schedule, n)
+    lam = schedule.lam(n)
+    # pair_slots[h][v]: drawing h, then v, draws one row, then one slot list
+    pair_slots = [[_pair_slots(ifs, h, v, lam) for v in vpats] for h in hpats]
     out = []
     for i in range(count):
-        style = i % 4
         prefix = [rng.choice(digits) for _ in range(n)]
-        if style == 0 or style == 1:
-            body = [rng.choice(digits) for _ in range(depth - n)]
-        else:
-            h = rng.choice(hpats)
-            v = rng.choice(vpats)
-            body = []
-            ok = True
-            for idx in range(xi - 1):
-                col = h.digits[idx] if idx < lam - 1 else None
-                row = v.digits[idx]
-                pool = [p for p in ifs.row_set(row) if col is None or p.u == col]
-                if not pool:
-                    ok = False
+        body = []
+        if i % 4 >= 2:
+            # follow a random pattern pair; at its first empty slot start over uniformly
+            for slot in rng.choice(rng.choice(pair_slots)):
+                if not slot:
+                    body = []
                     break
-                body.append(rng.choice(sorted(pool)))
-            if not ok:
-                body = [rng.choice(digits) for _ in range(depth - n)]
-            else:
-                while len(body) < depth - n:
-                    body.append(rng.choice(digits))
+                body.append(rng.choice(slot))
+        body += [rng.choice(digits) for _ in range(depth - n - len(body))]
         out.append(DigitWord.truncation(prefix + body[: depth - n]))
     return out
 

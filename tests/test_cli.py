@@ -163,6 +163,26 @@ class TestInputErrors:
         assert main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 2
         assert capsys.readouterr().out.startswith("error: --out: cannot create")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["dimension", "--seed", "1"], ["slice", "--n-max", "10"], ["slice", "--seed", "1"],
+         ["verify", "--n-max", "10"], ["sn-table", "--seed", "1"]],
+    )
+    def test_flags_only_where_read(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + ["--config", cfg, "--out", str(tmp_path / "o")] + argv[1:])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, blocked", [("dimension", "sn.csv"), ("slice", "slice.json")])
+    def test_unwritable_output_file(self, tmp_path, capsys, command, blocked):
+        out = tmp_path / "o4"
+        (out / blocked).mkdir(parents=True)
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().out.startswith(f"error: --out: cannot create {out / blocked}: ")
+
     def test_exact_rates_accepted(self):
         linear = RunConfig.from_dict(
             {**BASE_CONFIG, "schedule": {"kind": "linear", "lam": "3/2", "xi": 2}}
@@ -203,6 +223,13 @@ class TestInputErrors:
              "verify.checks.measure.holder_slack"),
             ({"checks": {"measure": {"break_points": [3, 17], "holder_slack": math.inf}}},
              "verify.checks.measure.holder_slack"),
+            ({"checks": {"set_relation": {"n": 2, "depth": 5, "exhaustive": "no"}}},
+             "verify.checks.set_relation.exhaustive"),
+            ({"checks": {"set_relation": {"n": 2, "exhaustive": 1}}},
+             "verify.checks.set_relation.exhaustive"),
+            ({"checks": {"orcale": {"n": 2}}}, "verify.checks.orcale"),
+            ({"checks": {"oracle": {"n": 2}, "cover_bound": {"n": 2}}},
+             "verify.checks.cover_bound"),
         ],
     )
     def test_bad_verify_options(self, tmp_path, capsys, verify, field):
@@ -344,6 +371,18 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
         payload = json.loads((out / "verify.json").read_text())
         assert payload["checks"][0]["checked"] == 2 * 5 ** 5
+
+    def test_exhaustive_containment(self, tmp_path):
+        checks = {"containment_exhaustive": {"n": 2, "depth": 6}}
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "verify": {"checks": checks}})
+        out = tmp_path / "verify3"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "verify.json").read_text())
+        forward, backward = payload["checks"]
+        assert (forward["name"], backward["name"]) == ("containment-forward", "containment-backward")
+        assert forward["passed"] and backward["passed"]
+        assert forward["checked"] == 5 ** 6
+        assert 0 < backward["details"]["window_hits"] == backward["checked"] < 5 ** 6
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {**BASE_CONFIG, "ifs": {"name": "nope"}})

@@ -292,7 +292,13 @@ class TestMeasure:
         table = range(1, 41)
         sch = RateSchedule.from_tables([n + 1 for n in table], [2 * n for n in table])
         for n in (3, 10, 40):
-            assert _argmin_j_below_xi(ifs, target, sch, n) == n + 1
+            assert _argmin_j_below_xi(shrinking.StageKernel(ifs, target, sch, n)) == n + 1
+
+    def test_argmin_below_xi_is_lam_when_xi_equals_lam(self, vicsek):
+        origin = make_target(vicsek, 0, 0)
+        sch = RateSchedule.linear(1, 1)
+        for n in (1, 4, 9):
+            assert _argmin_j_below_xi(shrinking.StageKernel(vicsek, origin, sch, n)) == n
 
     def test_depth_guard(self, vicsek, linear12):
         origin = make_target(vicsek, 0, 0)
