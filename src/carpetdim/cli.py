@@ -28,7 +28,7 @@ from .errors import CarpetError, ConfigError
 from .formulas import ratio_limsup_dimension
 from .grid import GridIFS, validate_ifs
 from .schedules import RateSchedule
-from .shrinking import RowCounts, StageKernel, dimension_report
+from .shrinking import RowCounts, StageKernel, _target_rows, dimension_report
 from .words import DigitWord
 
 NAMED_IFS = {
@@ -299,6 +299,7 @@ def cmd_slice(config: RunConfig, out_dir: Path) -> int:
 
 def cmd_sn_table(config: RunConfig, out_dir: Path) -> int:
     ifs = config.ifs
+    _target_rows(ifs, config.target, max(map(config.schedule.xi, config.n_values)) - 1)
     with open(out_dir / "sn_table.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "j", "weighted_row_count", "quotient"])
@@ -322,39 +323,58 @@ def _verify_options(config: RunConfig) -> dict[str, dict]:
     """Every verify check's options, parsed with their paths before any check
     runs, so a bad option exits 2 without running a check."""
     checks = _parse_object(config.verify.get("checks", {}), "verify.checks") or _DEFAULT_CHECKS
-    lam, xi = config.schedule.lam, config.schedule.xi
     options = {}
     for name, node in checks.items():
         path = f"verify.checks.{name}"
         node = _parse_object(node, path)
 
-        def opt(key, default, parse=_parse_int):
-            return parse(node.get(key, default), f"{path}.{key}")
+        def opt(key, default, parse=_parse_int, least=None, why=""):
+            value = parse(node.get(key, default), f"{path}.{key}")
+            if least is not None and value < least:
+                raise ConfigError(f"{path}.{key}", f"need at least {least}{why}, got {value}")
+            return value
+
+        def window(n):
+            try:
+                return config.schedule.lam(n), config.schedule.xi(n)
+            except CarpetError as exc:
+                raise ConfigError(f"{path}.n", str(exc)) from exc
 
         if name == "oracle":
-            options[name] = {"n": opt("n", 2)}
+            n = opt("n", 2)
+            window(n)
+            options[name] = {"n": n}
         elif name == "containment":
             n = opt("n", 3)
-            samples = opt("samples", 2000)
-            options[name] = {"n": n, "samples": samples, "depth": opt("depth", n + xi(n) + 5)}
+            need = n + window(n)[1]
+            options[name] = {"n": n, "samples": opt("samples", 2000, least=1),
+                             "depth": opt("depth", need + 5, least=need, why=" = n + xi(n)")}
         elif name == "containment_exhaustive":
-            options[name] = {"n": opt("n", 2), "depth": opt("depth", 10)}
+            n = opt("n", 2)
+            need = n + window(n)[1]
+            options[name] = {"n": n, "depth": opt("depth", 10, least=need, why=" = n + xi(n)")}
         elif name == "set_relation":
             n = opt("n", 3)
+            xi = window(n)[1]
             exhaustive = node.get("exhaustive", False)
             if not isinstance(exhaustive, bool):
                 raise ConfigError(
                     f"{path}.exhaustive", f"expected true or false, got {exhaustive!r}"
                 )
             if exhaustive:
-                options[name] = {"n": n, "exhaustive": True, "depth": opt("depth", 8)}
+                options[name] = {"n": n, "exhaustive": True,
+                                 "depth": opt("depth", 8, least=n, why=" = n")}
             else:
-                depth = opt("depth", n + xi(n) + 4)
+                depth = opt("depth", n + xi + 4, least=1)
                 options[name] = {"n": n, "exhaustive": False, "depth": depth,
-                                 "samples": opt("samples", 2000)}
+                                 "samples": opt("samples", 2000, least=1)}
         elif name == "cover":
             n = opt("n", 2)
-            options[name] = {"n": n, "j": opt("j", lam(n))}
+            lam, xi = window(n)
+            j = opt("j", lam, least=lam, why=" = lam(n)")
+            if j > xi:
+                raise ConfigError(f"{path}.j", f"need at most {xi} = xi(n), got {j}")
+            options[name] = {"n": n, "j": j}
         elif name == "measure":
             bps = _parse_int_list(node.get("break_points", []), f"{path}.break_points")
             if not bps:

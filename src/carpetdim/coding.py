@@ -11,7 +11,7 @@ arithmetic, never floating logs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
@@ -287,12 +287,15 @@ class TargetSpec:
     """A target point: its representative coding plus cached frequency data.
 
     `frequencies` is None when the coding is a truncation (no limit known).
-    `point` is None for truncations as well.
+    `point` is None for truncations as well. `_rows` holds the stage path's
+    digit table of this target (see `shrinking._target_rows`); it is not
+    compared, so equality and hashing never read it.
     """
 
     word: DigitWord
     frequencies: tuple[tuple[int, Fraction], ...] | None
     point: tuple[Fraction, Fraction] | None
+    _rows: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def frequencies_exist(self) -> bool:

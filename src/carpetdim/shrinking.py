@@ -17,17 +17,23 @@ so w = 0 is an exact tie, found in O(#primes); any other w is decided by
 comparing two big-integer prime powers (see `_log_sign`).
 
 Every reader of a stage (exponent, row-count surface, agreement length,
-verify constructions) builds one `StageKernel` per stage in O(b xi). It then
-gives the best row counts at any depth j in O(b) per pattern, so a stage's
-whole surface row j = lam..xi costs O(xi), and its float scan O(xi) too.
+verify constructions) builds one `StageKernel` per stage. The target's digits
+are read from one table per (target, system), built once per run in O(b D)
+by C-level passes for the run's deepest window D (`_target_rows`). From it a
+stage finds its patterns in O(log D): each axis has at most one deviation
+down and one up, each one bisection on a running count. The kernel then gives
+the best row counts at any depth j in O(b) per pattern, so a stage's whole
+surface row j = lam..xi costs O(xi) in Python, and its float depth scan is
+one C-level pass over the window (`StageKernel.argmin`).
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, compress, islice, repeat
 from typing import Sequence
 
 from .coding import TargetSpec
@@ -80,23 +86,40 @@ def axis_window_patterns(
     for d in t:
         if not 0 <= d <= b - 1:
             raise ValueError(f"target digit {d} outside 0..{b - 1}")
+    return _axis_patterns(b, t, _run_counts(t, b - 1), length - 1)
 
+
+def _run_counts(digits: Sequence[int], top: int) -> tuple[list[int], list[int]]:
+    """Running counts of the digits other than 0 and of those other than
+    `top`: entry k counts positions 1..k."""
+    return (
+        list(accumulate(map(bool, digits), initial=0)),
+        list(accumulate(map(top.__ne__, digits), initial=0)),
+    )
+
+
+def _axis_patterns(
+    base: int, digits: Sequence[int], counts: tuple[list[int], list[int]], last: int
+) -> list[WindowPattern]:
+    """The patterns of an axis whose constrained positions 1..last carry the
+    target digits digits[:last], given their `_run_counts`: the exact
+    pattern, then the deviations by descending position, down before up.
+
+    A deviation down at p needs target digits p+1..last all 0 and a nonzero
+    digit at p, so p is where the maximal 0-run ending at `last` starts, less
+    one: the first position whose nonzero count reaches that of `last`, one
+    bisection. A deviation up is found the same way on the (b-1)-run.
+    """
+    t = digits[:last]
+    nonzero, nontop = counts
+    down = bisect_left(nonzero, nonzero[last], 0, last)
+    up = bisect_left(nontop, nontop[last], 0, last)
     pats = [WindowPattern("exact", None, None, t)]
-    last = length - 1
-    tail_zero = True
-    tail_high = True
-    for j in range(last, 0, -1):
-        d = t[j - 1]
-        if d >= 1 and tail_zero:
-            digits = t[: j - 1] + (d - 1,) + (b - 1,) * (last - j)
-            pats.append(WindowPattern("deviate", j, -1, digits))
-        if d <= b - 2 and tail_high:
-            digits = t[: j - 1] + (d + 1,) + (0,) * (last - j)
-            pats.append(WindowPattern("deviate", j, +1, digits))
-        tail_zero = tail_zero and d == 0
-        tail_high = tail_high and d == b - 1
-        if not tail_zero and not tail_high:
-            break
+    for p, sign in [(up, +1), (down, -1)] if up > down else [(down, -1), (up, +1)]:
+        if p:
+            tail = base - 1 if sign < 0 else 0
+            forced = t[: p - 1] + (t[p - 1] + sign,) + (tail,) * (last - p)
+            pats.append(WindowPattern("deviate", p, sign, forced))
     return pats
 
 
@@ -139,9 +162,58 @@ def window_hit(
     )
 
 
-def _paired(ifs: GridIFS, h: WindowPattern, v: WindowPattern) -> bool:
-    """Do the two axis patterns form pairs of J wherever both are constrained?"""
-    return all(map(ifs.digits.__contains__, zip(h.digits, v.digits)))
+def _paired(ifs: GridIFS, h: WindowPattern, v: WindowPattern, start: int = 0) -> bool:
+    """Do the two axis patterns form pairs of J wherever both are constrained,
+    from window position start + 1 on?"""
+    pairs = zip(islice(h.digits, start, None), islice(v.digits, start, None))
+    return all(map(ifs.digits.__contains__, pairs))
+
+
+class _TargetRows:
+    """A target's digits over positions 1..depth, with the running counts the
+    stage path reads, each built by one C-level pass:
+
+    - `cols`, `rows`: the column and row digits;
+    - `col_runs`, `row_runs`: their `_run_counts`;
+    - `prefix[a][k]`: rows equal to a among positions 1..k;
+    - `logsum[k]`: the float sum of the row logs over positions 1..k;
+    - `row_logs[a]`: the log of row size a.
+    """
+
+    def __init__(self, ifs: GridIFS, target: TargetSpec, depth: int):
+        pairs = target.word.pairs_up_to(depth)
+        top = ifs.base - 1
+        self.ifs, self.depth = ifs, depth
+        self.cols = tuple(map(operator.itemgetter(0), pairs))
+        self.rows = tuple(map(operator.itemgetter(1), pairs))
+        self.col_runs = _run_counts(self.cols, top)
+        self.row_runs = _run_counts(self.rows, top)
+        self.prefix = [
+            list(accumulate(map(a.__eq__, self.rows), initial=0)) for a in range(ifs.base)
+        ]
+        self.row_logs = tuple(map(ifs.row_log, range(ifs.base)))
+        self.logsum = list(accumulate(map(self.row_logs.__getitem__, self.rows), initial=0.0))
+
+
+def _target_rows(ifs: GridIFS, target: TargetSpec, upto: int) -> _TargetRows:
+    """The target's table over positions 1..upto, or over all its known
+    positions when the word is a shorter truncation.
+
+    The table is kept on the target, one per (target, system); a dict keyed
+    by the target would hash its whole word. A stage that outgrows it builds
+    it again at least twice as deep, never past a truncation's depth.
+    """
+    known = target.word.truncation_depth
+    cap = math.inf if known is None else known
+    upto = min(upto, cap)
+    table = target._rows
+    if table is not None and table.ifs == ifs:
+        if table.depth >= upto:
+            return table
+        upto = min(max(upto, 2 * table.depth), cap)
+    table = _TargetRows(ifs, target, upto)
+    object.__setattr__(target, "_rows", table)
+    return table
 
 
 def _stage_patterns(
@@ -150,16 +222,34 @@ def _stage_patterns(
     """Axis patterns of stage n plus the jointly realizable vertical ones.
 
     A vertical pattern is realizable when its rows are inhabited beyond the
-    horizontal window and some horizontal pattern pairs with it inside.
+    horizontal window and some horizontal pattern pairs with it inside. The
+    exact pattern always is: it pairs with the exact horizontal pattern into
+    the target's own pairs, which `target_from_word` checked against J.
     """
     lam, xi = schedule.lam(n), schedule.xi(n)
-    hpats = axis_window_patterns(ifs, target.col_digits(lam - 1), lam)
-    vpats = axis_window_patterns(ifs, target.row_digits(xi - 1), xi)
-    realizable = [
-        v for v in vpats
-        if all(map(ifs.row_size, v.digits[lam - 1 :])) and any(_paired(ifs, h, v) for h in hpats)
-    ]
+    # a short truncation fails naming the first depth it lacks: lam - 1, then xi - 1
+    target.word.require_depth(lam - 1)
+    target.word.require_depth(xi - 1)
+    table = _target_rows(ifs, target, xi - 1)
+    hpats = _axis_patterns(ifs.base, table.cols, table.col_runs, lam - 1)
+    vpats = _axis_patterns(ifs.base, table.rows, table.row_runs, xi - 1)
+    realizable = vpats[:1] + [v for v in vpats[1:] if _deviation_realizable(ifs, hpats, v, lam)]
     return hpats, vpats, realizable
+
+
+def _deviation_realizable(
+    ifs: GridIFS, hpats: list[WindowPattern], v: WindowPattern, lam: int
+) -> bool:
+    """Realizability of a deviating vertical pattern. Before its deviation
+    position p it copies the target, so only the deviating digit and the
+    tail digit can name an empty row, and a horizontal pattern only has to
+    pair with it from the first position where either of them deviates."""
+    p, last = v.deviate_pos, len(v.digits)
+    if p >= lam and not ifs.row_size(v.digits[p - 1]):
+        return False
+    if max(p + 1, lam) <= last and not ifs.row_size(v.digits[-1]):
+        return False
+    return any(_paired(ifs, h, v, min(p, h.deviate_pos or lam) - 1) for h in hpats)
 
 
 def _row_product(ifs: GridIFS, counts: Sequence[int]) -> int:
@@ -212,13 +302,15 @@ class StageKernel:
     parts: the target's row digits up to its deviation position p (the exact
     pattern deviates at xi, past the window), the deviating digit, the
     constant carry tail, and the free row that fills depths beyond xi - 1.
-    Per-digit prefix counts of the target's rows give a pattern's exact
-    row-count vector at any depth in O(b).
+    The target's table (`_target_rows`, built once per run in O(b D)) gives
+    the patterns in O(log D) and a pattern's exact row-count vector at any
+    depth in O(b); `argmin` ranks the depths by one C-level pass over the
+    window.
     """
 
     def __init__(self, ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int):
         lam, xi = schedule.lam(n), schedule.xi(n)
-        hpats, vpats, realizable = _stage_patterns(ifs, target, schedule, n)
+        hpats, _, realizable = _stage_patterns(ifs, target, schedule, n)
         if not realizable:
             raise EmptyWindowSetError(f"stage {n}: no jointly realizable window pattern")
         self.ifs, self.n, self.lam, self.xi = ifs, n, lam, xi
@@ -231,10 +323,7 @@ class StageKernel:
             for v in realizable
         ]
         self.first_deviation = min(p for p, _, _ in self._parts)
-        # axis_window_patterns lists the exact pattern, the target's rows, first;
-        # _prefix[a][k] counts digit a among the first k rows of the window
-        rows = vpats[0].digits[lam - 1 :]
-        self._prefix = [list(accumulate(map(a.__eq__, rows), initial=0)) for a in range(ifs.base)]
+        self._table = _target_rows(ifs, target, xi - 1)
         self._n_log_j = n * math.log(len(ifs.digits))
         self._log_b = math.log(ifs.base)
 
@@ -252,8 +341,8 @@ class StageKernel:
         lam, xi = self.lam, self.xi
         p, dev, tail = self._parts[idx]
         last = min(j, xi - 1)
-        copied = max(0, min(last, p - 1) - lam + 1)
-        counts = [col[copied] for col in self._prefix]
+        copied = max(lam - 1, min(last, p - 1))  # target rows lam..copied
+        counts = [col[copied] - col[lam - 1] for col in self._table.prefix]
         if lam <= p <= last:
             counts[dev] += 1
         run = last - max(lam, p + 1) + 1
@@ -276,31 +365,43 @@ class StageKernel:
         return self.patterns[best_idx], best
 
     def argmin(self, upto: int) -> tuple[int, tuple[int, ...]]:
-        """The depth j in lam..upto minimising the stage quotient, and its
-        best counts.
+        """The depth j in lam..upto (lam when upto < lam) minimising the stage
+        quotient, and its best counts.
 
-        Float prefix sums of row logs rank the depths; a near-tie is settled
-        exactly by `_depth_sign`, so exact ties go to the smallest j.
+        Float row-log sums rank the depths in one pass; every depth within
+        `_TIE_EPS` of the float minimum is settled exactly by `_depth_sign`,
+        in ascending order, so exact ties go to the smallest j.
         """
-        ifs, n, lam = self.ifs, self.n, self.lam
+        ifs, n, lam, xi = self.ifs, self.n, self.lam, self.xi
+        upto = max(upto, lam)
+        logsum = self._table.logsum
+        # a[k] is the float A(lam - 1 + k), the largest weighted row count of
+        # the window rows lam..lam - 1 + k. Below g every pattern copies the
+        # target's rows; from g on each pattern sums its own.
+        g = max(self.first_deviation, lam)
+        a = list(map(operator.sub, islice(logsum, lam - 1, g), repeat(logsum[lam - 1])))
+        row_log = self._table.row_logs.__getitem__
         sums = [
-            list(accumulate(map(ifs.row_log, v.digits[lam - 1 :]), initial=0.0))
+            accumulate(map(row_log, islice(v.digits, g - 1, xi - 1)), initial=a[-1])
             for v in self.patterns
         ]
-        # a_max[j - lam + 1] is the float A(j); depth xi adds one free row
-        a_max = list(map(max, *sums)) if len(sums) > 1 else sums[0]
-        a_max.append(a_max[-1] + math.log(ifs.max_row_size))
-        best_j, best_val, best_vec = lam, math.inf, None
-        for j in range(lam, upto + 1):
-            v = self.quotient(j, a_max[j - lam + 1])
-            if v < best_val - _TIE_EPS:
-                best_j, best_val, best_vec = j, v, None
-            elif v < best_val + _TIE_EPS:
-                if best_vec is None:
-                    best_vec = ifs.exponents(self.best(best_j)[1], n)
-                vec = ifs.exponents(self.best(j)[1], n)
-                if _depth_sign(ifs, n, j, vec, best_j, best_vec) < 0:
-                    best_j, best_val, best_vec = j, v, vec
+        del a[-1]
+        a += map(max, *sums) if len(sums) > 1 else sums[0]
+        a.append(a[-1] + math.log(ifs.max_row_size))  # depth xi adds one free row
+        quotients = list(map(
+            operator.truediv,
+            map(self._n_log_j.__add__, islice(a, 1, upto - lam + 2)),
+            map(self._log_b.__rmul__, range(n + lam, n + upto + 1)),
+        ))
+        limit = min(quotients) + _TIE_EPS
+        near = compress(range(lam, upto + 1), map(limit.__gt__, quotients))
+        best_j, best_vec = next(near), None
+        for j in near:
+            if best_vec is None:
+                best_vec = ifs.exponents(self.best(best_j)[1], n)
+            vec = ifs.exponents(self.best(j)[1], n)
+            if _depth_sign(ifs, n, j, vec, best_j, best_vec) < 0:
+                best_j, best_vec = j, vec
         return best_j, self.best(best_j)[1]
 
 
@@ -405,6 +506,8 @@ def dimension_report(
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_values must be strictly increasing")
     schedule.validate_range(ns)
+    # one table for the run, as deep as its deepest window (or the word)
+    _target_rows(ifs, target, max(map(schedule.xi, ns)) - 1)
 
     records: list[ExponentRecord] = []
     skipped: list[tuple[int, str]] = []

@@ -3,8 +3,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from carpetdim.cli import RunConfig, main
+from carpetdim.cli import RunConfig, _verify_options, main
 from carpetdim.errors import ConfigError
 
 
@@ -230,6 +232,21 @@ class TestInputErrors:
             ({"checks": {"orcale": {"n": 2}}}, "verify.checks.orcale"),
             ({"checks": {"oracle": {"n": 2}, "cover_bound": {"n": 2}}},
              "verify.checks.cover_bound"),
+            ({"checks": {"oracle": {"n": 2}, "containment_exhaustive": {"n": 4, "depth": 10}}},
+             "verify.checks.containment_exhaustive.depth"),
+            ({"checks": {"containment": {"n": 3, "depth": 8}}},
+             "verify.checks.containment.depth"),
+            ({"checks": {"set_relation": {"n": 3, "depth": 2, "exhaustive": True}}},
+             "verify.checks.set_relation.depth"),
+            ({"checks": {"cover": {"n": 2, "j": 0}}}, "verify.checks.cover.j"),
+            ({"checks": {"cover": {"n": 2, "j": 5}}}, "verify.checks.cover.j"),
+            ({"checks": {"containment": {"n": 2, "samples": -4}}},
+             "verify.checks.containment.samples"),
+            ({"checks": {"set_relation": {"n": 2, "samples": 0}}},
+             "verify.checks.set_relation.samples"),
+            ({"checks": {"set_relation": {"n": 2, "depth": 0}}},
+             "verify.checks.set_relation.depth"),
+            ({"checks": {"oracle": {"n": 0}}}, "verify.checks.oracle.n"),
         ],
     )
     def test_bad_verify_options(self, tmp_path, capsys, verify, field):
@@ -405,3 +422,92 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
         payload = json.loads((out / "verify.json").read_text())
         assert not payload["passed"]
+
+
+@pytest.mark.parametrize("command", ["dimension", "sn-table"])
+def test_truncated_target_bounds_the_stages(tmp_path, capsys, command):
+    # xi(n) = 2n, so a depth-100 word covers every window up to n = 50
+    config = {
+        "ifs": {"name": "corner"},
+        "target": {"name": "corner-blocks", "depth": 100},
+        "schedule": {"kind": "linear", "lam": "1", "xi": "2"},
+        "n_range": {"start": 1, "stop": 50},
+    }
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    cfg = write_config(tmp_path, {**config, "n_range": {"values": [60]}}, "deep.json")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "deep")]) == 2
+    assert capsys.readouterr().out == "error: word only specified to depth 100, need 119\n"
+
+
+_VALID_CONFIGS = [
+    {**BASE_CONFIG, "verify": {"checks": {"oracle": {"n": 2}, "cover": {"n": 2, "j": 3},
+                                          "containment": {"n": 2, "samples": 5}}}},
+    {
+        "ifs": {"base": 3, "pairs": [[0, 0], [2, 0], [0, 2]]},
+        "target": {"point": ["1/3", "0"]},
+        "schedule": {"kind": "table", "lam": [1, 2], "xi": [2, 3]},
+        "n_range": {"values": [1, 2]},
+        "verify": {"checks": {"set_relation": {"n": 1, "depth": 3, "exhaustive": True},
+                              "measure": {"break_points": [3, 17], "delta": "2"}}},
+    },
+    {
+        "ifs": {"name": "corner"},
+        "target": {"name": "corner-blocks", "block_base": 2, "depth": 30},
+        "schedule": {"kind": "alternating", "ratios": [["1", "2"], ["1", "3"]], "block_base": 2},
+        "n_range": {"start": 2, "stop": 5},
+        "verify": {"checks": {"containment_exhaustive": {"n": 1, "depth": 4}}},
+    },
+    {
+        "ifs": {"name": "vicsek"},
+        "target": {"word": {"preperiod": [[1, 1]], "period": [[0, 0], [2, 2]]}},
+        "schedule": {"kind": "linear", "lam": "2/3", "xi": 1},
+        "verify": {"seed": 3, "checks": {"set_relation": {"n": 2, "samples": 4, "depth": 6}}},
+    },
+]
+
+# small scalars only: a large integer in a depth or range field asks for real work
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(["", "x", "0", "1", "2", "1/2", "3/2", "-1", "1/0", "nan", "vicsek",
+                       "corner-blocks", "linear", "table", "alternating"])
+)
+_JSON_NODES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["name", "n", "x", "lam", "xi", "depth", "values"]),
+                      inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(node, prefix=()):
+    """Every key path of a config tree, with lists indexed."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@given(st.sampled_from(range(len(_VALID_CONFIGS))), st.data())
+@settings(max_examples=400, deadline=None)
+def test_random_config_nodes_raise_only_config_errors(which, data):
+    config = json.loads(json.dumps(_VALID_CONFIGS[which]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(config))))
+        node = data.draw(_JSON_NODES)
+        if not path:
+            config = node
+            continue
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = node
+    try:
+        run = RunConfig.from_dict(config)
+        _verify_options(run)
+    except ConfigError:
+        pass

@@ -1,0 +1,195 @@
+"""The stage path against reference copies of its per-position form.
+
+The references below walk the target's digits position by position: the
+backward scan for axis patterns, the row-by-row realizability test, and a
+float scan over every depth j with the exact tie-break. The stage path reads
+the same answers from the per-target table (`shrinking._target_rows`).
+"""
+
+import math
+import re
+from itertools import accumulate
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import carpetdim.shrinking as shrinking
+from carpetdim import DigitWord, RateSchedule, target_from_word, validate_ifs
+from carpetdim.errors import InsufficientDepthError
+from carpetdim.shrinking import WindowPattern, _TIE_EPS
+
+
+def _ref_axis_patterns(base, target_digits, length):
+    t = tuple(target_digits)
+    pats = [WindowPattern("exact", None, None, t)]
+    last = length - 1
+    tail_zero = tail_high = True
+    for j in range(last, 0, -1):
+        d = t[j - 1]
+        if d >= 1 and tail_zero:
+            digits = t[: j - 1] + (d - 1,) + (base - 1,) * (last - j)
+            pats.append(WindowPattern("deviate", j, -1, digits))
+        if d <= base - 2 and tail_high:
+            digits = t[: j - 1] + (d + 1,) + (0,) * (last - j)
+            pats.append(WindowPattern("deviate", j, +1, digits))
+        tail_zero = tail_zero and d == 0
+        tail_high = tail_high and d == base - 1
+        if not tail_zero and not tail_high:
+            break
+    return pats
+
+
+def _ref_stage_patterns(ifs, target, schedule, n):
+    lam, xi = schedule.lam(n), schedule.xi(n)
+    hpats = _ref_axis_patterns(ifs.base, target.col_digits(lam - 1), lam)
+    vpats = _ref_axis_patterns(ifs.base, target.row_digits(xi - 1), xi)
+
+    def paired(h, v):
+        return all(map(ifs.digits.__contains__, zip(h.digits, v.digits)))
+
+    realizable = [
+        v for v in vpats
+        if all(map(ifs.row_size, v.digits[lam - 1:])) and any(paired(h, v) for h in hpats)
+    ]
+    return hpats, vpats, realizable
+
+
+def _ref_best(ifs, lam, xi, realizable, j):
+    """First realizable pattern with the largest exact row product at depth
+    j, by walking its digits."""
+    best, best_prod = None, -1
+    for v in realizable:
+        counts = [0] * ifs.base
+        for a in v.digits[lam - 1: min(j, xi - 1)]:
+            counts[a] += 1
+        counts[ifs.max_row_digit] += max(0, j - xi + 1)
+        prod = math.prod(ifs.row_size(a) ** m for a, m in enumerate(counts))
+        if prod > best_prod:
+            best, best_prod = (v, tuple(counts)), prod
+    return best
+
+
+def _ref_argmin(ifs, n, lam, xi, realizable, upto):
+    """Per-depth float scan; near-ties within _TIE_EPS settled exactly."""
+    n_log_j, log_b = n * math.log(len(ifs.digits)), math.log(ifs.base)
+    sums = [
+        list(accumulate(map(ifs.row_log, v.digits[lam - 1:]), initial=0.0)) for v in realizable
+    ]
+    a_max = list(map(max, *sums)) if len(sums) > 1 else sums[0]
+    a_max.append(a_max[-1] + math.log(ifs.max_row_size))
+    best_j, best_val, best_vec = lam, math.inf, None
+    for j in range(lam, upto + 1):
+        v = (n_log_j + a_max[j - lam + 1]) / ((n + j) * log_b)
+        if v < best_val - _TIE_EPS:
+            best_j, best_val, best_vec = j, v, None
+        elif v < best_val + _TIE_EPS:
+            if best_vec is None:
+                best_vec = ifs.exponents(_ref_best(ifs, lam, xi, realizable, best_j)[1], n)
+            vec = ifs.exponents(_ref_best(ifs, lam, xi, realizable, j)[1], n)
+            if shrinking._depth_sign(ifs, n, j, vec, best_j, best_vec) < 0:
+                best_j, best_val, best_vec = j, v, vec
+    return best_j, _ref_best(ifs, lam, xi, realizable, best_j)[1]
+
+
+def _draw_ifs(draw, b):
+    cells = [(u, v) for u in range(b) for v in range(b)]
+    size = draw(st.integers(min_value=2, max_value=b * b - 1))
+    return validate_ifs(b, draw(st.permutations(cells))[:size])
+
+
+@st.composite
+def stage_runs(draw):
+    """A random system, a periodic or truncated target whose rows may end in
+    long constant 0 or (b-1) runs, a linear or table schedule, and the stages
+    to run on it in random order (so the table is reused and regrown). Some
+    truncations are shorter than the deepest window."""
+    b = draw(st.integers(min_value=2, max_value=4))
+    ifs = _draw_ifs(draw, b)
+    digits = sorted(ifs.digits)
+    constant = [p for p in digits if p[1] in (0, b - 1)] or digits
+    pre = draw(st.lists(st.sampled_from(digits), max_size=4))
+    run = [draw(st.sampled_from(constant))] * draw(st.integers(min_value=0, max_value=25))
+    if draw(st.booleans()):
+        per = draw(st.one_of(
+            st.lists(st.sampled_from(digits), min_size=1, max_size=3),
+            st.just(run[-1:] or [digits[0]]),
+        ))
+        word = DigitWord.periodic(pre + run, per)
+    else:
+        more = draw(st.lists(st.sampled_from(digits), max_size=6))
+        word = DigitWord.truncation(pre + run + more or digits[:1])
+    target = target_from_word(ifs, word)
+    stages = draw(st.integers(min_value=1, max_value=6))
+    if draw(st.booleans()):
+        lam = draw(st.lists(st.integers(1, 12), min_size=stages, max_size=stages))
+        xi = [l + draw(st.integers(0, 14)) for l in lam]
+        schedule = RateSchedule.from_tables(lam, xi)
+    else:
+        rate = draw(st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 3)]))
+        schedule = RateSchedule.linear(*rate)
+    ns = draw(st.permutations(range(1, stages + 1)))
+    return ifs, target, schedule, ns
+
+
+def _compare_stage(ifs, target, schedule, n):
+    try:
+        ref = _ref_stage_patterns(ifs, target, schedule, n)
+    except InsufficientDepthError as exc:
+        with pytest.raises(InsufficientDepthError, match=f"^{re.escape(str(exc))}$"):
+            shrinking._stage_patterns(ifs, target, schedule, n)
+        return
+    assert shrinking._stage_patterns(ifs, target, schedule, n) == ref
+    lam, xi = schedule.lam(n), schedule.xi(n)
+    realizable = ref[2]
+    kernel = shrinking.StageKernel(ifs, target, schedule, n)
+    for j in range(lam, xi + 3):
+        assert kernel.best(j) == _ref_best(ifs, lam, xi, realizable, j), j
+    for upto in (xi, xi - 1):
+        assert kernel.argmin(upto) == _ref_argmin(ifs, n, lam, xi, realizable, upto), upto
+    rec = shrinking.stage_exponent(ifs, target, schedule, n)
+    j, counts = _ref_argmin(ifs, n, lam, xi, realizable, xi)
+    value = (n * math.log(len(ifs.digits)) + sum(
+        m * ifs.row_log(a) for a, m in enumerate(counts) if m
+    )) / ((n + j) * math.log(ifs.base))
+    assert (rec.argmin_j, rec.row_counts, repr(rec.value)) == (j, counts, repr(value))
+
+
+@given(stage_runs())
+@settings(max_examples=250, deadline=None)
+def test_stage_path_matches_the_per_position_reference(case):
+    ifs, target, schedule, ns = case
+    for n in ns:
+        _compare_stage(ifs, target, schedule, n)
+    # the same target under a larger digit set gets a table of its own
+    missing = sorted({(u, v) for u in range(ifs.base) for v in range(ifs.base)} - ifs.digits)
+    if len(missing) > 1:
+        wider = validate_ifs(ifs.base, sorted(ifs.digits) + missing[:1])
+        for n in ns:
+            _compare_stage(wider, target, schedule, n)
+
+
+@given(stage_runs())
+@settings(max_examples=60, deadline=None)
+def test_dimension_report_matches_the_reference_stages(case):
+    ifs, target, schedule, ns = case
+    ns = sorted(ns)
+    if schedule.kind == "table":
+        lams = [schedule.lam(n) for n in ns]
+        schedule = RateSchedule.from_tables(sorted(lams), [l + 3 for l in sorted(lams)])
+    for n in ns:
+        try:
+            _ref_stage_patterns(ifs, target, schedule, n)
+        except InsufficientDepthError as exc:
+            # the run sizes its table to the word and fails at the first
+            # stage that needs more, as the per-stage reference does
+            with pytest.raises(InsufficientDepthError, match=f"^{re.escape(str(exc))}$"):
+                shrinking.dimension_report(ifs, target, schedule, ns)
+            return
+    report = shrinking.dimension_report(ifs, target, schedule, ns)
+    for rec in report.records:
+        lam, xi = rec.lam, rec.xi
+        realizable = _ref_stage_patterns(ifs, target, schedule, rec.n)[2]
+        assert (rec.argmin_j, rec.row_counts) == _ref_argmin(
+            ifs, rec.n, lam, xi, realizable, xi
+        )
