@@ -57,59 +57,3 @@ from .verify import (
     random_words,
 )
 from .words import DigitWord, apply_shift
-
-__all__ = [
-    "errors",
-    "DigitPair",
-    "GridIFS",
-    "DyadicBox",
-    "validate_ifs",
-    "project_prefix",
-    "DigitWord",
-    "apply_shift",
-    "base_expansions",
-    "expansions_of",
-    "canonical_representative",
-    "digit_frequencies",
-    "empirical_row_frequencies",
-    "frequency_slice_value",
-    "slice_dimension",
-    "SliceDimension",
-    "TargetSpec",
-    "make_target",
-    "target_from_word",
-    "alternating_block_word",
-    "RateSchedule",
-    "WindowPattern",
-    "axis_window_patterns",
-    "axis_digits_admissible",
-    "window_hit",
-    "row_agreement_length",
-    "max_row_counts",
-    "RowCounts",
-    "stage_exponent",
-    "ExponentRecord",
-    "dimension_report",
-    "DimensionReport",
-    "closed_form_dimension",
-    "closed_form_for",
-    "special_case_dimension",
-    "ergodic_dimension",
-    "ratio_limsup_dimension",
-    "CheckReport",
-    "CoverFamily",
-    "HolderSample",
-    "MeasureBuilder",
-    "build_cover",
-    "build_lower_bound_measure",
-    "brute_force_window_set",
-    "pattern_window_set",
-    "oracle_window_report",
-    "check_containment_forward",
-    "check_containment_backward",
-    "check_set_relation",
-    "exhaustive_relation_check",
-    "exhaustive_truncations",
-    "holder_exponent_samples",
-    "random_words",
-]

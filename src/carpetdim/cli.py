@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +27,7 @@ from .errors import CarpetError, ConfigError
 from .formulas import ratio_limsup_dimension
 from .grid import GridIFS, validate_ifs
 from .schedules import RateSchedule
-from .shrinking import RowCounts, StageKernel, _target_rows, dimension_report
+from .shrinking import RowCounts, StageKernel, dimension_report
 from .words import DigitWord
 
 NAMED_IFS = {
@@ -299,7 +298,6 @@ def cmd_slice(config: RunConfig, out_dir: Path) -> int:
 
 def cmd_sn_table(config: RunConfig, out_dir: Path) -> int:
     ifs = config.ifs
-    _target_rows(ifs, config.target, max(map(config.schedule.xi, config.n_values)) - 1)
     with open(out_dir / "sn_table.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "j", "weighted_row_count", "quotient"])
@@ -312,81 +310,110 @@ def cmd_sn_table(config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-_DEFAULT_CHECKS = {
-    "oracle": {"n": 2},
-    "containment": {"n": 3, "samples": 2000},
-    "set_relation": {"n": 3, "samples": 2000},
+class _CheckOptions:
+    """One `verify.checks` entry, read key by key with its field paths."""
+
+    def __init__(self, config: RunConfig, path: str, node: dict):
+        self.path, self.node = path, node
+        self.ifs, self.schedule = config.ifs, config.schedule
+
+    def opt(self, key, default, parse=_parse_int, least=None, why=""):
+        value = parse(self.node.get(key, default), f"{self.path}.{key}")
+        if least is not None and value < least:
+            raise ConfigError(f"{self.path}.{key}", f"need at least {least}{why}, got {value}")
+        return value
+
+    def rule(self, key, check, *args):
+        """check(*args), the rule the check itself applies, with any error at this key."""
+        try:
+            return check(*args)
+        except CarpetError as exc:
+            raise ConfigError(f"{self.path}.{key}", str(exc)) from exc
+
+    def window(self, n):
+        return self.rule("n", lambda: (self.schedule.lam(n), self.schedule.xi(n)))
+
+    def enumerable(self, key, k):
+        self.rule(key, verify_mod.require_enumerable, self.ifs, k)
+
+
+def _oracle_options(o: _CheckOptions) -> dict:
+    n = o.opt("n", 2)
+    o.enumerable("n", o.window(n)[1])
+    return {"n": n}
+
+
+def _containment_options(o: _CheckOptions) -> dict:
+    n = o.opt("n", 3)
+    need = n + o.window(n)[1]
+    return {"n": n, "samples": o.opt("samples", 2000, least=1),
+            "depth": o.opt("depth", need + 5, least=need, why=" = n + xi(n)")}
+
+
+def _containment_exhaustive_options(o: _CheckOptions) -> dict:
+    n = o.opt("n", 2)
+    need = n + o.window(n)[1]
+    depth = o.opt("depth", 10, least=need, why=" = n + xi(n)")
+    o.enumerable("depth", depth)
+    return {"n": n, "depth": depth}
+
+
+def _set_relation_options(o: _CheckOptions) -> dict:
+    n = o.opt("n", 3)
+    xi = o.window(n)[1]
+    exhaustive = o.node.get("exhaustive", False)
+    if not isinstance(exhaustive, bool):
+        raise ConfigError(f"{o.path}.exhaustive", f"expected true or false, got {exhaustive!r}")
+    if exhaustive:
+        depth = o.opt("depth", 8, least=n, why=" = n")
+        o.enumerable("depth", depth)
+        return {"n": n, "exhaustive": True, "depth": depth}
+    return {"n": n, "exhaustive": False, "depth": o.opt("depth", n + xi + 4, least=1),
+            "samples": o.opt("samples", 2000, least=1)}
+
+
+def _cover_options(o: _CheckOptions) -> dict:
+    n = o.opt("n", 2)
+    lam, xi = o.window(n)
+    o.enumerable("n", n)
+    j = o.opt("j", lam, least=lam, why=" = lam(n)")
+    if j > xi:
+        raise ConfigError(f"{o.path}.j", f"need at most {xi} = xi(n), got {j}")
+    return {"n": n, "j": j}
+
+
+def _measure_options(o: _CheckOptions) -> dict:
+    bps = _parse_int_list(o.node.get("break_points", []), f"{o.path}.break_points")
+    delta = o.rule("delta", verify_mod.measure_delta, o.opt("delta", 2, _parse_fraction))
+    o.rule("break_points", verify_mod.measure_break_points, o.schedule, bps, delta)
+    return {"break_points": bps, "delta": delta,
+            "holder_slack": o.opt("holder_slack", 0.05, _parse_real)}
+
+
+# every verify check, in output order: its option reader and the name of its
+# family in verify.py, looked up when it runs so patched functions are seen
+_CHECKS = {
+    "oracle": (_oracle_options, "oracle_reports"),
+    "containment": (_containment_options, "containment_reports"),
+    "containment_exhaustive": (_containment_exhaustive_options, "containment_exhaustive_reports"),
+    "set_relation": (_set_relation_options, "set_relation_reports"),
+    "cover": (_cover_options, "cover_reports"),
+    "measure": (_measure_options, "measure_reports"),
 }
+_DEFAULT_CHECKS = ("oracle", "containment", "set_relation")
 
 
 def _verify_options(config: RunConfig) -> dict[str, dict]:
     """Every verify check's options, parsed with their paths before any check
     runs, so a bad option exits 2 without running a check."""
-    checks = _parse_object(config.verify.get("checks", {}), "verify.checks") or _DEFAULT_CHECKS
+    checks = _parse_object(config.verify.get("checks", {}), "verify.checks")
     options = {}
-    for name, node in checks.items():
+    for name, node in (checks or dict.fromkeys(_DEFAULT_CHECKS, {})).items():
         path = f"verify.checks.{name}"
         node = _parse_object(node, path)
-
-        def opt(key, default, parse=_parse_int, least=None, why=""):
-            value = parse(node.get(key, default), f"{path}.{key}")
-            if least is not None and value < least:
-                raise ConfigError(f"{path}.{key}", f"need at least {least}{why}, got {value}")
-            return value
-
-        def window(n):
-            try:
-                return config.schedule.lam(n), config.schedule.xi(n)
-            except CarpetError as exc:
-                raise ConfigError(f"{path}.n", str(exc)) from exc
-
-        if name == "oracle":
-            n = opt("n", 2)
-            window(n)
-            options[name] = {"n": n}
-        elif name == "containment":
-            n = opt("n", 3)
-            need = n + window(n)[1]
-            options[name] = {"n": n, "samples": opt("samples", 2000, least=1),
-                             "depth": opt("depth", need + 5, least=need, why=" = n + xi(n)")}
-        elif name == "containment_exhaustive":
-            n = opt("n", 2)
-            need = n + window(n)[1]
-            options[name] = {"n": n, "depth": opt("depth", 10, least=need, why=" = n + xi(n)")}
-        elif name == "set_relation":
-            n = opt("n", 3)
-            xi = window(n)[1]
-            exhaustive = node.get("exhaustive", False)
-            if not isinstance(exhaustive, bool):
-                raise ConfigError(
-                    f"{path}.exhaustive", f"expected true or false, got {exhaustive!r}"
-                )
-            if exhaustive:
-                options[name] = {"n": n, "exhaustive": True,
-                                 "depth": opt("depth", 8, least=n, why=" = n")}
-            else:
-                depth = opt("depth", n + xi + 4, least=1)
-                options[name] = {"n": n, "exhaustive": False, "depth": depth,
-                                 "samples": opt("samples", 2000, least=1)}
-        elif name == "cover":
-            n = opt("n", 2)
-            lam, xi = window(n)
-            j = opt("j", lam, least=lam, why=" = lam(n)")
-            if j > xi:
-                raise ConfigError(f"{path}.j", f"need at most {xi} = xi(n), got {j}")
-            options[name] = {"n": n, "j": j}
-        elif name == "measure":
-            bps = _parse_int_list(node.get("break_points", []), f"{path}.break_points")
-            if not bps:
-                raise ConfigError(f"{path}.break_points", "missing")
-            options[name] = {
-                "break_points": bps,
-                "delta": opt("delta", 2, _parse_fraction),
-                "holder_slack": opt("holder_slack", 0.05, _parse_real),
-            }
-        else:
-            raise ConfigError(path, "unknown check; have oracle, containment, "
-                              "containment_exhaustive, set_relation, cover, measure")
+        if name not in _CHECKS:
+            raise ConfigError(path, f"unknown check; have {', '.join(_CHECKS)}")
+        options[name] = _CHECKS[name][0](_CheckOptions(config, path, node))
     return options
 
 
@@ -396,87 +423,11 @@ def cmd_verify(config: RunConfig, out_dir: Path, seed_override: int | None = Non
         seed = _parse_int(config.verify.get("seed", 0), "verify.seed")
     else:
         seed = seed_override
-    ifs, target, schedule = config.ifs, config.target, config.schedule
     reports: list[verify_mod.CheckReport] = []
-
-    if "oracle" in options:
-        n = options["oracle"]["n"]
-        reports.append(verify_mod.oracle_window_report(ifs, target, schedule, n))
-    containment = (verify_mod.check_containment_forward, verify_mod.check_containment_backward)
-    if "containment" in options:
-        o = options["containment"]
-        rng = random.Random(seed)
-        words = verify_mod.random_words(
-            ifs, target, schedule, o["n"], o["samples"], o["depth"], rng
-        )
-        reports += [check(ifs, target, schedule, o["n"], words) for check in containment]
-    if "containment_exhaustive" in options:
-        o = options["containment_exhaustive"]
-        reports += [
-            check(ifs, target, schedule, o["n"], verify_mod.exhaustive_truncations(ifs, o["depth"]))
-            for check in containment
-        ]
-    if "set_relation" in options:
-        o = options["set_relation"]
-        if o["exhaustive"]:
-            reports.append(
-                verify_mod.exhaustive_relation_check(ifs, target, schedule, o["n"], o["depth"])
-            )
-        else:
-            rng = random.Random(seed)
-            digits = ifs.sorted_digits()
-            words = [
-                DigitWord.periodic((), [rng.choice(digits) for _ in range(o["depth"])])
-                for _ in range(o["samples"])
-            ]
-            reports.append(verify_mod.check_set_relation(ifs, target, schedule, o["n"], words))
-    if "cover" in options:
-        o = options["cover"]
-        family = verify_mod.build_cover(ifs, target, schedule, o["n"], o["j"])
-        rep = verify_mod.CheckReport(
-            "cover-bound",
-            len(family.boxes) <= family.cardinality_bound,
-            len(family.boxes),
-            details={"boxes": len(family.boxes), "bound": family.cardinality_bound},
-        )
-        reports.append(rep)
-    if "measure" in options:
-        o = options["measure"]
-        bps, delta = o["break_points"], o["delta"]
-        builder = verify_mod.build_lower_bound_measure(ifs, target, schedule, bps, delta)
-        level_ok = all(builder.level_sum(m) == 1 for m in range(1, builder.depth + 1))
-        bound_ok = all(builder.mass_bound_holds(k) for k in range(len(bps)))
-        rep = verify_mod.CheckReport(
-            "measure-normalization", level_ok and bound_ok, builder.depth,
-            details={"depth": builder.depth, "mass_bounds": bound_ok},
-        )
-        if not level_ok:
-            rep.failures.append({"reason": "level sum differs from 1"})
-        if not bound_ok:
-            rep.failures.append({"reason": "point-phase mass bound violated"})
-        reports.append(rep)
-        rng = random.Random(seed)
-        points = [builder.support_word(builder.depth)] + [
-            builder.support_word(builder.depth, rng) for _ in range(2)
-        ]
-        radii = [Fraction(1, ifs.base ** m) for m in range(bps[0] + 1, builder.depth + 1)]
-        samples = verify_mod.holder_exponent_samples(builder, points, radii)
-        slack = o["holder_slack"]
-        threshold = {}
-        for k, n_k in enumerate(bps):
-            threshold[n_k] = (1.0 - 1.0 / float(delta)) * builder.stage_values[n_k] - slack
-        bad = []
-        for s in samples:
-            k_idx = max(i for i, n_k in enumerate(bps) if n_k < s.level)
-            if s.exponent < threshold[bps[k_idx]]:
-                bad.append({"level": s.level, "exponent": s.exponent})
-        reports.append(
-            verify_mod.CheckReport(
-                "measure-holder", not bad, len(samples),
-                failures=bad[:10],
-                details={"thresholds": {str(k): v for k, v in threshold.items()}},
-            )
-        )
+    for name, (_, family) in _CHECKS.items():
+        if name in options:
+            run = getattr(verify_mod, family)
+            reports += run(config.ifs, config.target, config.schedule, seed, **options[name])
 
     payload = {"passed": all(r.passed for r in reports), "checks": [r.to_dict() for r in reports]}
     with open(out_dir / "verify.json", "w") as fh:

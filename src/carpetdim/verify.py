@@ -42,6 +42,16 @@ from .words import DigitWord
 ENUMERATION_GUARD = 10 ** 7
 
 
+def require_enumerable(ifs: GridIFS, k: int) -> None:
+    """Refuse to enumerate the |J|^k words of length k beyond ENUMERATION_GUARD,
+    by comparing k with the largest exponent the guard allows: |J|^k is never built."""
+    count, allowed = len(ifs.digits), 0
+    while count > 1 and count ** (allowed + 1) <= ENUMERATION_GUARD:
+        allowed += 1
+    if k > allowed and count > 1:
+        raise EnumerationTooLargeError(f"{count}^{k} words exceed the guard {ENUMERATION_GUARD}")
+
+
 @dataclass
 class CheckReport:
     """Outcome of one verification pass."""
@@ -146,12 +156,10 @@ def check_containment_backward(
     rx = Fraction(ifs.base ** 2, ifs.base ** lam)
     ry = Fraction(ifs.base ** 2, ifs.base ** xi)
     report = CheckReport("containment-backward", True, 0)
-    hits = 0
     for word in samples:
         word.require_depth(n + xi)
         if not window_hit(ifs, target, schedule, n, word):
             continue
-        hits += 1
         report.checked += 1
         (xlo, xhi), (ylo, yhi) = shifted_intervals(word, ifs.base, n)
         slack_x = xhi - xlo
@@ -164,7 +172,7 @@ def check_containment_backward(
         )
         if not ok:
             _fail(report, word, "window hit but shifted point outside the enlarged rectangle")
-    report.details["window_hits"] = hits
+    report.details["window_hits"] = report.checked
     return report
 
 
@@ -307,8 +315,7 @@ def exhaustive_relation_check(
     shift for boundary targets.
     """
     b = ifs.base
-    if len(ifs.digits) ** depth > ENUMERATION_GUARD:
-        raise EnumerationTooLargeError(f"{len(ifs.digits)}^{depth} words exceed the guard")
+    require_enumerable(ifs, depth)
     if depth < n:
         raise InsufficientDepthError(f"depth {depth} below n = {n}")
     # shifted coordinate of prefix + constant tail (alpha, beta):
@@ -340,8 +347,7 @@ def brute_force_window_set(
     """Every length-xi(n) pair window passing the window conditions, found by
     direct predicate evaluation over all of J^xi(n)."""
     lam, xi = schedule.lam(n), schedule.xi(n)
-    if len(ifs.digits) ** xi > ENUMERATION_GUARD:
-        raise EnumerationTooLargeError(f"{len(ifs.digits)}^{xi} windows exceed the guard")
+    require_enumerable(ifs, xi)
     # looked up when called, so the oracle follows a patched shrinking predicate
     from .shrinking import axis_digits_admissible
 
@@ -452,8 +458,7 @@ def build_cover(
     lam, xi = schedule.lam(n), schedule.xi(n)
     if not lam <= j <= xi:
         raise ValueError(f"need lam(n) <= j <= xi(n), got j={j} with ({lam}, {xi})")
-    if len(ifs.digits) ** n > ENUMERATION_GUARD:
-        raise EnumerationTooLargeError(f"{len(ifs.digits)}^{n} prefixes exceed the guard")
+    require_enumerable(ifs, n)
     b = ifs.base
     kernel = StageKernel(ifs, target, schedule, n)
 
@@ -579,6 +584,31 @@ class MeasureBuilder:
         return DigitWord.periodic(digits, (digits[-1],))
 
 
+def measure_delta(delta) -> Fraction:
+    """The measure's exponent as a Fraction; it must exceed 1."""
+    delta = Fraction(delta)
+    if delta <= 1:
+        raise BadBreakPointsError(f"delta must exceed 1, got {delta}")
+    return delta
+
+
+def measure_break_points(
+    schedule: RateSchedule, break_points: Sequence[int], delta: Fraction
+) -> tuple[int, ...]:
+    """The break points as a tuple: positive, each one past the previous
+    phase end and beyond delta times the sum of all earlier phase lengths."""
+    bps = tuple(int(n) for n in break_points)
+    if len(bps) < 1 or any(n < 1 for n in bps):
+        raise BadBreakPointsError("need at least one positive break point")
+    for k in range(len(bps) - 1):
+        tail_sum = sum(schedule.xi(bps[i]) + 2 for i in range(k + 1))
+        if not (bps[k + 1] > delta * tail_sum and bps[k + 1] > bps[k] + schedule.xi(bps[k]) + 2):
+            raise BadBreakPointsError(
+                f"break point {bps[k + 1]} too close after {bps[: k + 1]}"
+            )
+    return bps
+
+
 def build_lower_bound_measure(
     ifs: GridIFS,
     target: TargetSpec,
@@ -593,18 +623,8 @@ def build_lower_bound_measure(
     each break point it rides a single chosen window word for lam+2 levels,
     then spreads over that word's rows until xi+2 levels past the break.
     """
-    delta = Fraction(delta)
-    if delta <= 1:
-        raise BadBreakPointsError(f"delta must exceed 1, got {delta}")
-    bps = tuple(int(n) for n in break_points)
-    if len(bps) < 1 or any(n < 1 for n in bps):
-        raise BadBreakPointsError("need at least one positive break point")
-    for k in range(len(bps) - 1):
-        tail_sum = sum(schedule.xi(bps[i]) + 2 for i in range(k + 1))
-        if not (bps[k + 1] > delta * tail_sum and bps[k + 1] > bps[k] + schedule.xi(bps[k]) + 2):
-            raise BadBreakPointsError(
-                f"break point {bps[k + 1]} too close after {bps[: k + 1]}"
-            )
+    delta = measure_delta(delta)
+    bps = measure_break_points(schedule, break_points, delta)
     max_depth = bps[-1] + schedule.xi(bps[-1]) + 2
     if depth is None:
         depth = max_depth
@@ -748,7 +768,75 @@ def random_words(
 
 def exhaustive_truncations(ifs: GridIFS, depth: int) -> Iterator[DigitWord]:
     """Every truncation of the given depth (guarded)."""
-    if len(ifs.digits) ** depth > ENUMERATION_GUARD:
-        raise EnumerationTooLargeError(f"{len(ifs.digits)}^{depth} words exceed the guard")
+    require_enumerable(ifs, depth)
     for prefix in itertools.product(ifs.sorted_digits(), repeat=depth):
         yield DigitWord.truncation(prefix)
+
+
+
+# check families: each runs one `verify.checks` entry from the keyword options
+# the CLI read, and returns its reports; sampled ones draw from Random(seed)
+
+
+def oracle_reports(ifs, target, schedule, seed, n) -> list[CheckReport]:
+    return [oracle_window_report(ifs, target, schedule, n)]
+
+
+def containment_reports(ifs, target, schedule, seed, n, samples, depth) -> list[CheckReport]:
+    words = random_words(ifs, target, schedule, n, samples, depth, random.Random(seed))
+    return [check(ifs, target, schedule, n, words)
+            for check in (check_containment_forward, check_containment_backward)]
+
+
+def containment_exhaustive_reports(ifs, target, schedule, seed, n, depth) -> list[CheckReport]:
+    return [check(ifs, target, schedule, n, exhaustive_truncations(ifs, depth))
+            for check in (check_containment_forward, check_containment_backward)]
+
+
+def set_relation_reports(
+    ifs, target, schedule, seed, n, depth, exhaustive, samples=None
+) -> list[CheckReport]:
+    """Exhaustive at `depth`, or on purely periodic words of period `depth`."""
+    if exhaustive:
+        return [exhaustive_relation_check(ifs, target, schedule, n, depth)]
+    rng = random.Random(seed)
+    digits = ifs.sorted_digits()
+    words = [DigitWord.periodic((), [rng.choice(digits) for _ in range(depth)])
+             for _ in range(samples)]
+    return [check_set_relation(ifs, target, schedule, n, words)]
+
+
+def cover_reports(ifs, target, schedule, seed, n, j) -> list[CheckReport]:
+    family = build_cover(ifs, target, schedule, n, j)
+    boxes, bound = len(family.boxes), family.cardinality_bound
+    return [CheckReport("cover-bound", boxes <= bound, boxes,
+                        details={"boxes": boxes, "bound": bound})]
+
+
+def measure_reports(
+    ifs, target, schedule, seed, break_points, delta, holder_slack
+) -> list[CheckReport]:
+    """Exact level sums and point-phase mass bounds, then the mass-decay
+    exponents past each break point n_k against (1 - 1/delta) s_{n_k} -
+    holder_slack, at three support words and every radius b^-m past n_0."""
+    builder = build_lower_bound_measure(ifs, target, schedule, break_points, delta)
+    level_ok = all(builder.level_sum(m) == 1 for m in range(1, builder.depth + 1))
+    bound_ok = all(builder.mass_bound_holds(k) for k in range(len(break_points)))
+    norm = CheckReport("measure-normalization", level_ok and bound_ok, builder.depth,
+                       details={"depth": builder.depth, "mass_bounds": bound_ok})
+    if not level_ok:
+        norm.failures.append({"reason": "level sum differs from 1"})
+    if not bound_ok:
+        norm.failures.append({"reason": "point-phase mass bound violated"})
+    rng = random.Random(seed)
+    points = [builder.support_word(builder.depth)] + [
+        builder.support_word(builder.depth, rng) for _ in range(2)
+    ]
+    radii = [Fraction(1, ifs.base ** m) for m in range(break_points[0] + 1, builder.depth + 1)]
+    samples = holder_exponent_samples(builder, points, radii)
+    threshold = {n_k: (1.0 - 1.0 / float(delta)) * builder.stage_values[n_k] - holder_slack
+                 for n_k in break_points}
+    bad = [{"level": s.level, "exponent": s.exponent} for s in samples
+           if s.exponent < threshold[max(n_k for n_k in break_points if n_k < s.level)]]
+    return [norm, CheckReport("measure-holder", not bad, len(samples), failures=bad[:10],
+                              details={"thresholds": {str(k): v for k, v in threshold.items()}})]

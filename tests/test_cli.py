@@ -247,6 +247,20 @@ class TestInputErrors:
             ({"checks": {"set_relation": {"n": 2, "depth": 0}}},
              "verify.checks.set_relation.depth"),
             ({"checks": {"oracle": {"n": 0}}}, "verify.checks.oracle.n"),
+            ({"checks": {"oracle": {"n": 2}, "measure": {"break_points": [17, 3]}}},
+             "verify.checks.measure.break_points"),
+            ({"checks": {"measure": {"break_points": [3, 12]}}},
+             "verify.checks.measure.break_points"),
+            ({"checks": {"measure": {"break_points": [3, 17], "delta": "1/2"}}},
+             "verify.checks.measure.delta"),
+            ({"checks": {"measure": {"break_points": [3, 17], "delta": 1}}},
+             "verify.checks.measure.delta"),
+            ({"checks": {"oracle": {"n": 10 ** 6}}}, "verify.checks.oracle.n"),
+            ({"checks": {"containment_exhaustive": {"n": 2, "depth": 10 ** 6}}},
+             "verify.checks.containment_exhaustive.depth"),
+            ({"checks": {"set_relation": {"n": 3, "depth": 10 ** 6, "exhaustive": True}}},
+             "verify.checks.set_relation.depth"),
+            ({"checks": {"cover": {"n": 10 ** 6}}}, "verify.checks.cover.n"),
         ],
     )
     def test_bad_verify_options(self, tmp_path, capsys, verify, field):
@@ -265,6 +279,13 @@ class TestInputErrors:
         checks = {"oracle": {"n": 2}, "measure": {"break_points": [3, 17], "holder_slack": "x"}}
         cfg = write_config(tmp_path, {**BASE_CONFIG, "verify": {"checks": checks}})
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+        # the measure's own rules and the enumeration guard are read up front too
+        for bad in ({"measure": {"break_points": [17, 3]}},
+                    {"measure": {"break_points": [3, 17], "delta": "1/2"}},
+                    {"set_relation": {"n": 3, "depth": 10 ** 9, "exhaustive": True}}):
+            checks = {"oracle": {"n": 2}, **bad}
+            cfg = write_config(tmp_path, {**BASE_CONFIG, "verify": {"checks": checks}})
+            assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
 
 
 class TestDimensionCommand:

@@ -35,7 +35,7 @@ from carpetdim.errors import (
     ThresholdNotMetError,
 )
 
-from carpetdim.verify import _argmin_j_below_xi, shifted_intervals
+from carpetdim.verify import _argmin_j_below_xi, require_enumerable, shifted_intervals
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +157,13 @@ class TestSetRelation:
     def test_enumeration_guard(self, vicsek, origin, linear12):
         with pytest.raises(EnumerationTooLargeError):
             exhaustive_relation_check(vicsek, origin, linear12, 2, 30)
+
+    def test_enumeration_guard_compares_exponents(self, vicsek):
+        # 5^10 <= 10^7 < 5^11; 5^(10^12) is never built
+        require_enumerable(vicsek, 10)
+        for k in (11, 10 ** 12):
+            with pytest.raises(EnumerationTooLargeError, match=f"5\\^{k} words"):
+                require_enumerable(vicsek, k)
 
 
 class TestWindowOracle:
