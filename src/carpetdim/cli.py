@@ -245,7 +245,7 @@ def load_config(path: str) -> RunConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError("$", f"cannot read {path}: {exc.strerror or exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # undecodable bytes, bad JSON, oversized integers
         raise ConfigError("$", f"malformed JSON in {path}: {exc}") from exc
     return RunConfig.from_dict(data)
 
@@ -266,11 +266,12 @@ def cmd_dimension(config: RunConfig, out_dir: Path) -> int:
         "still_rising": report.still_rising,
         "tail_fraction": report.tail_fraction,
         "n_count": len(report.records),
-        "skipped": report.skipped,
+        # this and "warnings" stay, always empty (every stage has its exact pattern), to keep the format
+        "skipped": [],
         "closed_form": None if report.closed_form is None else _round12(report.closed_form),
         "closed_form_branch": report.closed_form_branch,
         "formula_source": report.formula_source,
-        "warnings": report.warnings,
+        "warnings": [],
     }
     if config.schedule.kind == "alternating" and config.target.frequencies_exist:
         summary["ratio_limsup"] = _round12(

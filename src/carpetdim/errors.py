@@ -75,10 +75,6 @@ class FrequenciesDoNotExistError(CarpetError):
     pass
 
 
-class EmptyWindowSetError(CarpetError):
-    """No jointly realizable window pattern at some stage n."""
-
-
 # finite-depth verification
 
 class EnumerationTooLargeError(CarpetError):

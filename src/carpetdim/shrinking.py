@@ -18,13 +18,15 @@ comparing two big-integer prime powers (see `_log_sign`).
 
 Every reader of a stage (exponent, row-count surface, agreement length,
 verify constructions) builds one `StageKernel` per stage. The target's digits
-are read from one table per (target, system), built once per run in O(b D)
-by C-level passes for the run's deepest window D (`_target_rows`). From it a
-stage finds its patterns in O(log D): each axis has at most one deviation
-down and one up, each one bisection on a running count. The kernel then gives
-the best row counts at any depth j in O(b) per pattern, so a stage's whole
-surface row j = lam..xi costs O(xi) in Python, and its float depth scan is
-one C-level pass over the window (`StageKernel.argmin`).
+are read from one table per (target, system), built in O(b D) by C-level
+passes (`_target_rows`): `dimension_report` sizes it for its deepest window
+D, and a deeper window grows it by doubling. From it a stage finds its
+patterns in O(log D): each axis has at most one deviation down and one up,
+each one bisection on a running count, after the exact pattern, which copies
+the target and so always meets the window. The kernel then gives the best
+row counts at any depth j in O(b) per pattern, so a stage's whole surface
+row j = lam..xi costs O(xi) in Python, and its float depth scan is one
+C-level pass over the window (`StageKernel.argmin`).
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, compress, islice, repeat
 from typing import Sequence
 
 from .coding import TargetSpec
-from .errors import EmptyWindowSetError, ScheduleError
+from .errors import ScheduleError
 from .formulas import closed_form_for
 from .grid import GridIFS
 from .schedules import RateSchedule
@@ -224,7 +226,8 @@ def _stage_patterns(
     A vertical pattern is realizable when its rows are inhabited beyond the
     horizontal window and some horizontal pattern pairs with it inside. The
     exact pattern always is: it pairs with the exact horizontal pattern into
-    the target's own pairs, which `target_from_word` checked against J.
+    the target's own pairs, which `target_from_word` checked against J. So
+    the realizable list is never empty and starts with the exact pattern.
     """
     lam, xi = schedule.lam(n), schedule.xi(n)
     # a short truncation fails naming the first depth it lacks: lam - 1, then xi - 1
@@ -302,7 +305,7 @@ class StageKernel:
     parts: the target's row digits up to its deviation position p (the exact
     pattern deviates at xi, past the window), the deviating digit, the
     constant carry tail, and the free row that fills depths beyond xi - 1.
-    The target's table (`_target_rows`, built once per run in O(b D)) gives
+    The target's table (`_target_rows`, built in O(b D)) gives
     the patterns in O(log D) and a pattern's exact row-count vector at any
     depth in O(b); `argmin` ranks the depths by one C-level pass over the
     window.
@@ -311,8 +314,6 @@ class StageKernel:
     def __init__(self, ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int):
         lam, xi = schedule.lam(n), schedule.xi(n)
         hpats, _, realizable = _stage_patterns(ifs, target, schedule, n)
-        if not realizable:
-            raise EmptyWindowSetError(f"stage {n}: no jointly realizable window pattern")
         self.ifs, self.n, self.lam, self.xi = ifs, n, lam, xi
         self.hpats = hpats
         self.patterns = realizable
@@ -481,7 +482,6 @@ class DimensionReport:
     """
 
     records: list[ExponentRecord]
-    skipped: list[tuple[int, str]]
     limsup_estimate: float
     running_max: float
     tail_start: int
@@ -490,7 +490,6 @@ class DimensionReport:
     closed_form: float | None = None
     closed_form_branch: str | None = None
     formula_source: str | None = None
-    warnings: list[str] = field(default_factory=list)
 
 
 def dimension_report(
@@ -506,40 +505,20 @@ def dimension_report(
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_values must be strictly increasing")
     schedule.validate_range(ns)
-    # one table for the run, as deep as its deepest window (or the word)
+    # one table as deep as the deepest window (or the word): doubling builds it 2-3 times, slower
     _target_rows(ifs, target, max(map(schedule.xi, ns)) - 1)
-
-    records: list[ExponentRecord] = []
-    skipped: list[tuple[int, str]] = []
-    for n in ns:
-        try:
-            records.append(stage_exponent(ifs, target, schedule, n))
-        except EmptyWindowSetError as exc:
-            skipped.append((n, str(exc)))
-    if not records:
-        raise EmptyWindowSetError("every sampled stage had an empty window set")
-
+    records = [stage_exponent(ifs, target, schedule, n) for n in ns]
     values = [r.value for r in records]
-    tail_start = max(0, math.floor(len(values) * (1.0 - _TAIL_FRACTION)))
-    if tail_start >= len(values):
-        tail_start = len(values) - 1
-    running_max = -math.inf
-    last_improvement = 0
-    for i, v in enumerate(values):
-        if v > running_max:
-            running_max = v
-            last_improvement = i
+    tail_start = math.floor(len(values) * (1.0 - _TAIL_FRACTION))
+    running_max = max(values)
     report = DimensionReport(
         records=records,
-        skipped=skipped,
         limsup_estimate=max(values[tail_start:]),
         running_max=running_max,
         tail_start=tail_start,
-        still_rising=last_improvement >= tail_start,
+        still_rising=values.index(running_max) >= tail_start,
         tail_fraction=_TAIL_FRACTION,
     )
-    if skipped:
-        report.warnings.append(f"{len(skipped)} stages had no realizable window and were skipped")
     cf = closed_form_for(ifs, target, schedule)
     if cf is not None:
         report.closed_form, report.closed_form_branch, report.formula_source = cf

@@ -21,7 +21,6 @@ from .coding import TargetSpec
 from .errors import (
     BadBreakPointsError,
     DepthTooLargeError,
-    EmptyWindowSetError,
     EnumerationTooLargeError,
     InsufficientDepthError,
     RadiusTooSmallError,
@@ -387,13 +386,9 @@ def _window_slots(kernel: StageKernel, j: int) -> list[list[tuple[DigitPair, ...
 
 def _stage_windows(
     ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int
-) -> tuple[StageKernel | None, set[tuple[DigitPair, ...]]]:
-    """The stage kernel (None when no pattern is realizable) and the
-    length-xi(n) windows it expands to."""
-    try:
-        kernel = StageKernel(ifs, target, schedule, n)
-    except EmptyWindowSetError:
-        return None, set()
+) -> tuple[StageKernel, set[tuple[DigitPair, ...]]]:
+    """The stage kernel and the length-xi(n) windows it expands to."""
+    kernel = StageKernel(ifs, target, schedule, n)
     slots = _window_slots(kernel, kernel.xi)
     return kernel, {win for s in slots for win in itertools.product(*s)}
 
@@ -424,8 +419,6 @@ def oracle_window_report(
              "examples": [[list(p) for p in w] for w in sample]}
         )
         return report
-    if kernel is None:
-        raise EmptyWindowSetError(f"stage {n}: no jointly realizable window pattern")
     row_strings = {tuple(p.v for p in win) for win in brute}
     for j in range(lam, xi + 1):
         best = max(math.prod(map(ifs.row_size, rows[lam - 1 : j])) for rows in row_strings)
@@ -479,8 +472,7 @@ def build_cover(
         DyadicBox(b, level, (Fraction(xn, den), Fraction(yn, den)))
         for xn, yn in sorted(corners)
     )
-    max_prod = max(_row_product(ifs, kernel.best(j)[1]), 1)
-    bound = 9 * len(ifs.digits) ** n * max_prod
+    bound = 9 * len(ifs.digits) ** n * _row_product(ifs, kernel.best(j)[1])
     return CoverFamily(n, j, boxes, bound)
 
 

@@ -52,14 +52,14 @@ class DigitWord:
 
     @classmethod
     def periodic(cls, preperiod: Iterable[tuple[int, int]], period: Iterable[tuple[int, int]]) -> "DigitWord":
-        per = _coerce(period)
+        per = tuple(period)
         if not per:
             raise ValueError("period must be nonempty; use DigitWord.truncation for finite words")
-        return cls(_coerce(preperiod), per)
+        return cls(tuple(preperiod), per)
 
     @classmethod
     def truncation(cls, digits: Iterable[tuple[int, int]]) -> "DigitWord":
-        return cls(_coerce(digits), ())
+        return cls(tuple(digits), ())
 
     # structure
 

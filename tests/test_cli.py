@@ -83,6 +83,14 @@ class TestInputErrors:
         assert self._run(str(path), tmp_path) == 2
         assert capsys.readouterr().out.startswith("error: $: malformed JSON")
 
+    def test_oversized_json_integer(self, tmp_path, capsys):
+        # past Python's int-string limit (4300 digits) json.load raises a bare ValueError
+        path = tmp_path / "huge.json"
+        text = json.dumps({**BASE_CONFIG, "n_range": {"start": 1, "stop": 0}})
+        path.write_text(text.replace('"stop": 0', '"stop": ' + "9" * 5000))
+        assert self._run(str(path), tmp_path) == 2
+        assert capsys.readouterr().out.startswith("error: $: malformed JSON")
+
     @pytest.mark.parametrize(
         "n_range, field",
         [

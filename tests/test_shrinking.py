@@ -24,7 +24,7 @@ from carpetdim import (
     validate_ifs,
     window_hit,
 )
-from carpetdim.errors import EmptyWindowSetError, InsufficientDepthError, ScheduleError
+from carpetdim.errors import InsufficientDepthError, ScheduleError
 
 LOG2 = math.log(2)
 
@@ -417,26 +417,6 @@ class TestDimensionReport:
             running = max(running, rec.value)
         assert report.running_max == running
 
-    def test_skipped_stage_warning(self, vicsek, linear12, monkeypatch):
-        target = _origin(vicsek)
-        real = shrinking._stage_patterns
-
-        def broken(ifs, tgt, sch, n):
-            if n == 2:
-                return [], [], []
-            return real(ifs, tgt, sch, n)
-
-        monkeypatch.setattr(shrinking, "_stage_patterns", broken)
-        report = dimension_report(vicsek, target, linear12, [1, 2, 3])
-        assert [n for n, _ in report.skipped] == [2]
-        assert len(report.records) == 2
-        assert report.warnings
-
     def test_rejects_decreasing_range(self, vicsek, linear12):
         with pytest.raises(ValueError):
             dimension_report(vicsek, _origin(vicsek), linear12, [3, 2])
-
-    def test_empty_window_everywhere(self, vicsek, linear12, monkeypatch):
-        monkeypatch.setattr(shrinking, "_stage_patterns", lambda *a: ([], [], []))
-        with pytest.raises(EmptyWindowSetError):
-            dimension_report(vicsek, _origin(vicsek), linear12, [1, 2])

@@ -187,6 +187,7 @@ def test_dimension_report_matches_the_reference_stages(case):
                 shrinking.dimension_report(ifs, target, schedule, ns)
             return
     report = shrinking.dimension_report(ifs, target, schedule, ns)
+    assert [r.n for r in report.records] == ns
     for rec in report.records:
         lam, xi = rec.lam, rec.xi
         realizable = _ref_stage_patterns(ifs, target, schedule, rec.n)[2]
