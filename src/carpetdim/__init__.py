@@ -28,7 +28,6 @@ from .schedules import RateSchedule
 from .shrinking import (
     DimensionReport,
     ExponentRecord,
-    RowCounts,
     WindowPattern,
     axis_digits_admissible,
     axis_window_patterns,
@@ -56,4 +55,4 @@ from .verify import (
     pattern_window_set,
     random_words,
 )
-from .words import DigitWord, apply_shift
+from .words import DigitWord

@@ -8,6 +8,7 @@ any failure), sn-table (the full depth/stage surface for plotting).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -23,11 +24,11 @@ from .coding import (
     slice_dimension,
     target_from_word,
 )
-from .errors import CarpetError, ConfigError
+from .errors import CarpetError, ConfigError, FrequenciesDoNotExistError
 from .formulas import ratio_limsup_dimension
 from .grid import GridIFS, validate_ifs
 from .schedules import RateSchedule
-from .shrinking import RowCounts, StageKernel, dimension_report
+from .shrinking import StageKernel, dimension_report
 from .words import DigitWord
 
 NAMED_IFS = {
@@ -227,8 +228,8 @@ def _parse_n_range(node, path: str) -> list[int]:
         return list(range(1, 401))
     if isinstance(node, dict) and "values" in node:
         values = _parse_int_list(node["values"], f"{path}.values")
-        if not values or any(b <= a for a, b in zip(values, values[1:])):
-            raise ConfigError(path, "values must be strictly increasing and nonempty")
+        if not values or values[0] < 1 or any(b <= a for a, b in zip(values, values[1:])):
+            raise ConfigError(path, "values must be nonempty, at least 1 and strictly increasing")
         return values
     if isinstance(node, dict):
         start = _parse_int(node.get("start", 1), f"{path}.start")
@@ -273,10 +274,11 @@ def cmd_dimension(config: RunConfig, out_dir: Path) -> int:
         "formula_source": report.formula_source,
         "warnings": [],
     }
-    if config.schedule.kind == "alternating" and config.target.frequencies_exist:
-        summary["ratio_limsup"] = _round12(
-            ratio_limsup_dimension(config.ifs, config.target, config.schedule, config.n_values)
-        )
+    if config.schedule.kind == "alternating":
+        # left out where the formula does not apply (no frequencies, or an extreme row's is 1)
+        with contextlib.suppress(FrequenciesDoNotExistError):
+            summary["ratio_limsup"] = _round12(ratio_limsup_dimension(
+                config.ifs, config.target, config.schedule, config.n_values))
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
     print(f"limsup estimate {fmt(report.limsup_estimate)}"
@@ -305,7 +307,7 @@ def cmd_sn_table(config: RunConfig, out_dir: Path) -> int:
         for n in config.n_values:
             kernel = StageKernel(ifs, config.target, config.schedule, n)
             for j in range(kernel.lam, kernel.xi + 1):
-                a = RowCounts(kernel.best(j)[1]).log_value(ifs)
+                a = ifs.weighted_row_count(kernel.best(j)[1])
                 writer.writerow([n, j, fmt(a), fmt(kernel.quotient(j, a))])
     print(f"wrote surface for {len(config.n_values)} stages")
     return 0
@@ -316,7 +318,7 @@ class _CheckOptions:
 
     def __init__(self, config: RunConfig, path: str, node: dict):
         self.path, self.node = path, node
-        self.ifs, self.schedule = config.ifs, config.schedule
+        self.ifs, self.target, self.schedule = config.ifs, config.target, config.schedule
 
     def opt(self, key, default, parse=_parse_int, least=None, why=""):
         value = parse(self.node.get(key, default), f"{self.path}.{key}")
@@ -325,14 +327,17 @@ class _CheckOptions:
         return value
 
     def rule(self, key, check, *args):
-        """check(*args), the rule the check itself applies, with any error at this key."""
+        """check(*args), a rule the check applies, with any error at this key (None: the check)."""
         try:
             return check(*args)
         except CarpetError as exc:
-            raise ConfigError(f"{self.path}.{key}", str(exc)) from exc
+            raise ConfigError(self.path if key is None else f"{self.path}.{key}", str(exc)) from exc
 
-    def window(self, n):
-        return self.rule("n", lambda: (self.schedule.lam(n), self.schedule.xi(n)))
+    def window(self, n, key="n"):
+        """(lam(n), xi(n)), with the target known to depth xi(n) - 1, as stage n reads it."""
+        lam, xi = self.rule(key, lambda: (self.schedule.lam(n), self.schedule.xi(n)))
+        self.rule(key, self.target.word.require_depth, xi - 1)
+        return lam, xi
 
     def enumerable(self, key, k):
         self.rule(key, verify_mod.require_enumerable, self.ifs, k)
@@ -345,6 +350,7 @@ def _oracle_options(o: _CheckOptions) -> dict:
 
 
 def _containment_options(o: _CheckOptions) -> dict:
+    o.rule(None, verify_mod.target_point, o.target)  # a truncation has no exact point
     n = o.opt("n", 3)
     need = n + o.window(n)[1]
     return {"n": n, "samples": o.opt("samples", 2000, least=1),
@@ -352,6 +358,7 @@ def _containment_options(o: _CheckOptions) -> dict:
 
 
 def _containment_exhaustive_options(o: _CheckOptions) -> dict:
+    o.rule(None, verify_mod.target_point, o.target)  # a truncation has no exact point
     n = o.opt("n", 2)
     need = n + o.window(n)[1]
     depth = o.opt("depth", 10, least=need, why=" = n + xi(n)")
@@ -360,6 +367,7 @@ def _containment_exhaustive_options(o: _CheckOptions) -> dict:
 
 
 def _set_relation_options(o: _CheckOptions) -> dict:
+    o.rule(None, verify_mod.target_point, o.target)  # a truncation has no exact point
     n = o.opt("n", 3)
     xi = o.window(n)[1]
     exhaustive = o.node.get("exhaustive", False)
@@ -387,6 +395,8 @@ def _measure_options(o: _CheckOptions) -> dict:
     bps = _parse_int_list(o.node.get("break_points", []), f"{o.path}.break_points")
     delta = o.rule("delta", verify_mod.measure_delta, o.opt("delta", 2, _parse_fraction))
     o.rule("break_points", verify_mod.measure_break_points, o.schedule, bps, delta)
+    for n in bps:
+        o.window(n, "break_points")
     return {"break_points": bps, "delta": delta,
             "holder_slack": o.opt("holder_slack", 0.05, _parse_real)}
 
@@ -458,6 +468,8 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         n_max = getattr(args, "n_max", None)
         if n_max is not None:
+            if n_max < 1:
+                raise ConfigError("--n-max", f"need at least 1, got {n_max}")
             config.n_values = [n for n in config.n_values if n <= n_max] or [n_max]
         out_dir = Path(args.out)
         # creating --out and writing any output file fail the same way

@@ -111,7 +111,7 @@ def expansions_of(ifs: GridIFS, z, w) -> set[DigitWord]:
 # representative selection
 
 
-def _row_products_window(ifs: GridIFS, word: DigitWord, upto: int) -> list[int]:
+def _row_size_prefix_products(ifs: GridIFS, word: DigitWord, upto: int) -> list[int]:
     """Prefix products of row sizes, positions 1..upto."""
     out = []
     acc = 1
@@ -175,7 +175,7 @@ def canonical_representative(ifs: GridIFS, candidates: Iterable[DigitWord]) -> D
     # equal growth: compare prefix products pointwise across one aligned cycle
     start = max(len(c.preperiod) for c in cands)
     upto = start + L
-    tables = [_row_products_window(ifs, c, upto) for c in cands]
+    tables = [_row_size_prefix_products(ifs, c, upto) for c in cands]
     dominant = []
     for ci, ti in enumerate(tables):
         if all(

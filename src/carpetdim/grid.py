@@ -103,6 +103,15 @@ class GridIFS:
             for e, col in zip(self._size_exps, self._row_exps)
         ]
 
+    def row_product(self, counts: Sequence[int]) -> int:
+        """The product of row_size(a)^counts[a]."""
+        return math.prod(map(pow, self._row_sizes, counts))
+
+    def weighted_row_count(self, counts: Sequence[int]) -> float:
+        """log of row_product(counts): the float sum of counts[a] row_log(a)
+        over the nonzero counts, by ascending row digit."""
+        return sum(m * log for m, log in zip(counts, self._row_logs) if m)
+
     @property
     def max_row_size(self) -> int:
         return max(self._row_sizes)

@@ -7,14 +7,16 @@ against a zero target tail, or all zeros against a high-digit target tail).
 Each axis therefore admits at most an exact pattern plus two deviations.
 
 The stage exponent minimizes (n log #J + best weighted row count) over the
-window depth j. Row counts are kept as exact integer vectors; logarithms only
-enter when a value is reported or ranked. Comparisons that decide an output
-(two depths whose float quotients nearly tie, or two patterns' row products)
-are exact: #J and every row size factor over a few small primes (`GridIFS.
-primes`), so each comparison is the sign of an integer linear form
-sum_p w_p log p. The logs of distinct primes are linearly independent over Q,
-so w = 0 is an exact tie, found in O(#primes); any other w is decided by
-comparing two big-integer prime powers (see `_log_sign`).
+window depth j. A row count is a plain tuple, one integer per row digit, and
+`GridIFS` values it: `row_product`, its `exponents` over primes, and the float
+log `weighted_row_count`, used only when a value is reported or ranked.
+Comparisons that decide an output (two depths whose float quotients nearly
+tie, or two patterns' row products) are exact: #J and every row size factor
+over a few small primes (`GridIFS.primes`), so each comparison is the sign
+of an integer linear form sum_p w_p log p. The logs of distinct primes are
+linearly independent over Q, so w = 0 is an exact tie, found in O(#primes);
+any other w is decided by comparing two big-integer prime powers (see
+`_log_sign`).
 
 Every reader of a stage (exponent, row-count surface, agreement length,
 verify constructions) builds one `StageKernel` per stage. The target's digits
@@ -57,10 +59,9 @@ class WindowPattern:
 
     `digits` covers window positions 1..L-1 (position L is unconstrained).
     Deviating patterns record where and in which direction they leave the
-    target's digits.
+    target's digits; the exact pattern, which copies them, has None in both.
     """
 
-    match_kind: str  # "exact" | "deviate"
     deviate_pos: int | None
     deviate_sign: int | None
     digits: tuple[int, ...]
@@ -116,12 +117,12 @@ def _axis_patterns(
     nonzero, nontop = counts
     down = bisect_left(nonzero, nonzero[last], 0, last)
     up = bisect_left(nontop, nontop[last], 0, last)
-    pats = [WindowPattern("exact", None, None, t)]
+    pats = [WindowPattern(None, None, t)]
     for p, sign in [(up, +1), (down, -1)] if up > down else [(down, -1), (up, +1)]:
         if p:
             tail = base - 1 if sign < 0 else 0
             forced = t[: p - 1] + (t[p - 1] + sign,) + (tail,) * (last - p)
-            pats.append(WindowPattern("deviate", p, sign, forced))
+            pats.append(WindowPattern(p, sign, forced))
     return pats
 
 
@@ -255,18 +256,6 @@ def _deviation_realizable(
     return any(_paired(ifs, h, v, min(p, h.deviate_pos or lam) - 1) for h in hpats)
 
 
-def _row_product(ifs: GridIFS, counts: Sequence[int]) -> int:
-    prod = 1
-    for a, m in enumerate(counts):
-        if m:
-            prod *= ifs.row_size(a) ** m
-    return prod
-
-
-def _counts_log(ifs: GridIFS, counts: Sequence[int]) -> float:
-    return sum(m * ifs.row_log(a) for a, m in enumerate(counts) if m)
-
-
 def _log_sign(ifs: GridIFS, w: Sequence[int]) -> int:
     """Sign of sum_p w_p log p over `ifs.primes`, exactly: the sign of
     prod_p p^w_p - 1, comparing the positive and the negative powers as big
@@ -308,7 +297,8 @@ class StageKernel:
     The target's table (`_target_rows`, built in O(b D)) gives
     the patterns in O(log D) and a pattern's exact row-count vector at any
     depth in O(b); `argmin` ranks the depths by one C-level pass over the
-    window.
+    window. Counts leave the kernel as plain tuples, and the `GridIFS`
+    methods turn them into values.
     """
 
     def __init__(self, ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int):
@@ -406,22 +396,9 @@ class StageKernel:
         return best_j, self.best(best_j)[1]
 
 
-@dataclass(frozen=True)
-class RowCounts:
-    """Exact row-digit count vector; the weighted count is log of product()."""
-
-    counts: tuple[int, ...]
-
-    def log_value(self, ifs: GridIFS) -> float:
-        return _counts_log(ifs, self.counts)
-
-    def product(self, ifs: GridIFS) -> int:
-        return _row_product(ifs, self.counts)
-
-
 def max_row_counts(
     ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int, j: int
-) -> RowCounts:
+) -> tuple[int, ...]:
     """Best achievable row-digit counts over window positions lam(n)..j.
 
     Positions past the vertical window contribute the most populated row.
@@ -429,7 +406,7 @@ def max_row_counts(
     kernel = StageKernel(ifs, target, schedule, n)
     if j < kernel.lam:
         raise ValueError(f"j = {j} below lam({n}) = {kernel.lam}")
-    return RowCounts(kernel.best(j)[1])
+    return kernel.best(j)[1]
 
 
 def row_agreement_length(
@@ -457,9 +434,6 @@ class ExponentRecord:
     argmin_j: int
     row_counts: tuple[int, ...]
 
-    def weighted_row_count(self, ifs: GridIFS) -> float:
-        return _counts_log(ifs, self.row_counts)
-
 
 def stage_exponent(
     ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int
@@ -468,7 +442,7 @@ def stage_exponent(
     window depths j = lam(n)..xi(n); ties resolve to the smallest j."""
     kernel = StageKernel(ifs, target, schedule, n)
     j, counts = kernel.argmin(kernel.xi)
-    value = kernel.quotient(j, _counts_log(ifs, counts))
+    value = kernel.quotient(j, ifs.weighted_row_count(counts))
     return ExponentRecord(n, kernel.lam, kernel.xi, value, j, counts)
 
 

@@ -28,14 +28,7 @@ from .errors import (
 )
 from .grid import DigitPair, DyadicBox, GridIFS, pair_value
 from .schedules import RateSchedule
-from .shrinking import (
-    StageKernel,
-    WindowPattern,
-    _row_product,
-    _stage_patterns,
-    stage_exponent,
-    window_hit,
-)
+from .shrinking import StageKernel, WindowPattern, _stage_patterns, stage_exponent, window_hit
 from .words import DigitWord
 
 ENUMERATION_GUARD = 10 ** 7
@@ -102,12 +95,24 @@ def shifted_intervals(
     return (xlo, xlo + slack), (ylo, ylo + slack)
 
 
-def _target_point(target: TargetSpec) -> tuple[Fraction, Fraction]:
+def target_point(target: TargetSpec) -> tuple[Fraction, Fraction]:
+    """The target's exact point; a truncated target has none."""
     if target.point is None:
         raise InsufficientDepthError(
             "this check needs an exact target point; the target is a truncation"
         )
     return target.point
+
+
+def _stage_rectangle(
+    ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int, scale: int
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Corners (x0, x1, y0, y1) of the stage-n rectangle about the target
+    point, with half-sides scale * b^-lam(n) and scale * b^-xi(n)."""
+    rx = Fraction(scale, ifs.base ** schedule.lam(n))
+    ry = Fraction(scale, ifs.base ** schedule.xi(n))
+    z, w = target_point(target)
+    return z - rx, z + rx, w - ry, w + ry
 
 
 def check_containment_forward(
@@ -119,17 +124,15 @@ def check_containment_forward(
 ) -> CheckReport:
     """Samples whose shifted hull sits inside the stage rectangle must hit
     the window conditions. Hulls straddling the boundary are skipped."""
-    lam, xi = schedule.lam(n), schedule.xi(n)
-    z, w = _target_point(target)
-    rx = Fraction(1, ifs.base ** lam)
-    ry = Fraction(1, ifs.base ** xi)
+    x0, x1, y0, y1 = _stage_rectangle(ifs, target, schedule, n, 1)
+    depth = n + schedule.xi(n)
     report = CheckReport("containment-forward", True, 0)
     inside_count = 0
     for word in samples:
-        word.require_depth(n + xi)
+        word.require_depth(depth)  # a too-shallow word outside the rectangle fails too
         (xlo, xhi), (ylo, yhi) = shifted_intervals(word, ifs.base, n)
-        inside = z - rx <= xlo and xhi <= z + rx and w - ry <= ylo and yhi <= w + ry
-        outside = xhi < z - rx or xlo > z + rx or yhi < w - ry or ylo > w + ry
+        inside = x0 <= xlo and xhi <= x1 and y0 <= ylo and yhi <= y1
+        outside = xhi < x0 or xlo > x1 or yhi < y0 or ylo > y1
         report.checked += 1
         if inside:
             inside_count += 1
@@ -150,26 +153,15 @@ def check_containment_backward(
 ) -> CheckReport:
     """Samples hitting the window conditions must land in the enlarged
     rectangle (two grid levels wider per axis), up to truncation slack."""
-    lam, xi = schedule.lam(n), schedule.xi(n)
-    z, w = _target_point(target)
-    rx = Fraction(ifs.base ** 2, ifs.base ** lam)
-    ry = Fraction(ifs.base ** 2, ifs.base ** xi)
+    x0, x1, y0, y1 = _stage_rectangle(ifs, target, schedule, n, ifs.base ** 2)
     report = CheckReport("containment-backward", True, 0)
     for word in samples:
-        word.require_depth(n + xi)
-        if not window_hit(ifs, target, schedule, n, word):
+        if not window_hit(ifs, target, schedule, n, word):  # needs depth n + xi(n)
             continue
         report.checked += 1
         (xlo, xhi), (ylo, yhi) = shifted_intervals(word, ifs.base, n)
-        slack_x = xhi - xlo
-        slack_y = yhi - ylo
-        ok = (
-            xlo >= z - rx - slack_x
-            and xhi <= z + rx + slack_x
-            and ylo >= w - ry - slack_y
-            and yhi <= w + ry + slack_y
-        )
-        if not ok:
+        sx, sy = xhi - xlo, yhi - ylo  # the truncation slack per axis
+        if not (x0 - sx <= xlo and xhi <= x1 + sx and y0 - sy <= ylo and yhi <= y1 + sy):
             _fail(report, word, "window hit but shifted point outside the enlarged rectangle")
     report.details["window_hits"] = report.checked
     return report
@@ -229,7 +221,7 @@ def _set_relation(
     a sample is recorded.
     """
     lam, xi = schedule.lam(n), schedule.xi(n)
-    z, w = _target_point(target)
+    z, w = target_point(target)
     interior = 0 < z < 1 and 0 < w < 1
     if interior:
         _interior_thresholds(ifs, z, w, lam, xi)
@@ -384,20 +376,12 @@ def _window_slots(kernel: StageKernel, j: int) -> list[list[tuple[DigitPair, ...
     ]
 
 
-def _stage_windows(
-    ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int
-) -> tuple[StageKernel, set[tuple[DigitPair, ...]]]:
-    """The stage kernel and the length-xi(n) windows it expands to."""
-    kernel = StageKernel(ifs, target, schedule, n)
-    slots = _window_slots(kernel, kernel.xi)
-    return kernel, {win for s in slots for win in itertools.product(*s)}
-
-
 def pattern_window_set(
     ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int
 ) -> set[tuple[DigitPair, ...]]:
     """The same windows, expanded from the stage kernel's patterns."""
-    return _stage_windows(ifs, target, schedule, n)[1]
+    kernel = StageKernel(ifs, target, schedule, n)
+    return {win for s in _window_slots(kernel, kernel.xi) for win in itertools.product(*s)}
 
 
 def oracle_window_report(
@@ -405,9 +389,8 @@ def oracle_window_report(
 ) -> CheckReport:
     """Pattern machinery versus the exhaustive predicate oracle: the window
     sets must coincide and the best row products must agree at every depth."""
-    lam, xi = schedule.lam(n), schedule.xi(n)
     brute = brute_force_window_set(ifs, target, schedule, n)
-    kernel, patt = _stage_windows(ifs, target, schedule, n)
+    patt = pattern_window_set(ifs, target, schedule, n)
     report = CheckReport("window-oracle", True, len(brute))
     if brute != patt:
         report.passed = False
@@ -420,9 +403,10 @@ def oracle_window_report(
         )
         return report
     row_strings = {tuple(p.v for p in win) for win in brute}
-    for j in range(lam, xi + 1):
-        best = max(math.prod(map(ifs.row_size, rows[lam - 1 : j])) for rows in row_strings)
-        fast = _row_product(ifs, kernel.best(j)[1])
+    kernel = StageKernel(ifs, target, schedule, n)
+    for j in range(kernel.lam, kernel.xi + 1):
+        best = max(math.prod(map(ifs.row_size, rows[kernel.lam - 1 : j])) for rows in row_strings)
+        fast = ifs.row_product(kernel.best(j)[1])
         if fast != best:
             report.passed = False
             report.failures.append(
@@ -472,7 +456,7 @@ def build_cover(
         DyadicBox(b, level, (Fraction(xn, den), Fraction(yn, den)))
         for xn, yn in sorted(corners)
     )
-    bound = 9 * len(ifs.digits) ** n * _row_product(ifs, kernel.best(j)[1])
+    bound = 9 * len(ifs.digits) ** n * ifs.row_product(kernel.best(j)[1])
     return CoverFamily(n, j, boxes, bound)
 
 
@@ -518,18 +502,11 @@ class MeasureBuilder:
             total *= sum(self.dist(ell).values())
         return total
 
-    def support_size(self, level: int) -> int:
-        size = 1
-        for ell in range(1, level + 1):
-            size *= len(self.dist(ell))
-        return size
-
     def enumerate_level(self, level: int) -> Iterator[tuple[tuple[DigitPair, ...], Fraction]]:
-        if self.support_size(level) > 10 ** 6:
-            raise EnumerationTooLargeError(
-                f"level {level} support has {self.support_size(level)} cylinders"
-            )
         slots = [sorted(self.dist(ell)) for ell in range(1, level + 1)]
+        support = math.prod(map(len, slots))
+        if support > 10 ** 6:
+            raise EnumerationTooLargeError(f"level {level} support has {support} cylinders")
         for prefix in itertools.product(*slots):
             yield prefix, self.mass(prefix)
 
@@ -630,7 +607,8 @@ def build_lower_bound_measure(
     for n_k in bps:
         stage_values[n_k] = stage_exponent(ifs, target, schedule, n_k).value
         kernel = StageKernel(ifs, target, schedule, n_k)
-        v, _ = kernel.best(_argmin_j_below_xi(kernel))
+        # the measure stops the window one level short: depths lam..xi-1 (lam if none)
+        v, _ = kernel.best(kernel.argmin(kernel.xi - 1)[0])
         slots = _pair_slots(ifs, kernel.partners(v)[0], v, kernel.lam)
         spines[n_k] = tuple(map(min, slots)) + filler
 
@@ -661,13 +639,6 @@ def build_lower_bound_measure(
         spines=spines,
         stage_values=stage_values,
     )
-
-
-def _argmin_j_below_xi(kernel: StageKernel) -> int:
-    """Depth minimizing the stage quotient over lam(n)..xi(n)-1 (the measure
-    construction stops the window one level short), with the exact tie-break
-    of stage_exponent; lam(n) when xi(n) = lam(n) leaves that range empty."""
-    return kernel.argmin(kernel.xi - 1)[0]
 
 
 @dataclass(frozen=True)

@@ -133,8 +133,3 @@ class DigitWord:
         x = Fraction(ax, denp) + Fraction(bx, denp * denq)
         y = Fraction(ay, denp) + Fraction(by, denp * denq)
         return x, y
-
-
-def apply_shift(word: DigitWord, n: int) -> DigitWord:
-    """Shift the coding left n places (the symbolic form of the dynamics)."""
-    return word.shift(n)

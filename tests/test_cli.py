@@ -22,6 +22,9 @@ BASE_CONFIG = {
     "schedule": {"kind": "linear", "lam": "1", "xi": "2"},
     "n_range": {"start": 1, "stop": 40},
 }
+# a target known to depth 12 only, with no exact point; xi(n) = 2n reads it up to 2n - 1
+_TRUNCATED = {**BASE_CONFIG, "ifs": {"name": "corner"},
+              "target": {"name": "corner-blocks", "depth": 12}}
 
 
 class TestConfigParsing:
@@ -97,6 +100,7 @@ class TestInputErrors:
             ({"start": "x", "stop": 4}, "n_range.start"),
             ({"start": 1, "stop": 4.5}, "n_range.stop"),
             ({"values": [1, "two", 3]}, "n_range.values[1]"),
+            ({"values": [0, 5]}, "n_range"),
         ],
     )
     def test_non_integer_n_range(self, tmp_path, n_range, field):
@@ -105,6 +109,13 @@ class TestInputErrors:
             RunConfig.from_dict(data)
         assert exc.value.path == field
         assert self._run(write_config(tmp_path, data), tmp_path) == 2
+
+    def test_n_max_below_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        for command in ("dimension", "sn-table"):
+            argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), "--n-max", "0"]
+            assert main(argv) == 2
+            assert capsys.readouterr().out.startswith("error: --n-max: ")
 
     def test_float_point_rejected(self, tmp_path):
         data = {**BASE_CONFIG, "target": {"point": [0.5, "1/2"]}}
@@ -269,10 +280,25 @@ class TestInputErrors:
             ({"checks": {"set_relation": {"n": 3, "depth": 10 ** 6, "exhaustive": True}}},
              "verify.checks.set_relation.depth"),
             ({"checks": {"cover": {"n": 10 ** 6}}}, "verify.checks.cover.n"),
+            # cases on a truncated target give the whole config override
+            ({**_TRUNCATED, "verify": {"checks": {"oracle": {"n": 7}}}},
+             "verify.checks.oracle.n"),
+            ({**_TRUNCATED, "verify": {"checks": {"cover": {"n": 7, "j": 7}}}},
+             "verify.checks.cover.n"),
+            ({**_TRUNCATED, "verify": {"checks": {"measure": {"break_points": [1, 9]}}}},
+             "verify.checks.measure.break_points"),
+            ({**_TRUNCATED, "verify": {"checks": {"containment": {"n": 1}}}},
+             "verify.checks.containment"),
+            ({**_TRUNCATED,
+              "verify": {"checks": {"containment_exhaustive": {"n": 1, "depth": 3}}}},
+             "verify.checks.containment_exhaustive"),
+            ({**_TRUNCATED, "verify": {"checks": {"set_relation": {"n": 1}}}},
+             "verify.checks.set_relation"),
         ],
     )
     def test_bad_verify_options(self, tmp_path, capsys, verify, field):
-        cfg = write_config(tmp_path, {**BASE_CONFIG, "verify": verify})
+        data = {**BASE_CONFIG, **(verify if "verify" in verify else {"verify": verify})}
+        cfg = write_config(tmp_path, data)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
         assert capsys.readouterr().out.startswith(f"error: {field}: ")
         assert not (tmp_path / "v" / "verify.json").exists()
@@ -293,6 +319,12 @@ class TestInputErrors:
                     {"set_relation": {"n": 3, "depth": 10 ** 9, "exhaustive": True}}):
             checks = {"oracle": {"n": 2}, **bad}
             cfg = write_config(tmp_path, {**BASE_CONFIG, "verify": {"checks": checks}})
+            assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+        # so are the target depth each stage reads and the exact point a check needs
+        for bad in ({"cover": {"n": 7, "j": 7}}, {"measure": {"break_points": [1, 9]}},
+                    {"containment": {"n": 1}}, {"set_relation": {"n": 1}}):
+            checks = {"oracle": {"n": 2}, **bad}
+            cfg = write_config(tmp_path, {**_TRUNCATED, "verify": {"checks": checks}})
             assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
 
 
@@ -338,6 +370,20 @@ class TestDimensionCommand:
             rows = list(csv.DictReader(fh))
         assert [int(r["n"]) for r in rows] == [16, 256]
         assert float(rows[0]["s_n"]) == pytest.approx(0.5197, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "target, ratio_limsup",
+        # the origin's extreme row has frequency 1, where the ratio formula does not apply
+        [("vicsek-origin", None), ("vicsek-center", 0.488324506906)],
+    )
+    def test_alternating_schedule_ratio_limsup(self, tmp_path, target, ratio_limsup):
+        schedule = {"kind": "alternating", "ratios": [["1", "2"], ["1", "3"]], "block_base": 4}
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "target": {"name": target},
+                                      "schedule": schedule})
+        out = tmp_path / "alt"
+        assert main(["dimension", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary.get("ratio_limsup") == ratio_limsup
 
 
 class TestSliceCommand:

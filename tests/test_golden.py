@@ -71,7 +71,7 @@ GOLDEN = {
     ),
     ('corner-blocks', 'verify'): (
         2,
-        '9f259ae3fd287685be9691d86a838f0be1dfb9961d3dac5aa7fc4783e9315535',
+        '2cb9375dc05cc63423bb4e07555db4350b2bec9be08ef773f472d5900b3007bd',
         {},
     ),
     ('verify-vicsek', 'dimension'): (

@@ -22,17 +22,17 @@ from carpetdim.shrinking import WindowPattern, _TIE_EPS
 
 def _ref_axis_patterns(base, target_digits, length):
     t = tuple(target_digits)
-    pats = [WindowPattern("exact", None, None, t)]
+    pats = [WindowPattern(None, None, t)]
     last = length - 1
     tail_zero = tail_high = True
     for j in range(last, 0, -1):
         d = t[j - 1]
         if d >= 1 and tail_zero:
             digits = t[: j - 1] + (d - 1,) + (base - 1,) * (last - j)
-            pats.append(WindowPattern("deviate", j, -1, digits))
+            pats.append(WindowPattern(j, -1, digits))
         if d <= base - 2 and tail_high:
             digits = t[: j - 1] + (d + 1,) + (0,) * (last - j)
-            pats.append(WindowPattern("deviate", j, +1, digits))
+            pats.append(WindowPattern(j, +1, digits))
         tail_zero = tail_zero and d == 0
         tail_high = tail_high and d == base - 1
         if not tail_zero and not tail_high:

@@ -35,7 +35,7 @@ from carpetdim.errors import (
     ThresholdNotMetError,
 )
 
-from carpetdim.verify import _argmin_j_below_xi, require_enumerable, shifted_intervals
+from carpetdim.verify import require_enumerable, shifted_intervals
 
 
 @pytest.fixture(scope="module")
@@ -299,13 +299,15 @@ class TestMeasure:
         table = range(1, 41)
         sch = RateSchedule.from_tables([n + 1 for n in table], [2 * n for n in table])
         for n in (3, 10, 40):
-            assert _argmin_j_below_xi(shrinking.StageKernel(ifs, target, sch, n)) == n + 1
+            kernel = shrinking.StageKernel(ifs, target, sch, n)
+            assert kernel.argmin(kernel.xi - 1)[0] == n + 1
 
     def test_argmin_below_xi_is_lam_when_xi_equals_lam(self, vicsek):
         origin = make_target(vicsek, 0, 0)
         sch = RateSchedule.linear(1, 1)
         for n in (1, 4, 9):
-            assert _argmin_j_below_xi(shrinking.StageKernel(vicsek, origin, sch, n)) == n
+            kernel = shrinking.StageKernel(vicsek, origin, sch, n)
+            assert kernel.argmin(kernel.xi - 1)[0] == n
 
     def test_depth_guard(self, vicsek, linear12):
         origin = make_target(vicsek, 0, 0)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from carpetdim import DigitWord, apply_shift
+from carpetdim import DigitWord
 from carpetdim.errors import InsufficientDepthError
 
 
@@ -70,7 +70,3 @@ def test_point_with_preperiod():
     w = DigitWord.periodic([(0, 0)], [(2, 2)])
     assert w.point(3) == (Fraction(1, 3), Fraction(1, 3))
 
-
-def test_apply_shift_matches_method():
-    w = DigitWord.periodic([(1, 1)], [(0, 0)])
-    assert apply_shift(w, 1) == w.shift(1)
