@@ -9,7 +9,6 @@ from .coding import (
     base_expansions,
     canonical_representative,
     digit_frequencies,
-    empirical_row_frequencies,
     expansions_of,
     frequency_slice_value,
     make_target,
@@ -19,11 +18,9 @@ from .coding import (
 from .formulas import (
     closed_form_dimension,
     closed_form_for,
-    ergodic_dimension,
     ratio_limsup_dimension,
-    special_case_dimension,
 )
-from .grid import DigitPair, DyadicBox, GridIFS, project_prefix, validate_ifs
+from .grid import DigitPair, DyadicBox, GridIFS, validate_ifs
 from .schedules import RateSchedule
 from .shrinking import (
     DimensionReport,

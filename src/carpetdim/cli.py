@@ -28,7 +28,7 @@ from .errors import CarpetError, ConfigError, FrequenciesDoNotExistError
 from .formulas import ratio_limsup_dimension
 from .grid import GridIFS, validate_ifs
 from .schedules import RateSchedule
-from .shrinking import StageKernel, dimension_report
+from .shrinking import TAIL_FRACTION, StageKernel, dimension_report
 from .words import DigitWord
 
 NAMED_IFS = {
@@ -59,7 +59,6 @@ class RunConfig:
     schedule: RateSchedule
     n_values: list[int]
     verify: dict
-    raw: dict
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -70,10 +69,7 @@ class RunConfig:
         schedule = _parse_schedule(data.get("schedule"), "schedule")
         n_values = _parse_n_range(data.get("n_range"), "n_range")
         verify_cfg = _parse_object(data.get("verify", {}), "verify")
-        return cls(ifs, target, schedule, n_values, verify_cfg, data)
-
-    def to_dict(self) -> dict:
-        return self.raw
+        return cls(ifs, target, schedule, n_values, verify_cfg)
 
 
 def _parse_object(node, path: str) -> dict:
@@ -240,6 +236,17 @@ def _parse_n_range(node, path: str) -> list[int]:
     raise ConfigError(path, "expected {start, stop} or {values}")
 
 
+def _check_stages(config: RunConfig, path: str) -> None:
+    """Every stage the run will read, checked before any output: the schedule
+    gives each lam(n) and xi(n), and the target is known to the deepest
+    window's depth xi(n) - 1. Errors are reported at `path`."""
+    try:
+        deepest = max(map(config.schedule.xi, config.n_values))
+        config.target.word.require_depth(deepest - 1)
+    except CarpetError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
@@ -265,7 +272,7 @@ def cmd_dimension(config: RunConfig, out_dir: Path) -> int:
         "limsup_estimate": _round12(report.limsup_estimate),
         "running_max": _round12(report.running_max),
         "still_rising": report.still_rising,
-        "tail_fraction": report.tail_fraction,
+        "tail_fraction": TAIL_FRACTION,
         "n_count": len(report.records),
         # this and "warnings" stay, always empty (every stage has its exact pattern), to keep the format
         "skipped": [],
@@ -471,6 +478,8 @@ def main(argv=None) -> int:
             if n_max < 1:
                 raise ConfigError("--n-max", f"need at least 1, got {n_max}")
             config.n_values = [n for n in config.n_values if n <= n_max] or [n_max]
+        if args.command in ("dimension", "sn-table"):
+            _check_stages(config, "n_range" if n_max is None else "--n-max")
         out_dir = Path(args.out)
         # creating --out and writing any output file fail the same way
         try:

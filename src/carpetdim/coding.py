@@ -207,26 +207,14 @@ def canonical_representative(ifs: GridIFS, candidates: Iterable[DigitWord]) -> D
 def digit_frequencies(ifs: GridIFS, word: DigitWord) -> dict[int, Fraction]:
     """Limiting frequency of each row digit: cycle counts over cycle length.
 
-    The preperiod never affects the limit. Truncations have no limit; use
-    empirical_row_frequencies for those.
+    The preperiod never affects the limit. Truncations have no limit.
     """
     if not word.is_periodic:
-        raise FiniteTruncationError(
-            "frequencies of a truncation are undefined; use empirical_row_frequencies"
-        )
+        raise FiniteTruncationError("frequencies of a truncation are undefined")
     q = len(word.period)
     freqs = {a: Fraction(0) for a in range(ifs.base)}
     for p in word.period:
         freqs[p.v] += Fraction(1, q)
-    return freqs
-
-
-def empirical_row_frequencies(ifs: GridIFS, word: DigitWord, upto: int) -> dict[int, Fraction]:
-    """Row-digit counts over positions 1..upto, normalized."""
-    word.require_depth(upto)
-    freqs = {a: Fraction(0) for a in range(ifs.base)}
-    for i in range(1, upto + 1):
-        freqs[word.row_digit(i)] += Fraction(1, upto)
     return freqs
 
 
@@ -296,10 +284,6 @@ class TargetSpec:
     frequencies: tuple[tuple[int, Fraction], ...] | None
     point: tuple[Fraction, Fraction] | None
     _rows: object = field(default=None, init=False, compare=False, repr=False)
-
-    @property
-    def frequencies_exist(self) -> bool:
-        return self.frequencies is not None
 
     def frequency_map(self) -> dict[int, Fraction] | None:
         return dict(self.frequencies) if self.frequencies is not None else None

@@ -67,10 +67,6 @@ class ScheduleError(CarpetError):
     pass
 
 
-class NotAProbabilityError(CarpetError):
-    pass
-
-
 class FrequenciesDoNotExistError(CarpetError):
     pass
 

@@ -3,24 +3,19 @@
 With linear rates lam and xi, the limiting dimension is the smaller of two
 branches: gamma / (1 + lam) (the horizontal window alone) and
 (gamma + (xi - lam) * gamma2) / (1 + xi), where gamma is the attractor
-dimension and gamma2 the horizontal slice dimension through the target. The
-slice term specializes to log of a single row size when the target's row
-digits are constant, and to a measure average for typical points of an
-ergodic measure.
+dimension and gamma2 the horizontal slice dimension through the target: the
+frequency-weighted row entropy `frequency_slice_value`, which for a target
+whose row digits are constant is the log of that single row's size.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .coding import TargetSpec, frequency_slice_value
-from .errors import (
-    FrequenciesDoNotExistError,
-    InvalidRatesError,
-    NotAProbabilityError,
-)
+from .errors import FrequenciesDoNotExistError, InvalidRatesError
 from .grid import GridIFS
 from .schedules import RateSchedule
 
@@ -46,43 +41,6 @@ def closed_form_dimension(gamma: float, gamma2: float, lam, xi) -> tuple[float, 
     if lam_branch < xi_branch:
         return lam_branch, LAMBDA_BRANCH
     return xi_branch, XI_BRANCH
-
-
-W_ZERO = "w-zero"
-W_ONE = "w-one"
-
-
-def special_case_dimension(
-    ifs: GridIFS, which: str, gamma: float, lam, xi
-) -> tuple[float, str]:
-    """Closed form when the target's row digits are constant 0 (or constant
-    high): the slice term becomes the log of that single row's size."""
-    if which == W_ZERO:
-        row = 0
-    elif which == W_ONE:
-        row = ifs.base - 1
-    else:
-        raise ValueError(f"which must be '{W_ZERO}' or '{W_ONE}', got {which!r}")
-    size = ifs.row_size(row)
-    if size == 0:
-        raise ValueError(f"row {row} is uninhabited; no such target exists")
-    gamma2 = math.log(size) / math.log(ifs.base)
-    return closed_form_dimension(gamma, gamma2, lam, xi)
-
-
-def ergodic_dimension(
-    ifs: GridIFS, row_probabilities: Mapping[int, object], gamma: float, lam, xi
-) -> tuple[float, str]:
-    """Closed form for typical targets of a shift-invariant measure with the
-    given row marginals."""
-    probs = {a: Fraction(p) for a, p in row_probabilities.items()}
-    if any(p < 0 for p in probs.values()) or sum(probs.values()) != 1:
-        raise NotAProbabilityError("row probabilities must be nonnegative and sum to 1")
-    for a, p in probs.items():
-        if p > 0 and ifs.row_size(a) == 0:
-            raise NotAProbabilityError(f"row {a} carries mass {p} but is uninhabited")
-    gamma2 = frequency_slice_value(ifs, probs)
-    return closed_form_dimension(gamma, gamma2, lam, xi)
 
 
 def ratio_limsup_dimension(
@@ -136,9 +94,9 @@ def closed_form_for(
     """
     if schedule.kind != "linear":
         return None
-    if not target.frequencies_exist:
-        return None
     freqs = target.frequency_map()
+    if freqs is None:
+        return None
     source = CLOSED_FORM_FREQUENCY
     if freqs.get(0) == 1 or freqs.get(ifs.base - 1) == 1:
         w_val = target.point[1] if target.point is not None else None

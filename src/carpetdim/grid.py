@@ -19,7 +19,6 @@ from .errors import (
     BaseTooSmallError,
     DigitOutOfRangeError,
     DuplicatePairError,
-    InadmissiblePairError,
     NotProperSubsetError,
     TooFewMapsError,
 )
@@ -36,14 +35,13 @@ class DigitPair(NamedTuple):
 class GridIFS:
     """Validated digit system: base and admissible digit pairs.
 
-    Derived row/column structure is precomputed since the dimension formulas
+    Derived row structure is precomputed since the dimension formulas
     consult row sizes in tight loops.
     """
 
     base: int
     digits: frozenset[DigitPair]
     _rows: tuple[frozenset[DigitPair], ...] = field(init=False, compare=False, repr=False)
-    _cols: tuple[frozenset[DigitPair], ...] = field(init=False, compare=False, repr=False)
     _row_sizes: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _row_logs: tuple[float, ...] = field(init=False, compare=False, repr=False)
     _primes: tuple[int, ...] = field(init=False, compare=False, repr=False)
@@ -53,11 +51,9 @@ class GridIFS:
     def __post_init__(self):
         b = self.base
         rows = [frozenset(p for p in self.digits if p.v == a) for a in range(b)]
-        cols = [frozenset(p for p in self.digits if p.u == a) for a in range(b)]
         sizes = tuple(len(r) for r in rows)
         logs = tuple(math.log(s) if s > 0 else float("-inf") for s in sizes)
         object.__setattr__(self, "_rows", tuple(rows))
-        object.__setattr__(self, "_cols", tuple(cols))
         object.__setattr__(self, "_row_sizes", sizes)
         object.__setattr__(self, "_row_logs", logs)
         # #J <= b^2 and every row size <= b factor over a few small primes;
@@ -71,17 +67,12 @@ class GridIFS:
             self, "_row_exps", tuple(tuple(f.get(p, 0) for f in factored[1:]) for p in primes)
         )
 
-    # row / column structure
+    # row structure
 
     def row_set(self, a: int) -> frozenset[DigitPair]:
         """Digit pairs whose image square sits in row a of the grid."""
         self._check_digit(a)
         return self._rows[a]
-
-    def col_set(self, a: int) -> frozenset[DigitPair]:
-        """Digit pairs whose image square sits in column a of the grid."""
-        self._check_digit(a)
-        return self._cols[a]
 
     def row_size(self, a: int) -> int:
         return self._row_sizes[a]
@@ -178,27 +169,6 @@ class DyadicBox:
     base: int
     level: int
     corner: tuple[Fraction, Fraction]
-
-    @property
-    def side(self) -> Fraction:
-        return Fraction(1, self.base ** self.level)
-
-
-def project_prefix(ifs: GridIFS, prefix: Sequence[tuple[int, int]]) -> DyadicBox:
-    """The base-b square holding every point whose coding extends `prefix`.
-
-    Corner coordinates are exact rationals with denominator b^len(prefix).
-    """
-    b = ifs.base
-    for p in prefix:
-        pair = DigitPair(*p)
-        if pair not in ifs.digits:
-            raise InadmissiblePairError(f"pair {tuple(pair)} not in the digit set")
-    xn, yn = pair_value(prefix, b)
-    m = len(prefix)
-    den = b ** m
-    return DyadicBox(b, m, (Fraction(xn, den), Fraction(yn, den)))
-
 
 def pair_value(pairs: Iterable[tuple[int, int]], base: int) -> tuple[int, int]:
     """The integer base-b numerals (x, y) of a pair string, most significant

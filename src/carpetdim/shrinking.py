@@ -50,7 +50,7 @@ from .words import DigitWord
 # float prefilter: stage quotients closer than this are compared exactly
 _TIE_EPS = 1e-12
 # share of the sampled stages whose maximum is the reported limsup estimate
-_TAIL_FRACTION = 0.2
+TAIL_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -458,9 +458,7 @@ class DimensionReport:
     records: list[ExponentRecord]
     limsup_estimate: float
     running_max: float
-    tail_start: int
     still_rising: bool
-    tail_fraction: float
     closed_form: float | None = None
     closed_form_branch: str | None = None
     formula_source: str | None = None
@@ -483,15 +481,13 @@ def dimension_report(
     _target_rows(ifs, target, max(map(schedule.xi, ns)) - 1)
     records = [stage_exponent(ifs, target, schedule, n) for n in ns]
     values = [r.value for r in records]
-    tail_start = math.floor(len(values) * (1.0 - _TAIL_FRACTION))
+    tail_start = math.floor(len(values) * (1.0 - TAIL_FRACTION))
     running_max = max(values)
     report = DimensionReport(
         records=records,
         limsup_estimate=max(values[tail_start:]),
         running_max=running_max,
-        tail_start=tail_start,
         still_rising=values.index(running_max) >= tail_start,
-        tail_fraction=_TAIL_FRACTION,
     )
     cf = closed_form_for(ifs, target, schedule)
     if cf is not None:

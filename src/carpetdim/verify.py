@@ -502,14 +502,6 @@ class MeasureBuilder:
             total *= sum(self.dist(ell).values())
         return total
 
-    def enumerate_level(self, level: int) -> Iterator[tuple[tuple[DigitPair, ...], Fraction]]:
-        slots = [sorted(self.dist(ell)) for ell in range(1, level + 1)]
-        support = math.prod(map(len, slots))
-        if support > 10 ** 6:
-            raise EnumerationTooLargeError(f"level {level} support has {support} cylinders")
-        for prefix in itertools.product(*slots):
-            yield prefix, self.mass(prefix)
-
     def point_phase_mass(self, k: int) -> Fraction:
         """Mass of any positive cylinder at levels just past break point k
         (constant across the point phase)."""
@@ -517,22 +509,6 @@ class MeasureBuilder:
         m = Fraction(1)
         for ell in range(1, n_k + 1):
             m *= Fraction(1, len(self.dist(ell)))
-        return m
-
-    def point_phase_mass_explicit(self, k: int) -> Fraction:
-        """The same mass from the closed bookkeeping formula: uniform levels
-        contribute 1/#J each, earlier row-split phases their row sizes."""
-        n_k = self.break_points[k]
-        uniform_levels = n_k - sum(
-            self.schedule.xi(self.break_points[i]) + 2 for i in range(k)
-        )
-        m = Fraction(1, len(self.ifs.digits) ** uniform_levels)
-        for l in range(k):
-            n_l = self.break_points[l]
-            lam_l, xi_l = self.schedule.lam(n_l), self.schedule.xi(n_l)
-            spine = self.spines[n_l]
-            for i in range(lam_l + 3, xi_l + 3):
-                m *= Fraction(1, self.ifs.row_size(spine[i - 1].v))
         return m
 
     def mass_bound_holds(self, k: int) -> bool:

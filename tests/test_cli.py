@@ -28,15 +28,6 @@ _TRUNCATED = {**BASE_CONFIG, "ifs": {"name": "corner"},
 
 
 class TestConfigParsing:
-    def test_round_trip(self):
-        config = RunConfig.from_dict(BASE_CONFIG)
-        again = RunConfig.from_dict(config.to_dict())
-        assert again.ifs == config.ifs
-        assert again.target.word == config.target.word
-        assert again.n_values == config.n_values
-        assert again.schedule.kind == config.schedule.kind
-        assert again.schedule.params == config.schedule.params
-
     def test_explicit_system_and_point(self):
         config = RunConfig.from_dict(
             {
@@ -513,7 +504,37 @@ def test_truncated_target_bounds_the_stages(tmp_path, capsys, command):
     capsys.readouterr()
     cfg = write_config(tmp_path, {**config, "n_range": {"values": [60]}}, "deep.json")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "deep")]) == 2
-    assert capsys.readouterr().out == "error: word only specified to depth 100, need 119\n"
+    assert capsys.readouterr().out == "error: n_range: word only specified to depth 100, need 119\n"
+
+
+# stage ranges that reach past what the run can read
+_PAST_THE_RANGE = {
+    # xi(60) = 120 reads a depth-100 word up to depth 119
+    "truncated-target": {"ifs": {"name": "corner"},
+                         "target": {"name": "corner-blocks", "depth": 100},
+                         "schedule": {"kind": "linear", "lam": "1", "xi": "2"},
+                         "n_range": {"start": 1, "stop": 60}},
+    "short-table": {**BASE_CONFIG, "schedule": {"kind": "table", "lam": [1, 2, 3], "xi": [2, 3, 4]},
+                    "n_range": {"start": 1, "stop": 5}},
+}
+_STAGE_OUTPUT = {"dimension": "sn.csv", "sn-table": "sn_table.csv"}
+
+
+@pytest.mark.parametrize("command", ["dimension", "sn-table"])
+@pytest.mark.parametrize("case, n_max, message", [
+    ("truncated-target", None, "n_range: word only specified to depth 100, need 119"),
+    ("short-table", None, "n_range: n=4 outside the table range 1..3"),
+    # --n-max 55 leaves n = 1..55, so the deepest window reads depth 109
+    ("truncated-target", 55, "--n-max: word only specified to depth 100, need 109"),
+    ("short-table", 4, "--n-max: n=4 outside the table range 1..3"),
+], ids=["truncated-target", "short-table", "truncated-target-n-max", "short-table-n-max"])
+def test_stage_range_checked_before_any_output(tmp_path, capsys, command, case, n_max, message):
+    cfg = write_config(tmp_path, _PAST_THE_RANGE[case])
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg, "--out", str(out)]
+    assert main(argv + ([] if n_max is None else ["--n-max", str(n_max)])) == 2
+    assert capsys.readouterr().out == f"error: {message}\n"
+    assert not (out / _STAGE_OUTPUT[command]).exists()
 
 
 _VALID_CONFIGS = [

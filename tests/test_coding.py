@@ -12,7 +12,6 @@ from carpetdim import (
     base_expansions,
     canonical_representative,
     digit_frequencies,
-    empirical_row_frequencies,
     expansions_of,
     make_target,
     slice_dimension,
@@ -141,8 +140,9 @@ class TestDigitFrequencies:
             digit_frequencies(vicsek, DigitWord.truncation([(0, 0)]))
 
     def test_empirical_counts(self, vicsek):
-        w = DigitWord.truncation([(0, 0), (0, 2), (0, 2), (1, 1)])
-        freqs = empirical_row_frequencies(vicsek, w, 4)
+        # the counts over one cycle, normalized
+        w = DigitWord.periodic([], [(0, 0), (0, 2), (0, 2), (1, 1)])
+        freqs = digit_frequencies(vicsek, w)
         assert freqs == {0: Fraction(1, 4), 1: Fraction(1, 4), 2: Fraction(1, 2)}
 
 
@@ -241,7 +241,7 @@ class TestTargets:
     def test_truncation_target_has_no_frequencies(self, corner):
         word = alternating_block_word(depth=64)
         t = target_from_word(corner, word)
-        assert not t.frequencies_exist
+        assert t.frequencies is None
         assert t.point is None
 
     def test_block_word_layout(self):

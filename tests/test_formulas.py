@@ -9,18 +9,13 @@ from carpetdim import (
     alternating_block_word,
     closed_form_dimension,
     closed_form_for,
-    ergodic_dimension,
+    frequency_slice_value,
     make_target,
     ratio_limsup_dimension,
-    special_case_dimension,
     target_from_word,
     validate_ifs,
 )
-from carpetdim.errors import (
-    FrequenciesDoNotExistError,
-    InvalidRatesError,
-    NotAProbabilityError,
-)
+from carpetdim.errors import FrequenciesDoNotExistError, InvalidRatesError
 
 GAMMA = math.log(5) / math.log(3)
 CANTOR = math.log(2) / math.log(3)
@@ -60,55 +55,57 @@ class TestClosedForm:
 
 
 class TestSpecialCase:
+    """The constant-row form: `closed_form_for` on a target whose row digits
+    are constant 0 (or constant high)."""
+
     def test_vicsek_bottom_row_matches_general_form(self, vicsek):
-        value, branch = special_case_dimension(vicsek, "w-zero", GAMMA, 1, 2)
+        value, branch, source = closed_form_for(vicsek, make_target(vicsek, 0, 0),
+                                                RateSchedule.linear(1, 2))
         general, gbranch = closed_form_dimension(GAMMA, CANTOR, 1, 2)
-        assert value == general and branch == gbranch
+        assert (value, branch, source) == (general, gbranch, "zero-row-target")
 
     def test_single_pair_row_drops_slice_term(self):
         ifs = validate_ifs(3, [(0, 0), (1, 1), (2, 1)])
         gamma = ifs.attractor_dimension()
-        value, _ = special_case_dimension(ifs, "w-zero", gamma, 1, 2)
+        value, _, source = closed_form_for(ifs, make_target(ifs, 0, 0), RateSchedule.linear(1, 2))
+        assert source == "zero-row-target"
         assert value == pytest.approx(gamma / 3, abs=1e-15)
 
     def test_corner_top_row(self, corner):
         # the top row holds a single pair, so its log vanishes
         gamma = corner.attractor_dimension()
-        value, _ = special_case_dimension(corner, "w-one", gamma, 1, 2)
+        value, _, source = closed_form_for(corner, make_target(corner, 0, 1),
+                                           RateSchedule.linear(1, 2))
+        assert source == "top-row-target"
         assert value == pytest.approx(gamma / 3, abs=1e-15)
-
-    def test_unknown_case_rejected(self, vicsek):
-        with pytest.raises(ValueError):
-            special_case_dimension(vicsek, "w-half", GAMMA, 1, 2)
 
 
 class TestErgodic:
+    """Typical targets of a shift-invariant measure: `closed_form_dimension`
+    of the `frequency_slice_value` of its row marginals."""
+
     def test_uniform_bernoulli_on_vicsek(self, vicsek):
         probs = {0: Fraction(2, 5), 1: Fraction(1, 5), 2: Fraction(2, 5)}
-        value, _ = ergodic_dimension(vicsek, probs, GAMMA, 1, 2)
+        value, _ = closed_form_dimension(GAMMA, frequency_slice_value(vicsek, probs), 1, 2)
         gamma2 = Fraction(4, 5) * CANTOR
         expected = min(GAMMA / 2, (GAMMA + float(gamma2)) / 3)
         assert value == pytest.approx(expected, abs=1e-12)
 
     def test_point_mass_reduces_to_bottom_row(self, vicsek):
         probs = {0: 1, 1: 0, 2: 0}
-        value, _ = ergodic_dimension(vicsek, probs, GAMMA, 1, 2)
-        special, _ = special_case_dimension(vicsek, "w-zero", GAMMA, 1, 2)
-        assert value == special
+        value, _ = closed_form_dimension(GAMMA, frequency_slice_value(vicsek, probs), 1, 2)
+        special = closed_form_for(vicsek, make_target(vicsek, 0, 0), RateSchedule.linear(1, 2))
+        assert value == special[0]
 
     def test_middle_row_mass_gives_zero_slice(self, vicsek):
-        value, _ = ergodic_dimension(vicsek, {1: 1}, GAMMA, 1, 2)
+        value, _ = closed_form_dimension(GAMMA, frequency_slice_value(vicsek, {1: 1}), 1, 2)
         assert value == pytest.approx(GAMMA / 3, abs=1e-15)
 
-    def test_not_a_probability(self, vicsek):
-        with pytest.raises(NotAProbabilityError):
-            ergodic_dimension(vicsek, {0: Fraction(1, 2)}, GAMMA, 1, 2)
-        with pytest.raises(NotAProbabilityError):
-            ergodic_dimension(vicsek, {0: Fraction(3, 2), 1: Fraction(-1, 2)}, GAMMA, 1, 2)
-
     def test_mass_on_empty_row(self, corner):
-        with pytest.raises(NotAProbabilityError):
-            ergodic_dimension(corner, {1: 1}, corner.attractor_dimension(), 1, 2)
+        # an uninhabited row has log size -inf, a slice value the closed form refuses
+        with pytest.raises(ValueError):
+            closed_form_dimension(corner.attractor_dimension(),
+                                  frequency_slice_value(corner, {1: 1}), 1, 2)
 
 
 class TestRatioLimsup:

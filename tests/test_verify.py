@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -250,6 +251,33 @@ def _direct_mass_table(builder, depth):
     return table
 
 
+def _enumerate_level(builder, level):
+    """Every positive cylinder of a level with its exact mass."""
+    slots = [sorted(builder.dist(ell)) for ell in range(1, level + 1)]
+    support = math.prod(map(len, slots))
+    if support > 10 ** 6:
+        raise EnumerationTooLargeError(f"level {level} support has {support} cylinders")
+    for prefix in itertools.product(*slots):
+        yield prefix, builder.mass(prefix)
+
+
+def _point_phase_mass_explicit(builder, k):
+    """`point_phase_mass` from the closed bookkeeping formula: uniform levels
+    contribute 1/#J each, earlier row-split phases their row sizes."""
+    n_k = builder.break_points[k]
+    uniform_levels = n_k - sum(
+        builder.schedule.xi(builder.break_points[i]) + 2 for i in range(k)
+    )
+    m = Fraction(1, len(builder.ifs.digits) ** uniform_levels)
+    for l in range(k):
+        n_l = builder.break_points[l]
+        lam_l, xi_l = builder.schedule.lam(n_l), builder.schedule.xi(n_l)
+        spine = builder.spines[n_l]
+        for i in range(lam_l + 3, xi_l + 3):
+            m *= Fraction(1, builder.ifs.row_size(spine[i - 1].v))
+    return m
+
+
 @pytest.fixture(scope="module")
 def measure(vicsek, linear12):
     origin = make_target(vicsek, 0, 0)
@@ -268,17 +296,17 @@ class TestMeasure:
         assert sum(table.values()) == 1
         for prefix, mass in list(table.items())[:500]:
             assert measure.mass(prefix) == mass
-        enumerated = dict(measure.enumerate_level(13))
+        enumerated = dict(_enumerate_level(measure, 13))
         assert enumerated == {p: m for p, m in table.items() if m > 0}
         assert sum(enumerated.values()) == 1
 
     def test_uniform_levels_before_first_break(self, measure):
-        for prefix, mass in measure.enumerate_level(3):
+        for prefix, mass in _enumerate_level(measure, 3):
             assert mass == Fraction(1, 125)
 
     def test_point_phase_mass_and_formula_agree(self, measure):
         for k in range(2):
-            assert measure.point_phase_mass(k) == measure.point_phase_mass_explicit(k)
+            assert measure.point_phase_mass(k) == _point_phase_mass_explicit(measure, k)
 
     def test_mass_bound_holds(self, measure):
         assert measure.mass_bound_holds(0)
