@@ -20,7 +20,7 @@ from .formulas import (
     closed_form_for,
     ratio_limsup_dimension,
 )
-from .grid import DigitPair, DyadicBox, GridIFS, validate_ifs
+from .grid import DigitPair, GridIFS, validate_ifs
 from .schedules import RateSchedule
 from .shrinking import (
     DimensionReport,

@@ -238,11 +238,13 @@ def _parse_n_range(node, path: str) -> list[int]:
 
 def _check_stages(config: RunConfig, path: str) -> None:
     """Every stage the run will read, checked before any output: the schedule
-    gives each lam(n) and xi(n), and the target is known to the deepest
-    window's depth xi(n) - 1. Errors are reported at `path`."""
+    gives each lam(n) and xi(n), the target is known to the deepest window's
+    depth xi(n) - 1, and lam grows as `RateSchedule.validate_range` asks.
+    Errors are reported at `path`."""
     try:
         deepest = max(map(config.schedule.xi, config.n_values))
         config.target.word.require_depth(deepest - 1)
+        config.schedule.validate_range(config.n_values)
     except CarpetError as exc:
         raise ConfigError(path, str(exc)) from exc
 

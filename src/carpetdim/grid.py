@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -161,14 +160,6 @@ def validate_ifs(base: int, pairs: Iterable[tuple[int, int]]) -> GridIFS:
         raise TooFewMapsError("need at least two digit pairs")
     return GridIFS(base, frozenset(seen))
 
-
-@dataclass(frozen=True)
-class DyadicBox:
-    """Level-m base-b square [cx, cx + b^-m] x [cy, cy + b^-m]."""
-
-    base: int
-    level: int
-    corner: tuple[Fraction, Fraction]
 
 def pair_value(pairs: Iterable[tuple[int, int]], base: int) -> tuple[int, int]:
     """The integer base-b numerals (x, y) of a pair string, most significant

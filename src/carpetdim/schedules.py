@@ -16,7 +16,9 @@ def _ceil_mul(ratio: Fraction, n: int) -> int:
 class RateSchedule:
     """Pair of integer sequences n -> (lam(n), xi(n)) with xi >= lam >= 1.
 
-    kind/params are retained so configurations round-trip through JSON.
+    kind/params name the schedule's form and its rates: `closed_form_for`
+    reads a linear schedule's rates, and `cli.cmd_dimension` reads the kind
+    to add the ratio form of an alternating schedule.
     """
 
     def __init__(

@@ -4,7 +4,10 @@ A coding hits the stage-n target window when its digits at offset n track the
 target's digits: per axis, either an exact match on the constrained positions,
 or a single +-1 deviation followed by a forced carry tail (all high digits
 against a zero target tail, or all zeros against a high-digit target tail).
-Each axis therefore admits at most an exact pattern plus two deviations.
+Read as base-b numerals over the constrained positions, that is |W - T| <= 1
+for the word's numeral W and the target's numeral T, which is how
+`axis_digits_admissible` and `window_hit` test it. Each axis therefore admits
+at most an exact pattern plus two deviations.
 
 The stage exponent minimizes (n log #J + best weighted row count) over the
 window depth j. A row count is a plain tuple, one integer per row digit, and
@@ -43,7 +46,7 @@ from typing import Sequence
 from .coding import TargetSpec
 from .errors import ScheduleError
 from .formulas import closed_form_for
-from .grid import GridIFS
+from .grid import GridIFS, pair_value
 from .schedules import RateSchedule
 from .words import DigitWord
 
@@ -107,6 +110,8 @@ def _axis_patterns(
     """The patterns of an axis whose constrained positions 1..last carry the
     target digits digits[:last], given their `_run_counts`: the exact
     pattern, then the deviations by descending position, down before up.
+    As numerals over positions 1..last these are the target's numeral T and
+    T - 1 and T + 1, each present when it still has `last` digits.
 
     A deviation down at p needs target digits p+1..last all 0 and a nonzero
     digit at p, so p is where the maximal 0-run ending at `last` starts, less
@@ -129,40 +134,26 @@ def _axis_patterns(
 def axis_digits_admissible(
     base: int, target_digits: Sequence[int], word_digits: Sequence[int]
 ) -> bool:
-    """Single-axis window condition, evaluated directly on digit strings."""
-    last = len(target_digits)
-    mismatch = -1
-    for i in range(last):
-        if word_digits[i] != target_digits[i]:
-            mismatch = i
-            break
-    if mismatch < 0:
-        return True
-    delta = word_digits[mismatch] - target_digits[mismatch]
-    if delta == -1:
-        return all(
-            word_digits[i] - target_digits[i] == base - 1 for i in range(mismatch + 1, last)
-        )
-    if delta == 1:
-        return all(
-            target_digits[i] - word_digits[i] == base - 1 for i in range(mismatch + 1, last)
-        )
-    return False
+    """Single-axis window condition on digit strings: the base-b numerals of
+    the word and the target over the target's positions differ by at most one."""
+    t, w = pair_value(zip(target_digits, word_digits), base)
+    return abs(w - t) <= 1
 
 
 def window_hit(
     ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int, word: DigitWord
 ) -> bool:
-    """Does the word's offset-n tail satisfy both axis window conditions?"""
+    """Does the word's offset-n tail satisfy both axis window conditions?
+
+    The numerals of window positions 1..xi-1 are read from one slice of the
+    word and one of the target; the columns keep their first lam - 1 digits.
+    """
     lam, xi = schedule.lam(n), schedule.xi(n)
-    word.require_depth(n + xi)
-    tcols = target.col_digits(lam - 1)
-    trows = target.row_digits(xi - 1)
-    wcols = tuple(word.col_digit(n + i) for i in range(1, lam))
-    wrows = tuple(word.row_digit(n + i) for i in range(1, xi))
-    return axis_digits_admissible(ifs.base, tcols, wcols) and axis_digits_admissible(
-        ifs.base, trows, wrows
-    )
+    b = ifs.base
+    wx, wy = pair_value(word.pairs_up_to(n + xi)[n : n + xi - 1], b)
+    tx, ty = pair_value(target.word.pairs_up_to(xi - 1), b)
+    cut = b ** (xi - lam)
+    return abs(wx // cut - tx // cut) <= 1 and abs(wy - ty) <= 1
 
 
 def _paired(ifs: GridIFS, h: WindowPattern, v: WindowPattern, start: int = 0) -> bool:

@@ -1,10 +1,13 @@
 """Finite-depth verification of the cover and measure constructions.
 
-Everything here runs in exact rational or integer arithmetic. Truncated
-words are treated as intervals: inclusion tests shrink the rectangle by the
-truncation slack and exclusion tests grow it, so no sample can be
-misclassified by rounding. Eventually periodic samples are exact points.
-Both set-relation checks feed integer samples to one verdict, `_set_relation`.
+Everything here runs in exact rational or integer arithmetic. A sample word
+projects to an integer hull (`DigitWord.hull`): an exact point for an
+eventually periodic word, its grid square for a truncation. The containment
+checks ask whether the shift-n hull lies inside the closed stage rectangle,
+or meets it, in integers, so no sample can be misclassified by rounding; the
+window condition they compare against is |W - T| <= 1 on base-b numerals
+(see `shrinking`). Both set-relation checks feed integer samples to one
+verdict, `_set_relation`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import (
     RadiusTooSmallError,
     ThresholdNotMetError,
 )
-from .grid import DigitPair, DyadicBox, GridIFS, pair_value
+from .grid import DigitPair, GridIFS, pair_value
 from .schedules import RateSchedule
 from .shrinking import StageKernel, WindowPattern, _stage_patterns, stage_exponent, window_hit
 from .words import DigitWord
@@ -75,26 +78,6 @@ def _fail(report: CheckReport, word: DigitWord, reason: str) -> None:
     )
 
 
-def shifted_intervals(
-    word: DigitWord, base: int, n: int
-) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """Exact interval hull of the shift-n projection, per axis.
-
-    Periodic words give degenerate intervals (exact points); a depth-D
-    truncation gives intervals of width b^-(D-n).
-    """
-    shifted = word.shift(n)
-    if shifted.is_periodic:
-        x, y = shifted.point(base)
-        return (x, x), (y, y)
-    xn, yn = pair_value(shifted.preperiod, base)
-    den = base ** len(shifted.preperiod)
-    slack = Fraction(1, den)
-    xlo = Fraction(xn, den)
-    ylo = Fraction(yn, den)
-    return (xlo, xlo + slack), (ylo, ylo + slack)
-
-
 def target_point(target: TargetSpec) -> tuple[Fraction, Fraction]:
     """The target's exact point; a truncated target has none."""
     if target.point is None:
@@ -106,13 +89,30 @@ def target_point(target: TargetSpec) -> tuple[Fraction, Fraction]:
 
 def _stage_rectangle(
     ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int, scale: int
-) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Corners (x0, x1, y0, y1) of the stage-n rectangle about the target
-    point, with half-sides scale * b^-lam(n) and scale * b^-xi(n)."""
-    rx = Fraction(scale, ifs.base ** schedule.lam(n))
-    ry = Fraction(scale, ifs.base ** schedule.xi(n))
+) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The closed stage-n rectangle about the target point, with half-sides
+    scale * b^-lam(n) and scale * b^-xi(n), per axis as integers (lo, hi, den)
+    for the interval [lo/den, hi/den]."""
+    def axis(c: Fraction, k: int) -> tuple[int, int, int]:
+        mid, radius = c.numerator * ifs.base ** k, scale * c.denominator
+        return mid - radius, mid + radius, c.denominator * ifs.base ** k
+
     z, w = target_point(target)
-    return z - rx, z + rx, w - ry, w + ry
+    return axis(z, schedule.lam(n)), axis(w, schedule.xi(n))
+
+
+def _hull_relation(
+    rectangle: tuple[tuple[int, int, int], ...], word: DigitWord, base: int, n: int
+) -> tuple[bool, bool]:
+    """(inside, meets): does the shift-n hull of the word lie inside the
+    closed rectangle, and does it meet it?"""
+    x, y, den, width = word.shift(n).hull(base)
+    inside = meets = True
+    for v, (lo, hi, rden) in zip((x, y), rectangle):
+        vlo, vhi, lo, hi = v * rden, (v + width) * rden, lo * den, hi * den
+        inside = inside and lo <= vlo and vhi <= hi
+        meets = meets and lo <= vhi and vlo <= hi
+    return inside, meets
 
 
 def check_containment_forward(
@@ -123,22 +123,21 @@ def check_containment_forward(
     samples: Iterable[DigitWord],
 ) -> CheckReport:
     """Samples whose shifted hull sits inside the stage rectangle must hit
-    the window conditions. Hulls straddling the boundary are skipped."""
-    x0, x1, y0, y1 = _stage_rectangle(ifs, target, schedule, n, 1)
+    the window conditions. Hulls that meet the rectangle without sitting
+    inside it are skipped."""
+    rectangle = _stage_rectangle(ifs, target, schedule, n, 1)
     depth = n + schedule.xi(n)
     report = CheckReport("containment-forward", True, 0)
     inside_count = 0
     for word in samples:
         word.require_depth(depth)  # a too-shallow word outside the rectangle fails too
-        (xlo, xhi), (ylo, yhi) = shifted_intervals(word, ifs.base, n)
-        inside = x0 <= xlo and xhi <= x1 and y0 <= ylo and yhi <= y1
-        outside = xhi < x0 or xlo > x1 or yhi < y0 or ylo > y1
+        inside, meets = _hull_relation(rectangle, word, ifs.base, n)
         report.checked += 1
         if inside:
             inside_count += 1
             if not window_hit(ifs, target, schedule, n, word):
                 _fail(report, word, "shifted point inside the rectangle but window miss")
-        elif not outside:
+        elif meets:
             report.skipped += 1
     report.details["inside"] = inside_count
     return report
@@ -152,16 +151,14 @@ def check_containment_backward(
     samples: Iterable[DigitWord],
 ) -> CheckReport:
     """Samples hitting the window conditions must land in the enlarged
-    rectangle (two grid levels wider per axis), up to truncation slack."""
-    x0, x1, y0, y1 = _stage_rectangle(ifs, target, schedule, n, ifs.base ** 2)
+    rectangle (two grid levels wider per axis): their shifted hull must meet it."""
+    rectangle = _stage_rectangle(ifs, target, schedule, n, ifs.base ** 2)
     report = CheckReport("containment-backward", True, 0)
     for word in samples:
         if not window_hit(ifs, target, schedule, n, word):  # needs depth n + xi(n)
             continue
         report.checked += 1
-        (xlo, xhi), (ylo, yhi) = shifted_intervals(word, ifs.base, n)
-        sx, sy = xhi - xlo, yhi - ylo  # the truncation slack per axis
-        if not (x0 - sx <= xlo and xhi <= x1 + sx and y0 - sy <= ylo and yhi <= y1 + sy):
+        if not _hull_relation(rectangle, word, ifs.base, n)[1]:
             _fail(report, word, "window hit but shifted point outside the enlarged rectangle")
     report.details["window_hits"] = report.checked
     return report
@@ -272,24 +269,23 @@ def check_set_relation(
 ) -> CheckReport:
     """Rectangle hits versus image-translate hits, on exact sample points.
 
-    For each sample the candidate witness prefixes are recovered from the
-    point itself; each witness carries an integer shift per axis which must
+    Each sample enters as integers: the numerals of its level-n prefix and
+    the hull of its shift-n point. The candidate witness prefixes are
+    recovered from them; each witness carries an integer shift per axis which must
     lie in {-1, 0, 1}, and for interior targets must vanish (making the two
     conditions equivalent). Boundary targets only get the one-sided
     implications plus the 3x3 rectangle containment. The verdict is
     `_set_relation`'s, shared with exhaustive_relation_check.
     """
     b = ifs.base
-    bn = b ** n
 
     def points():
         for word in samples:
             if not word.is_periodic:
                 raise InsufficientDepthError("set-relation samples must be eventually periodic")
-            x, y = word.point(b)
-            xs, ys = word.shift(n).point(b)
-            yield ((word.preperiod, word.period), int(bn * x - xs), int(bn * y - ys),
-                   xs.numerator, xs.denominator, ys.numerator, ys.denominator)
+            kx, ky = pair_value(word.pairs_up_to(n), b)
+            xs, ys, den, _ = word.shift(n).hull(b)
+            yield (word.preperiod, word.period), kx, ky, xs, den, ys, den
 
     return _set_relation(ifs, target, schedule, n, "set-relation", points())
 
@@ -420,11 +416,12 @@ def oracle_window_report(
 
 @dataclass(frozen=True)
 class CoverFamily:
-    """Distinct level-(n+j) squares occupied by the stage-n window words."""
+    """Distinct level-(n+j) squares occupied by the stage-n window words,
+    each as the integer numerals (x, y) of its lower-left corner, sorted."""
 
     n: int
     j: int
-    boxes: tuple[DyadicBox, ...]
+    corners: tuple[tuple[int, int], ...]
     cardinality_bound: int
 
 
@@ -449,15 +446,8 @@ def build_cover(
         px, py = pair_value(prefix, b)
         px, py = px * scale, py * scale
         corners.update((px + tx, py + ty) for tx, ty in tails)
-
-    level = n + j
-    den = b ** level
-    boxes = tuple(
-        DyadicBox(b, level, (Fraction(xn, den), Fraction(yn, den)))
-        for xn, yn in sorted(corners)
-    )
     bound = 9 * len(ifs.digits) ** n * ifs.row_product(kernel.best(j)[1])
-    return CoverFamily(n, j, boxes, bound)
+    return CoverFamily(n, j, tuple(sorted(corners)), bound)
 
 
 # lower-bound measure
@@ -747,7 +737,7 @@ def set_relation_reports(
 
 def cover_reports(ifs, target, schedule, seed, n, j) -> list[CheckReport]:
     family = build_cover(ifs, target, schedule, n, j)
-    boxes, bound = len(family.boxes), family.cardinality_bound
+    boxes, bound = len(family.corners), family.cardinality_bound
     return [CheckReport("cover-bound", boxes <= bound, boxes,
                         details={"boxes": boxes, "bound": bound})]
 

@@ -101,9 +101,6 @@ class DigitWord:
         reps = (m - p + q - 1) // q
         return (self.preperiod + self.period * reps)[:m]
 
-    def col_digit(self, i: int) -> int:
-        return self.pair_at(i).u
-
     def row_digit(self, i: int) -> int:
         return self.pair_at(i).v
 
@@ -122,14 +119,22 @@ class DigitWord:
         off = (n - p) % q
         return DigitWord((), self.period[off:] + self.period[:off])
 
+    def hull(self, base: int) -> tuple[int, int, int, int]:
+        """Integer hull (x, y, den, width) of the projection: the square
+        [x, x + width] x [y, y + width] scaled by 1/den. An infinite word
+        gives its exact point, width 0; a depth-D truncation gives its
+        level-D square, den = b^D and width 1."""
+        ax, ay = pair_value(self.preperiod, base)
+        den = base ** len(self.preperiod)
+        if not self.period:
+            return ax, ay, den, 1
+        bx, by = pair_value(self.period, base)
+        denq = base ** len(self.period) - 1
+        return ax * denq + bx, ay * denq + by, den * denq, 0
+
     def point(self, base: int) -> tuple[Fraction, Fraction]:
         """Exact projected coordinates; infinite words only."""
         if not self.period:
             raise InsufficientDepthError("truncations project to a box, not a point")
-        ax, ay = pair_value(self.preperiod, base)
-        bx, by = pair_value(self.period, base)
-        denp = base ** len(self.preperiod)
-        denq = base ** len(self.period) - 1
-        x = Fraction(ax, denp) + Fraction(bx, denp * denq)
-        y = Fraction(ay, denp) + Fraction(by, denp * denq)
-        return x, y
+        x, y, den, _ = self.hull(base)
+        return Fraction(x, den), Fraction(y, den)

@@ -516,6 +516,8 @@ _PAST_THE_RANGE = {
                          "n_range": {"start": 1, "stop": 60}},
     "short-table": {**BASE_CONFIG, "schedule": {"kind": "table", "lam": [1, 2, 3], "xi": [2, 3, 4]},
                     "n_range": {"start": 1, "stop": 5}},
+    "lam-decreasing": {**BASE_CONFIG, "schedule": {"kind": "table", "lam": [2, 1, 3], "xi": [3, 3, 4]},
+                       "n_range": {"start": 1, "stop": 3}},
 }
 _STAGE_OUTPUT = {"dimension": "sn.csv", "sn-table": "sn_table.csv"}
 
@@ -527,7 +529,10 @@ _STAGE_OUTPUT = {"dimension": "sn.csv", "sn-table": "sn_table.csv"}
     # --n-max 55 leaves n = 1..55, so the deepest window reads depth 109
     ("truncated-target", 55, "--n-max: word only specified to depth 100, need 109"),
     ("short-table", 4, "--n-max: n=4 outside the table range 1..3"),
-], ids=["truncated-target", "short-table", "truncated-target-n-max", "short-table-n-max"])
+    ("lam-decreasing", None, "n_range: lam must be nondecreasing on the queried range"),
+    ("lam-decreasing", 2, "--n-max: lam must be nondecreasing on the queried range"),
+], ids=["truncated-target", "short-table", "truncated-target-n-max", "short-table-n-max",
+        "lam-decreasing", "lam-decreasing-n-max"])
 def test_stage_range_checked_before_any_output(tmp_path, capsys, command, case, n_max, message):
     cfg = write_config(tmp_path, _PAST_THE_RANGE[case])
     out = tmp_path / "out"

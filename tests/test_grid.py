@@ -130,7 +130,7 @@ def test_shift_conjugates_with_digit_shift_of_coordinates(word, n):
     b = 3
     x, y = word.point(b)
     xs, ys = word.shift(n).point(b)
-    head_x = sum(word.col_digit(i) * b ** (n - i) for i in range(1, n + 1))
+    head_x = sum(word.pair_at(i).u * b ** (n - i) for i in range(1, n + 1))
     head_y = sum(word.row_digit(i) * b ** (n - i) for i in range(1, n + 1))
     assert xs == x * b ** n - head_x
     assert ys == y * b ** n - head_y

@@ -1,11 +1,14 @@
 """The stage path against reference copies of its per-position form.
 
 The references below walk the target's digits position by position: the
-backward scan for axis patterns, the row-by-row realizability test, and a
-float scan over every depth j with the exact tie-break. The stage path reads
-the same answers from the per-target table (`shrinking._target_rows`).
+window predicate by its first mismatch and carry tail, the backward scan for
+axis patterns, the row-by-row realizability test, and a float scan over
+every depth j with the exact tie-break. The stage path reads the same
+answers from base-b numerals and the per-target table
+(`shrinking._target_rows`).
 """
 
+import itertools
 import math
 import re
 from itertools import accumulate
@@ -15,9 +18,73 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import carpetdim.shrinking as shrinking
-from carpetdim import DigitWord, RateSchedule, target_from_word, validate_ifs
+from carpetdim import (
+    DigitWord,
+    RateSchedule,
+    target_from_word,
+    validate_ifs,
+    window_hit,
+)
 from carpetdim.errors import InsufficientDepthError
 from carpetdim.shrinking import WindowPattern, _TIE_EPS
+
+
+def _ref_axis_digits_admissible(base, target_digits, word_digits):
+    """Single-axis window condition, walked digit by digit: an exact match,
+    or one +-1 deviation at the first mismatch followed by a carry tail."""
+    last = len(target_digits)
+    mismatch = -1
+    for i in range(last):
+        if word_digits[i] != target_digits[i]:
+            mismatch = i
+            break
+    if mismatch < 0:
+        return True
+    delta = word_digits[mismatch] - target_digits[mismatch]
+    if delta == -1:
+        return all(
+            word_digits[i] - target_digits[i] == base - 1 for i in range(mismatch + 1, last)
+        )
+    if delta == 1:
+        return all(
+            target_digits[i] - word_digits[i] == base - 1 for i in range(mismatch + 1, last)
+        )
+    return False
+
+
+@pytest.mark.parametrize("base, longest", [(2, 5), (3, 5), (4, 4)])
+def test_numeral_predicate_matches_the_digit_walk(base, longest):
+    pairs = 0
+    for length in range(longest + 1):
+        strings = list(itertools.product(range(base), repeat=length))
+        for t in strings:
+            for w in strings:
+                assert shrinking.axis_digits_admissible(base, t, w) == (
+                    _ref_axis_digits_admissible(base, t, w)
+                ), (t, w)
+            pairs += len(strings)
+    assert pairs == sum(base ** (2 * k) for k in range(longest + 1))
+
+
+def test_window_hit_matches_the_digit_walk():
+    # a target whose column and row digits both leave room for deviations
+    # down and up, on a table schedule with lam < xi; window_hit reads only
+    # window positions 1..xi-1, so the prefix and the last pair stay fixed
+    ifs = validate_ifs(3, [(0, 0), (2, 0), (0, 2), (1, 1), (2, 2), (1, 0)])
+    target = target_from_word(ifs, DigitWord.periodic([(1, 1), (2, 0)], [(1, 0), (2, 2)]))
+    schedule = RateSchedule.from_tables([2, 3], [4, 5])
+    for n in (1, 2):
+        lam, xi = schedule.lam(n), schedule.xi(n)
+        tcols, trows = target.col_digits(lam - 1), target.row_digits(xi - 1)
+        hits = 0
+        for window in itertools.product(ifs.sorted_digits(), repeat=xi - 1):
+            word = DigitWord.truncation(((2, 2),) * n + window + ((0, 0),))
+            expected = _ref_axis_digits_admissible(
+                3, tcols, [p.u for p in window[: lam - 1]]
+            ) and _ref_axis_digits_admissible(3, trows, [p.v for p in window])
+            assert window_hit(ifs, target, schedule, n, word) == expected, window
+            hits += expected
+        assert hits
 
 
 def _ref_axis_patterns(base, target_digits, length):

@@ -36,7 +36,7 @@ from carpetdim.errors import (
     ThresholdNotMetError,
 )
 
-from carpetdim.verify import require_enumerable, shifted_intervals
+from carpetdim.verify import require_enumerable
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +62,19 @@ class TestContainment:
         n = 3
         word = DigitWord.periodic([(1, 1)] * 3, [(2, 2)])
         assert not window_hit(vicsek, origin, linear12, n, word)
-        (xlo, _), _ = shifted_intervals(word, 3, n)
-        assert abs(xlo - 0) > Fraction(1, 27)
+        # the shifted word is the point (1, 1), farther than 1/27 from the origin
+        x, _, den, width = word.shift(n).hull(3)
+        assert width == 0 and 27 * x > den
+
+    def test_hulls_on_the_rectangle_edge(self, vicsek, origin, linear12):
+        # at n = 3 the closed rectangle is [-1/27, 1/27] x [-1/729, 1/729]
+        n = 3
+        # shifted point (0.000222..., 0) = (1/27, 0) on the edge: inside
+        on_edge = DigitWord.periodic([(1, 1)] * 3 + [(0, 0)] * 3, [(2, 0)])
+        # shifted square [1/729, 1/729 + 3^-8]^2 meets the edge y = 1/729 only: skipped
+        touching = DigitWord.truncation([(1, 1)] * 3 + [(0, 0)] * 5 + [(1, 1)] + [(0, 0)] * 2)
+        rep = check_containment_forward(vicsek, origin, linear12, n, [on_edge, touching])
+        assert rep.passed and rep.details["inside"] == 1 and rep.skipped == 1
 
     def test_random_sampling_has_no_violations(self, vicsek, origin, linear12):
         n = 4
@@ -207,13 +218,13 @@ class TestCover:
                 for u, v in digits:
                     xn = xn * 3 + u
                     yn = yn * 3 + v
-                corners.add((Fraction(xn, 3 ** 5), Fraction(yn, 3 ** 5)))
-        assert {box.corner for box in family.boxes} == corners
-        assert len(family.boxes) <= family.cardinality_bound
+                corners.add((xn, yn))
+        assert family.corners == tuple(sorted(corners))
+        assert len(family.corners) <= family.cardinality_bound
 
     def test_minimal_stage_cover(self, vicsek, origin, linear12):
         family = build_cover(vicsek, origin, linear12, 1, 2)
-        assert family.boxes and len(family.boxes) <= family.cardinality_bound
+        assert family.corners and len(family.corners) <= family.cardinality_bound
 
     def test_depth_range_validated(self, vicsek, origin, linear12):
         with pytest.raises(ValueError):

@@ -70,3 +70,31 @@ def test_point_with_preperiod():
     w = DigitWord.periodic([(0, 0)], [(2, 2)])
     assert w.point(3) == (Fraction(1, 3), Fraction(1, 3))
 
+
+
+def test_periodic_hull_divided_by_den_is_the_point():
+    # 0.A(B)(B)... = (AB - A) / (b^|A| (b^|B| - 1)), read per axis
+    pre, per = [(0, 2), (1, 0)], [(2, 1), (0, 0), (1, 1)]
+    w = DigitWord.periodic(pre, per)
+    x, y, den, width = w.hull(3)
+    assert width == 0
+    assert (Fraction(x, den), Fraction(y, den)) == w.point(3)
+    for axis, value in enumerate((x, y)):
+        a = int("".join(str(p[axis]) for p in pre), 3)
+        ab = int("".join(str(p[axis]) for p in pre + per), 3)
+        assert Fraction(value, den) == Fraction(ab - a, 3 ** 2 * (3 ** 3 - 1))
+
+
+def test_truncation_hull_is_its_grid_square():
+    w = DigitWord.truncation([(2, 0), (0, 1), (1, 2)])
+    assert w.hull(3) == (2 * 9 + 1, 1 * 3 + 2, 3 ** 3, 1)
+    assert DigitWord.truncation([]).hull(3) == (0, 0, 1, 1)
+
+
+def test_high_digit_tail_and_terminating_twin_share_a_point():
+    # (0.0222..., 0.1222...) = (0.1000..., 0.2000...) = (1/3, 2/3) in base 3
+    tail = DigitWord.periodic([(0, 1)], [(2, 2)])
+    twin = DigitWord.periodic([(1, 2)], [(0, 0)])
+    assert tail.point(3) == twin.point(3) == (Fraction(1, 3), Fraction(2, 3))
+    (tx, ty, tden, _), (wx, wy, wden, _) = tail.hull(3), twin.hull(3)
+    assert tx * wden == wx * tden and ty * wden == wy * tden
