@@ -379,6 +379,7 @@ def _set_relation_options(o: _CheckOptions) -> dict:
     o.rule(None, verify_mod.target_point, o.target)  # a truncation has no exact point
     n = o.opt("n", 3)
     xi = o.window(n)[1]
+    o.rule("n", verify_mod._interior_thresholds, o.ifs, o.target, o.schedule, n)
     exhaustive = o.node.get("exhaustive", False)
     if not isinstance(exhaustive, bool):
         raise ConfigError(f"{o.path}.exhaustive", f"expected true or false, got {exhaustive!r}")

@@ -301,16 +301,11 @@ def make_target(ifs: GridIFS, z, w) -> TargetSpec:
     return target_from_word(ifs, word)
 
 
-def alternating_block_word(
-    base_pair: tuple[int, int] = (0, 0),
-    alt_pair: tuple[int, int] = (0, 2),
-    block_base: int = 4,
-    depth: int = 16384,
-) -> DigitWord:
+def alternating_block_word(block_base: int = 4, depth: int = 16384) -> DigitWord:
     """Truncated word alternating two pairs on geometric blocks.
 
-    Position i carries base_pair when the block index j with
-    block_base^j <= i < block_base^(j+1) is even, alt_pair when odd. The row
+    Position i carries (0, 0) when the block index j with
+    block_base^j <= i < block_base^(j+1) is even, (0, 2) when odd. The row
     digit frequencies of such a word oscillate forever, so it has no
     eventually periodic form and ships as a deep truncation.
     """
@@ -321,7 +316,7 @@ def alternating_block_word(
     for i in range(1, depth + 1):
         while block_base ** (j + 1) <= i:
             j += 1
-        digits.append(base_pair if j % 2 == 0 else alt_pair)
+        digits.append((0, 0) if j % 2 == 0 else (0, 2))
     return DigitWord.truncation(digits)
 
 

@@ -7,7 +7,9 @@ checks ask whether the shift-n hull lies inside the closed stage rectangle,
 or meets it, in integers, so no sample can be misclassified by rounding; the
 window condition they compare against is |W - T| <= 1 on base-b numerals
 (see `shrinking`). Both set-relation checks feed integer samples to one
-verdict, `_set_relation`.
+verdict, `_set_relation`. Each level of the lower-bound measure is uniform
+on its support, so a positive level-L cylinder weighs 1/size(L), with size(L)
+the product of the support sizes of levels 1..L.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -165,9 +168,15 @@ def check_containment_backward(
 
 
 def _interior_thresholds(
-    ifs: GridIFS, z: Fraction, w: Fraction, lam: int, xi: int
+    ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int
 ) -> None:
-    """The two-sided margin exponents must be dominated by the window sizes."""
+    """For an interior target, the two-sided margin exponents kz, kw must be
+    dominated by the window sizes: lam(n) > kz and xi(n) > kw. The set-relation
+    checks apply this rule, and the CLI reads it with their options."""
+    z, w = target_point(target)
+    if not (0 < z < 1 and 0 < w < 1):
+        return
+
     def margin(c: Fraction) -> int:
         k = 1
         while not Fraction(1, ifs.base ** k) < c < 1 - Fraction(1, ifs.base ** k):
@@ -175,6 +184,7 @@ def _interior_thresholds(
         return k
 
     kz, kw = margin(z), margin(w)
+    lam, xi = schedule.lam(n), schedule.xi(n)
     if lam <= kz or xi <= kw:
         raise ThresholdNotMetError(
             f"stage too small: need lam > {kz} and xi > {kw}, got ({lam}, {xi})"
@@ -207,11 +217,10 @@ def _set_relation(
 ) -> CheckReport:
     """The set-relation verdict over a stream of samples.
 
-    Each sample is (word, kx, ky, xs_num, xs_den, ys_num, ys_den): the
-    (preperiod, period) of an eventually periodic word, the integer level-n
-    prefix values of its point per axis, and its shift-n point
-    (xs_num/xs_den, ys_num/ys_den). The word becomes a DigitWord only when the
-    sample fails. A shift s is valid on an axis when s plus the shifted
+    Each sample is (word, kx, ky, xs, ys, den): the (preperiod, period) of an
+    eventually periodic word, the integer level-n prefix values of its point
+    per axis, and its shift-n point (xs/den, ys/den). The word becomes a
+    DigitWord only when the sample fails. A shift s is valid on an axis when s plus the shifted
     coordinate lies within the stage radius of the target; a witness is a
     valid (sx, sy) whose translated prefix (kx - sx, ky - sy) lies in [0, b^n)
     on both axes and pairs up inside the digit set. Every broken condition of
@@ -220,8 +229,7 @@ def _set_relation(
     lam, xi = schedule.lam(n), schedule.xi(n)
     z, w = target_point(target)
     interior = 0 < z < 1 and 0 < w < 1
-    if interior:
-        _interior_thresholds(ifs, z, w, lam, xi)
+    _interior_thresholds(ifs, target, schedule, n)
     b = ifs.base
     bn, blam, bxi = b ** n, b ** lam, b ** xi
     zn, zd, wn, wd = z.numerator, z.denominator, w.numerator, w.denominator
@@ -229,10 +237,10 @@ def _set_relation(
     admissible = ifs.digits.__contains__
     report = CheckReport(name, True, 0, details={"interior": interior})
     nonzero_shift_witnesses = 0
-    for word, kx, ky, xs_num, xs_den, ys_num, ys_den in samples:
+    for word, kx, ky, xs, ys, den in samples:
         report.checked += 1
-        valid_sx = _valid_shifts(xs_num, xs_den, zn, zd, blam)
-        valid_sy = _valid_shifts(ys_num, ys_den, wn, wd, bxi)
+        valid_sx = _valid_shifts(xs, den, zn, zd, blam)
+        valid_sy = _valid_shifts(ys, den, wn, wd, bxi)
         if any(abs(s) > 1 for s in valid_sx + valid_sy):
             _fail(report, DigitWord(*word), "witness shift outside {-1,0,1}")
             continue
@@ -285,7 +293,7 @@ def check_set_relation(
                 raise InsufficientDepthError("set-relation samples must be eventually periodic")
             kx, ky = pair_value(word.pairs_up_to(n), b)
             xs, ys, den, _ = word.shift(n).hull(b)
-            yield (word.preperiod, word.period), kx, ky, xs, den, ys, den
+            yield (word.preperiod, word.period), kx, ky, xs, ys, den
 
     return _set_relation(ifs, target, schedule, n, "set-relation", points())
 
@@ -319,8 +327,7 @@ def exhaustive_relation_check(
             kx, ax = divmod(xnum, tail_mod)
             ky, ay = divmod(ynum, tail_mod)
             for period, alpha, beta in tails:
-                yield ((prefix, period), kx, ky,
-                       (b - 1) * ax + alpha, den, (b - 1) * ay + beta, den)
+                yield (prefix, period), kx, ky, (b - 1) * ax + alpha, (b - 1) * ay + beta, den
 
     return _set_relation(ifs, target, schedule, n, "set-relation-exhaustive", points())
 
@@ -455,35 +462,43 @@ def build_cover(
 
 @dataclass
 class MeasureBuilder:
-    """Level-by-level mass rules for the lower-bound measure.
+    """Level-by-level supports of the lower-bound measure.
 
-    The mass of a cylinder factors through one distribution per level, so
-    exact level sums and cylinder masses are products over levels; support
-    sizes can be astronomically large without materializing anything.
+    Each level is uniform on its support: the digit set, one spine pair, or
+    that pair's row. So a positive level-L cylinder weighs 1/sizes[L], where
+    sizes[L] is the product of the support sizes of levels 1..L (sizes[0] = 1),
+    and no cylinder is enumerated to weigh it.
     """
 
     ifs: GridIFS
     schedule: RateSchedule
     break_points: tuple[int, ...]
     delta: Fraction
-    depth: int
-    level_dists: list[dict[DigitPair, Fraction]]
+    supports: list[frozenset[DigitPair]]
+    sizes: list[int]
     spines: dict[int, tuple[DigitPair, ...]]
     stage_values: dict[int, float]
 
-    def dist(self, level: int) -> dict[DigitPair, Fraction]:
+    @property
+    def depth(self) -> int:
+        return len(self.supports)
+
+    def _support(self, level: int) -> frozenset[DigitPair]:
         if not 1 <= level <= self.depth:
             raise DepthTooLargeError(f"level {level} outside 1..{self.depth}")
-        return self.level_dists[level - 1]
+        return self.supports[level - 1]
 
-    def mass(self, prefix: Sequence[tuple[int, int]]) -> Fraction:
-        """Exact mass of the cylinder of this prefix."""
-        m = Fraction(1)
-        for level, pair in enumerate(prefix, start=1):
-            m *= self.dist(level).get(DigitPair(*pair), Fraction(0))
-            if m == 0:
-                return m
-        return m
+    def dist(self, level: int) -> dict[DigitPair, Fraction]:
+        support = self._support(level)
+        return dict.fromkeys(sorted(support), Fraction(1, len(support)))
+
+    def mass(self, prefix: Iterable[tuple[int, int]]) -> Fraction:
+        """Exact mass of the cylinder of this prefix: 1/sizes[L] when each of
+        its L pairs lies in its level's support, else 0."""
+        pairs = list(prefix)
+        if all(DigitPair(*p) in self._support(level) for level, p in enumerate(pairs, start=1)):
+            return Fraction(1, self.sizes[len(pairs)])
+        return Fraction(0)
 
     def level_sum(self, level: int) -> Fraction:
         """Exact total mass at a level (product of per-level sums)."""
@@ -495,26 +510,20 @@ class MeasureBuilder:
     def point_phase_mass(self, k: int) -> Fraction:
         """Mass of any positive cylinder at levels just past break point k
         (constant across the point phase)."""
-        n_k = self.break_points[k]
-        m = Fraction(1)
-        for ell in range(1, n_k + 1):
-            m *= Fraction(1, len(self.dist(ell)))
-        return m
+        return Fraction(1, self.sizes[self.break_points[k]])
 
     def mass_bound_holds(self, k: int) -> bool:
-        """point mass <= (#J)^(-n_k (1 - 1/delta)), compared exactly."""
+        """point mass <= (#J)^(-n_k (1 - 1/delta)), compared exactly: with
+        delta = p/q, #J^(n_k (p - q)) <= sizes[n_k]^p."""
         n_k = self.break_points[k]
-        u = self.point_phase_mass(k)
         p, q = self.delta.numerator, self.delta.denominator
-        lhs = Fraction(u.numerator ** p, u.denominator ** p)
-        rhs = Fraction(1, len(self.ifs.digits) ** (n_k * (p - q)))
-        return lhs <= rhs
+        return len(self.ifs.digits) ** (n_k * (p - q)) <= self.sizes[n_k] ** p
 
     def support_word(self, upto: int, rng: random.Random | None = None) -> DigitWord:
         """A periodic word whose first `upto` levels all carry positive mass."""
         digits = []
         for ell in range(1, upto + 1):
-            choices = sorted(self.dist(ell))
+            choices = sorted(self._support(ell))
             digits.append(choices[0] if rng is None else rng.choice(choices))
         return DigitWord.periodic(digits, (digits[-1],))
 
@@ -550,9 +559,8 @@ def build_lower_bound_measure(
     schedule: RateSchedule,
     break_points: Sequence[int],
     delta,
-    depth: int | None = None,
 ) -> MeasureBuilder:
-    """Assemble the level distributions of the lower-bound measure.
+    """Assemble the level supports of the lower-bound measure.
 
     Mass is uniform over the digit set away from the break points; just past
     each break point it rides a single chosen window word for lam+2 levels,
@@ -560,48 +568,33 @@ def build_lower_bound_measure(
     """
     delta = measure_delta(delta)
     bps = measure_break_points(schedule, break_points, delta)
-    max_depth = bps[-1] + schedule.xi(bps[-1]) + 2
-    if depth is None:
-        depth = max_depth
-    if depth > max_depth:
-        raise DepthTooLargeError(f"depth {depth} beyond last phase end {max_depth}")
 
     # spine: window positions 1..xi+2 of a word with the best rows at j*, then the fullest row
     filler = (min(ifs.row_set(ifs.max_row_digit)),) * 3
     spines: dict[int, tuple[DigitPair, ...]] = {}
     stage_values: dict[int, float] = {}
+    supports = [ifs.digits] * (bps[-1] + schedule.xi(bps[-1]) + 2)
     for n_k in bps:
         stage_values[n_k] = stage_exponent(ifs, target, schedule, n_k).value
         kernel = StageKernel(ifs, target, schedule, n_k)
         # the measure stops the window one level short: depths lam..xi-1 (lam if none)
         v, _ = kernel.best(kernel.argmin(kernel.xi - 1)[0])
         slots = _pair_slots(ifs, kernel.partners(v)[0], v, kernel.lam)
-        spines[n_k] = tuple(map(min, slots)) + filler
-
-    uniform = {p: Fraction(1, len(ifs.digits)) for p in ifs.sorted_digits()}
-    dists: list[dict[DigitPair, Fraction]] = []
-    for level in range(1, depth + 1):
-        rule = uniform
-        for n_k in bps:
-            lam_k, xi_k = schedule.lam(n_k), schedule.xi(n_k)
-            if n_k < level <= n_k + lam_k + 2:
-                pair = spines[n_k][level - n_k - 1]
-                rule = {pair: Fraction(1)}
-                break
-            if n_k + lam_k + 2 < level <= n_k + xi_k + 2:
-                row = spines[n_k][level - n_k - 1].v
-                row_pairs = sorted(ifs.row_set(row))
-                rule = {p: Fraction(1, len(row_pairs)) for p in row_pairs}
-                break
-        dists.append(rule)
+        spine = spines[n_k] = tuple(map(min, slots)) + filler
+        # the phases are disjoint (`measure_break_points`): the spine's first
+        # lam+2 pairs one by one, then the rows of the rest
+        supports[n_k : n_k + len(spine)] = [
+            frozenset((p,)) if i < kernel.lam + 2 else ifs.row_set(p.v)
+            for i, p in enumerate(spine)
+        ]
 
     return MeasureBuilder(
         ifs=ifs,
         schedule=schedule,
         break_points=bps,
         delta=delta,
-        depth=depth,
-        level_dists=dists,
+        supports=supports,
+        sizes=list(itertools.accumulate(map(len, supports), operator.mul, initial=1)),
         spines=spines,
         stage_values=stage_values,
     )

@@ -294,7 +294,7 @@ class TestInputErrors:
         assert capsys.readouterr().out.startswith(f"error: {field}: ")
         assert not (tmp_path / "v" / "verify.json").exists()
 
-    def test_bad_verify_option_stops_before_any_check(self, tmp_path, monkeypatch):
+    def test_bad_verify_option_stops_before_any_check(self, tmp_path, monkeypatch, capsys):
         import carpetdim.verify as verify_mod
 
         def ran(*args):
@@ -317,6 +317,14 @@ class TestInputErrors:
             checks = {"oracle": {"n": 2}, **bad}
             cfg = write_config(tmp_path, {**_TRUNCATED, "verify": {"checks": checks}})
             assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+        # and the interior target's stage threshold the set-relation checks apply
+        checks = {"oracle": {"n": 2}, "containment": {"n": 3, "samples": 200},
+                  "set_relation": {"n": 1, "depth": 4}}
+        center = {**BASE_CONFIG, "target": {"point": ["1/2", "1/2"]}}
+        cfg = write_config(tmp_path, {**center, "verify": {"checks": checks}})
+        capsys.readouterr()
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+        assert capsys.readouterr().out.startswith("error: verify.checks.set_relation.n: ")
 
 
 class TestDimensionCommand:

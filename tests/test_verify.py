@@ -348,10 +348,14 @@ class TestMeasure:
             kernel = shrinking.StageKernel(vicsek, origin, sch, n)
             assert kernel.argmin(kernel.xi - 1)[0] == n
 
-    def test_depth_guard(self, vicsek, linear12):
-        origin = make_target(vicsek, 0, 0)
+    def test_depth_guard(self, measure):
+        # the last phase ends at depth 53; one level past it has no support
+        word = measure.support_word(measure.depth)
+        assert measure.mass(word.pairs_up_to(measure.depth)) > 0
         with pytest.raises(DepthTooLargeError):
-            build_lower_bound_measure(vicsek, origin, linear12, [3, 17], 2, depth=60)
+            measure.mass(word.pairs_up_to(measure.depth + 1))
+        with pytest.raises(DepthTooLargeError):
+            measure.support_word(measure.depth + 1)
 
     def test_support_word_has_positive_mass(self, measure):
         word = measure.support_word(measure.depth)
