@@ -7,14 +7,15 @@ checks ask whether the shift-n hull lies inside the closed stage rectangle,
 or meets it, in integers, so no sample can be misclassified by rounding; the
 window condition they compare against is |W - T| <= 1 on base-b numerals
 (see `shrinking`). Both set-relation checks feed integer samples to one
-verdict, `_set_relation`. Each level of the lower-bound measure is uniform
-on its support, so a positive level-L cylinder weighs 1/size(L), with size(L)
-the product of the support sizes of levels 1..L.
+verdict, `_set_relation`. A grid cell is the base-b numerals of its corner,
+tested against one support per level by `_in_supports`: a set-relation
+witness is a translated level-n cell of the digit set, and the lower-bound
+measure gives a positive level-L cell 1/size(L), with size(L) the product of
+the support sizes of levels 1..L.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -191,13 +192,16 @@ def _interior_thresholds(
         )
 
 
-def _base_digits(value: int, base: int, n: int) -> tuple[int, ...]:
-    """The n base-b digits of value, most significant first."""
-    ds = []
-    for _ in range(n):
-        value, d = divmod(value, base)
-        ds.append(d)
-    return tuple(reversed(ds))
+def _in_supports(kx: int, ky: int, supports: Sequence[frozenset[DigitPair]], base: int) -> bool:
+    """Does the level-L cell with lower-left corner (kx, ky)/b^L, L = len(supports),
+    lie in the unit square with its i-th most significant digit pair in
+    supports[i-1]? A numeral outside [0, b^L) leaves a nonzero quotient."""
+    for support in reversed(supports):
+        kx, u = divmod(kx, base)
+        ky, v = divmod(ky, base)
+        if (u, v) not in support:
+            return False
+    return kx == ky == 0
 
 
 def _valid_shifts(num: int, den: int, cn: int, cd: int, scale: int) -> list[int]:
@@ -222,8 +226,8 @@ def _set_relation(
     per axis, and its shift-n point (xs/den, ys/den). The word becomes a
     DigitWord only when the sample fails. A shift s is valid on an axis when s plus the shifted
     coordinate lies within the stage radius of the target; a witness is a
-    valid (sx, sy) whose translated prefix (kx - sx, ky - sy) lies in [0, b^n)
-    on both axes and pairs up inside the digit set. Every broken condition of
+    valid (sx, sy) whose translated level-n cell (kx - sx, ky - sy) is a cell
+    of the digit set (`_in_supports`). Every broken condition of
     a sample is recorded.
     """
     lam, xi = schedule.lam(n), schedule.xi(n)
@@ -231,10 +235,9 @@ def _set_relation(
     interior = 0 < z < 1 and 0 < w < 1
     _interior_thresholds(ifs, target, schedule, n)
     b = ifs.base
-    bn, blam, bxi = b ** n, b ** lam, b ** xi
+    blam, bxi = b ** lam, b ** xi
     zn, zd, wn, wd = z.numerator, z.denominator, w.numerator, w.denominator
-    digits_of = functools.cache(functools.partial(_base_digits, base=b, n=n))
-    admissible = ifs.digits.__contains__
+    cells = (ifs.digits,) * n
     report = CheckReport(name, True, 0, details={"interior": interior})
     nonzero_shift_witnesses = 0
     for word, kx, ky, xs, ys, den in samples:
@@ -245,10 +248,8 @@ def _set_relation(
             _fail(report, DigitWord(*word), "witness shift outside {-1,0,1}")
             continue
         witnesses = [
-            (sx, sy)
-            for sx in valid_sx if 0 <= kx - sx < bn
-            for sy in valid_sy if 0 <= ky - sy < bn
-            and all(map(admissible, zip(digits_of(kx - sx), digits_of(ky - sy))))
+            (sx, sy) for sx in valid_sx for sy in valid_sy
+            if _in_supports(kx - sx, ky - sy, cells, b)
         ]
         eq1 = 0 in valid_sx and 0 in valid_sy
         eq2 = bool(witnesses)
@@ -465,9 +466,10 @@ class MeasureBuilder:
     """Level-by-level supports of the lower-bound measure.
 
     Each level is uniform on its support: the digit set, one spine pair, or
-    that pair's row. So a positive level-L cylinder weighs 1/sizes[L], where
-    sizes[L] is the product of the support sizes of levels 1..L (sizes[0] = 1),
-    and no cylinder is enumerated to weigh it.
+    that pair's row. So a level-L cell, read as the numerals of its corner,
+    weighs 1/sizes[L] when its digit pairs lie in the supports of levels 1..L
+    and 0 otherwise, where sizes[L] is the product of the support sizes of
+    levels 1..L (sizes[0] = 1); no cell is enumerated to weigh it.
     """
 
     ifs: GridIFS
@@ -483,34 +485,13 @@ class MeasureBuilder:
     def depth(self) -> int:
         return len(self.supports)
 
-    def _support(self, level: int) -> frozenset[DigitPair]:
-        if not 1 <= level <= self.depth:
-            raise DepthTooLargeError(f"level {level} outside 1..{self.depth}")
-        return self.supports[level - 1]
-
-    def dist(self, level: int) -> dict[DigitPair, Fraction]:
-        support = self._support(level)
-        return dict.fromkeys(sorted(support), Fraction(1, len(support)))
-
-    def mass(self, prefix: Iterable[tuple[int, int]]) -> Fraction:
-        """Exact mass of the cylinder of this prefix: 1/sizes[L] when each of
-        its L pairs lies in its level's support, else 0."""
-        pairs = list(prefix)
-        if all(DigitPair(*p) in self._support(level) for level, p in enumerate(pairs, start=1)):
-            return Fraction(1, self.sizes[len(pairs)])
-        return Fraction(0)
-
-    def level_sum(self, level: int) -> Fraction:
-        """Exact total mass at a level (product of per-level sums)."""
-        total = Fraction(1)
-        for ell in range(1, level + 1):
-            total *= sum(self.dist(ell).values())
-        return total
-
-    def point_phase_mass(self, k: int) -> Fraction:
-        """Mass of any positive cylinder at levels just past break point k
-        (constant across the point phase)."""
-        return Fraction(1, self.sizes[self.break_points[k]])
+    def mass(self, kx: int, ky: int, level: int) -> Fraction:
+        """Exact mass of the level-`level` cell with lower-left corner
+        (kx, ky)/b^level: 1/sizes[level] inside the supports, else 0."""
+        if not 0 <= level <= self.depth:
+            raise DepthTooLargeError(f"level {level} outside 0..{self.depth}")
+        inside = _in_supports(kx, ky, self.supports[:level], self.ifs.base)
+        return Fraction(inside, self.sizes[level])
 
     def mass_bound_holds(self, k: int) -> bool:
         """point mass <= (#J)^(-n_k (1 - 1/delta)), compared exactly: with
@@ -521,10 +502,10 @@ class MeasureBuilder:
 
     def support_word(self, upto: int, rng: random.Random | None = None) -> DigitWord:
         """A periodic word whose first `upto` levels all carry positive mass."""
-        digits = []
-        for ell in range(1, upto + 1):
-            choices = sorted(self._support(ell))
-            digits.append(choices[0] if rng is None else rng.choice(choices))
+        if not 1 <= upto <= self.depth:
+            raise DepthTooLargeError(f"level {upto} outside 1..{self.depth}")
+        choices = map(sorted, self.supports[:upto])
+        digits = [c[0] if rng is None else rng.choice(c) for c in choices]
         return DigitWord.periodic(digits, (digits[-1],))
 
 
@@ -616,8 +597,8 @@ def holder_exponent_samples(
 ) -> list[HolderSample]:
     """Mass decay exponents log(mass of ball) / log(radius).
 
-    The ball of radius r meets at most nine grid squares at the matching
-    level; the ball mass is the exact sum of their cylinder masses.
+    The ball of radius r meets at most nine grid cells at the matching
+    level; the ball mass is the exact sum of their masses.
     """
     ifs = builder.ifs
     b = ifs.base
@@ -642,7 +623,7 @@ def holder_exponent_samples(
             ky_hi = min(scale - 1, math.floor((y + r) * scale))
             for kx in range(kx_lo, kx_hi + 1):
                 for ky in range(ky_lo, ky_hi + 1):
-                    nu += builder.mass(zip(_base_digits(kx, b, level), _base_digits(ky, b, level)))
+                    nu += builder.mass(kx, ky, level)
             if nu == 0:
                 exponent = math.inf
             else:
@@ -738,11 +719,12 @@ def cover_reports(ifs, target, schedule, seed, n, j) -> list[CheckReport]:
 def measure_reports(
     ifs, target, schedule, seed, break_points, delta, holder_slack
 ) -> list[CheckReport]:
-    """Exact level sums and point-phase mass bounds, then the mass-decay
+    """Mass at every level and the point-phase mass bounds, then the mass-decay
     exponents past each break point n_k against (1 - 1/delta) s_{n_k} -
     holder_slack, at three support words and every radius b^-m past n_0."""
     builder = build_lower_bound_measure(ifs, target, schedule, break_points, delta)
-    level_ok = all(builder.level_sum(m) == 1 for m in range(1, builder.depth + 1))
+    # a level's masses sum to 1 exactly when its support is nonempty
+    level_ok = all(builder.supports)
     bound_ok = all(builder.mass_bound_holds(k) for k in range(len(break_points)))
     norm = CheckReport("measure-normalization", level_ok and bound_ok, builder.depth,
                        details={"depth": builder.depth, "mass_bounds": bound_ok})

