@@ -147,11 +147,16 @@ def window_hit(
 
     The numerals of window positions 1..xi-1 are read from one slice of the
     word and one of the target; the columns keep their first lam - 1 digits.
+    The target's numerals are formed once per stage and kept on the target,
+    since a containment check asks for them once per sample word.
     """
     lam, xi = schedule.lam(n), schedule.xi(n)
     b = ifs.base
     wx, wy = pair_value(word.pairs_up_to(n + xi)[n : n + xi - 1], b)
-    tx, ty = pair_value(target.word.pairs_up_to(xi - 1), b)
+    known = target._numerals
+    if (b, xi - 1) not in known:
+        known[b, xi - 1] = pair_value(target.word.pairs_up_to(xi - 1), b)
+    tx, ty = known[b, xi - 1]
     cut = b ** (xi - lam)
     return abs(wx // cut - tx // cut) <= 1 and abs(wy - ty) <= 1
 

@@ -7,11 +7,18 @@ checks ask whether the shift-n hull lies inside the closed stage rectangle,
 or meets it, in integers, so no sample can be misclassified by rounding; the
 window condition they compare against is |W - T| <= 1 on base-b numerals
 (see `shrinking`). Both set-relation checks feed integer samples to one
-verdict, `_set_relation`. A grid cell is the base-b numerals of its corner,
+verdict (`_relation_stage`). A grid cell is the base-b numerals of its corner,
 tested against one support per level by `_in_supports`: a set-relation
 witness is a translated level-n cell of the digit set, and the lower-bound
 measure gives a positive level-L cell 1/size(L), with size(L) the product of
 the support sizes of levels 1..L.
+
+The exhaustive checks decide once per class of inputs, not once per word. The
+oracle tests each head's columns once and each distinct row string once; both
+exhaustive checks cost |J|^(depth-n) tails plus, for the set relation, one
+verdict per prefix and class of valid shifts; a Holder ball's mass is one
+count of cells. Failures are rebuilt in enumeration order, up to the 20 a
+report shows.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import itertools
 import math
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -211,24 +219,15 @@ def _valid_shifts(num: int, den: int, cn: int, cd: int, scale: int) -> list[int]
     return [s for s in (-2, -1, 0, 1, 2) if abs(s * step + off) * scale <= step]
 
 
-def _set_relation(
-    ifs: GridIFS,
-    target: TargetSpec,
-    schedule: RateSchedule,
-    n: int,
-    name: str,
-    samples: Iterable[tuple],
-) -> CheckReport:
-    """The set-relation verdict over a stream of samples.
+def _relation_stage(ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int):
+    """The set-relation verdict of stage n, as (interior, shifts, verdict).
 
-    Each sample is (word, kx, ky, xs, ys, den): the (preperiod, period) of an
-    eventually periodic word, the integer level-n prefix values of its point
-    per axis, and its shift-n point (xs/den, ys/den). The word becomes a
-    DigitWord only when the sample fails. A shift s is valid on an axis when s plus the shifted
-    coordinate lies within the stage radius of the target; a witness is a
-    valid (sx, sy) whose translated level-n cell (kx - sx, ky - sy) is a cell
-    of the digit set (`_in_supports`). Every broken condition of
-    a sample is recorded.
+    `shifts(xs, ys, den)`: the valid shifts s per axis of the shift-n point
+    (xs/den, ys/den), those with s plus the coordinate within the stage radius
+    of the target. `verdict(kx, ky, valid_sx, valid_sy)`: the broken
+    conditions of a sample with level-n prefix numerals (kx, ky), and its
+    count of nonzero-shift witnesses. A witness is a valid (sx, sy) whose
+    translated cell (kx - sx, ky - sy) is a cell of the digit set.
     """
     lam, xi = schedule.lam(n), schedule.xi(n)
     z, w = target_point(target)
@@ -238,35 +237,33 @@ def _set_relation(
     blam, bxi = b ** lam, b ** xi
     zn, zd, wn, wd = z.numerator, z.denominator, w.numerator, w.denominator
     cells = (ifs.digits,) * n
-    report = CheckReport(name, True, 0, details={"interior": interior})
-    nonzero_shift_witnesses = 0
-    for word, kx, ky, xs, ys, den in samples:
-        report.checked += 1
-        valid_sx = _valid_shifts(xs, den, zn, zd, blam)
-        valid_sy = _valid_shifts(ys, den, wn, wd, bxi)
+
+    def shifts(xs: int, ys: int, den: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return tuple(_valid_shifts(xs, den, zn, zd, blam)), tuple(_valid_shifts(ys, den, wn, wd, bxi))
+
+    def verdict(kx: int, ky: int, valid_sx, valid_sy) -> tuple[list[str], int]:
         if any(abs(s) > 1 for s in valid_sx + valid_sy):
-            _fail(report, DigitWord(*word), "witness shift outside {-1,0,1}")
-            continue
+            return ["witness shift outside {-1,0,1}"], 0
         witnesses = [
             (sx, sy) for sx in valid_sx for sy in valid_sy
             if _in_supports(kx - sx, ky - sy, cells, b)
         ]
         eq1 = 0 in valid_sx and 0 in valid_sy
         eq2 = bool(witnesses)
+        reasons = []
         if eq1 and (0, 0) not in witnesses:
-            _fail(report, DigitWord(*word), "rectangle hit but own prefix not a witness")
+            reasons.append("rectangle hit but own prefix not a witness")
         if interior:
             if eq2 != eq1:
-                _fail(report, DigitWord(*word),
-                      f"interior equivalence broken: eq1={eq1} eq2={eq2}")
+                reasons.append(f"interior equivalence broken: eq1={eq1} eq2={eq2}")
             if any(s != (0, 0) for s in witnesses):
-                _fail(report, DigitWord(*word), "interior witness with nonzero shift")
-        else:
-            if eq1 and not eq2:
-                _fail(report, DigitWord(*word), "rectangle hit without any witness")
-            nonzero_shift_witnesses += sum(1 for s in witnesses if s != (0, 0))
-    report.details["nonzero_shift_witnesses"] = nonzero_shift_witnesses
-    return report
+                reasons.append("interior witness with nonzero shift")
+            return reasons, 0
+        if eq1 and not eq2:
+            reasons.append("rectangle hit without any witness")
+        return reasons, sum(1 for s in witnesses if s != (0, 0))
+
+    return interior, shifts, verdict
 
 
 def check_set_relation(
@@ -283,54 +280,83 @@ def check_set_relation(
     recovered from them; each witness carries an integer shift per axis which must
     lie in {-1, 0, 1}, and for interior targets must vanish (making the two
     conditions equivalent). Boundary targets only get the one-sided
-    implications plus the 3x3 rectangle containment. The verdict is
-    `_set_relation`'s, shared with exhaustive_relation_check.
+    implications plus the 3x3 rectangle containment. Every broken condition
+    of a sample is recorded. The verdict is `_relation_stage`'s, shared with
+    exhaustive_relation_check.
     """
     b = ifs.base
-
-    def points():
-        for word in samples:
-            if not word.is_periodic:
-                raise InsufficientDepthError("set-relation samples must be eventually periodic")
-            kx, ky = pair_value(word.pairs_up_to(n), b)
-            xs, ys, den, _ = word.shift(n).hull(b)
-            yield (word.preperiod, word.period), kx, ky, xs, ys, den
-
-    return _set_relation(ifs, target, schedule, n, "set-relation", points())
+    interior, shifts, verdict = _relation_stage(ifs, target, schedule, n)
+    report = CheckReport("set-relation", True, 0, details={"interior": interior})
+    nonzero_shift_witnesses = 0
+    for word in samples:
+        if not word.is_periodic:
+            raise InsufficientDepthError("set-relation samples must be eventually periodic")
+        kx, ky = pair_value(word.pairs_up_to(n), b)
+        xs, ys, den, _ = word.shift(n).hull(b)
+        report.checked += 1
+        reasons, nonzero = verdict(kx, ky, *shifts(xs, ys, den))
+        for reason in reasons:
+            _fail(report, word, reason)
+        nonzero_shift_witnesses += nonzero
+    report.details["nonzero_shift_witnesses"] = nonzero_shift_witnesses
+    return report
 
 
 def exhaustive_relation_check(
     ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int, depth: int
 ) -> CheckReport:
     """check_set_relation over every depth-`depth` prefix extended by a
-    constant tail (the lowest and highest pair of the digit set), with the
-    samples formed in plain integer arithmetic so exhaustive runs stay fast.
+    constant tail (the lowest and highest pair of the digit set).
 
     The constant-tail extensions matter: they include the words whose shifted
     point sits at a box boundary, where witness translates pick up a nonzero
     shift for boundary targets.
+
+    A verdict reads the first n pairs only as numerals and the rest of the
+    word only as its valid shifts, so it is formed once per head and class of
+    valid shifts and counted by the class size. Failures are rebuilt prefix
+    slowest, then the constant tail.
     """
     b = ifs.base
     require_enumerable(ifs, depth)
     if depth < n:
         raise InsufficientDepthError(f"depth {depth} below n = {n}")
+    interior, shifts, verdict = _relation_stage(ifs, target, schedule, n)
     # shifted coordinate of prefix + constant tail (alpha, beta):
     #   xs = ((b-1) * A' + alpha) / ((b-1) * b^(depth-n))
     # with A' the value of the last depth-n prefix digits
-    tail_mod = b ** (depth - n)
-    den = (b - 1) * tail_mod
+    den = (b - 1) * b ** (depth - n)
     digits = ifs.sorted_digits()
-    tails = [((t,), t.u, t.v) for t in sorted({digits[0], digits[-1]})]
+    ends = sorted({digits[0], digits[-1]})
 
-    def points():
-        for prefix in itertools.product(digits, repeat=depth):
-            xnum, ynum = pair_value(prefix, b)
-            kx, ax = divmod(xnum, tail_mod)
-            ky, ay = divmod(ynum, tail_mod)
-            for period, alpha, beta in tails:
-                yield (prefix, period), kx, ky, (b - 1) * ax + alpha, (b - 1) * ay + beta, den
+    def tails():
+        return itertools.product(itertools.product(digits, repeat=depth - n), ends)
 
-    return _set_relation(ifs, target, schedule, n, "set-relation-exhaustive", points())
+    classes: dict[tuple, int] = {}  # class of valid shifts -> its index
+    members = []  # the class index of each (tail, constant pair), in enumeration order
+    for tail, end in tails():
+        ax, ay = pair_value(tail, b)
+        key = shifts((b - 1) * ax + end.u, (b - 1) * ay + end.v, den)
+        members.append(classes.setdefault(key, len(classes)))
+    class_size = Counter(members)
+
+    report = CheckReport("set-relation-exhaustive", True, len(digits) ** n * len(members),
+                         details={"interior": interior})
+    nonzero_shift_witnesses = 0
+    for head in itertools.product(digits, repeat=n):
+        kx, ky = pair_value(head, b)
+        verdicts = [verdict(kx, ky, *key) for key in classes]
+        nonzero_shift_witnesses += sum(k * class_size[i] for i, (_, k) in enumerate(verdicts))
+        if not any(reasons for reasons, _ in verdicts):
+            continue
+        report.passed = False
+        for (tail, end), i in zip(tails(), members):
+            if len(report.failures) >= 20:
+                break
+            for reason in verdicts[i][0]:
+                _fail(report, DigitWord(head + tail, (end,)), reason)
+    report.details["nonzero_shift_witnesses"] = nonzero_shift_witnesses
+    return report
 
 
 # window enumeration: definition-style oracle versus pattern expansion
@@ -340,7 +366,10 @@ def brute_force_window_set(
     ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int
 ) -> set[tuple[DigitPair, ...]]:
     """Every length-xi(n) pair window passing the window conditions, found by
-    direct predicate evaluation over all of J^xi(n)."""
+    direct predicate evaluation over J^xi(n): the column condition once per
+    head (pairs 1..lam-1), the row condition once per distinct row string of
+    pairs 1..xi-1, the last pair free. Windows are added in lexicographic order.
+    """
     lam, xi = schedule.lam(n), schedule.xi(n)
     require_enumerable(ifs, xi)
     # looked up when called, so the oracle follows a patched shrinking predicate
@@ -349,12 +378,20 @@ def brute_force_window_set(
     tcols = target.col_digits(lam - 1)
     trows = target.row_digits(xi - 1)
     b = ifs.base
+    digits = ifs.sorted_digits()
+    rows_admissible: dict[tuple[int, ...], bool] = {}
     out = set()
-    for win in itertools.product(ifs.sorted_digits(), repeat=xi):
-        cols = tuple(p.u for p in win[: lam - 1])
-        rows = tuple(p.v for p in win[: xi - 1])
-        if axis_digits_admissible(b, tcols, cols) and axis_digits_admissible(b, trows, rows):
-            out.add(win)
+    for head in itertools.product(digits, repeat=lam - 1):
+        if not axis_digits_admissible(b, tcols, tuple(p.u for p in head)):
+            continue
+        head_rows = tuple(p.v for p in head)
+        for middle in itertools.product(digits, repeat=xi - lam):
+            rows = head_rows + tuple(p.v for p in middle)
+            if rows not in rows_admissible:
+                rows_admissible[rows] = axis_digits_admissible(b, trows, rows)
+            if rows_admissible[rows]:
+                body = head + middle
+                out.update(body + (last,) for last in digits)
     return out
 
 
@@ -488,9 +525,15 @@ class MeasureBuilder:
     def mass(self, kx: int, ky: int, level: int) -> Fraction:
         """Exact mass of the level-`level` cell with lower-left corner
         (kx, ky)/b^level: 1/sizes[level] inside the supports, else 0."""
+        return self.block_mass(range(kx, kx + 1), range(ky, ky + 1), level)
+
+    def block_mass(self, kxs: range, kys: range, level: int) -> Fraction:
+        """Exact mass of the level-`level` cells with corners (kx, ky)/b^level
+        over kxs x kys: the number of them inside the supports over sizes[level]."""
         if not 0 <= level <= self.depth:
             raise DepthTooLargeError(f"level {level} outside 0..{self.depth}")
-        inside = _in_supports(kx, ky, self.supports[:level], self.ifs.base)
+        supports, b = self.supports[:level], self.ifs.base
+        inside = sum(_in_supports(kx, ky, supports, b) for kx in kxs for ky in kys)
         return Fraction(inside, self.sizes[level])
 
     def mass_bound_holds(self, k: int) -> bool:
@@ -598,7 +641,7 @@ def holder_exponent_samples(
     """Mass decay exponents log(mass of ball) / log(radius).
 
     The ball of radius r meets at most nine grid cells at the matching
-    level; the ball mass is the exact sum of their masses.
+    level; the ball mass is their exact mass as one block (`block_mass`).
     """
     ifs = builder.ifs
     b = ifs.base
@@ -615,15 +658,12 @@ def holder_exponent_samples(
             level += 1
         for word in sample_points:
             x, y = word.point(b)
-            nu = Fraction(0)
             scale = b ** level
             kx_lo = max(0, math.ceil((x - r) * scale) - 1)
             kx_hi = min(scale - 1, math.floor((x + r) * scale))
             ky_lo = max(0, math.ceil((y - r) * scale) - 1)
             ky_hi = min(scale - 1, math.floor((y + r) * scale))
-            for kx in range(kx_lo, kx_hi + 1):
-                for ky in range(ky_lo, ky_hi + 1):
-                    nu += builder.mass(kx, ky, level)
+            nu = builder.block_mass(range(kx_lo, kx_hi + 1), range(ky_lo, ky_hi + 1), level)
             if nu == 0:
                 exponent = math.inf
             else:
@@ -692,8 +732,34 @@ def containment_reports(ifs, target, schedule, seed, n, samples, depth) -> list[
 
 
 def containment_exhaustive_reports(ifs, target, schedule, seed, n, depth) -> list[CheckReport]:
-    return [check(ifs, target, schedule, n, exhaustive_truncations(ifs, depth))
-            for check in (check_containment_forward, check_containment_backward)]
+    """Both containment checks over every depth-`depth` truncation. Their
+    verdicts read only the shift-n tail, so each check runs once per tail
+    behind the lowest prefix, its counts are multiplied by the |J|^n
+    prefixes, and its failures are rebuilt prefix slowest."""
+    digits = ifs.sorted_digits()
+    k = min(n, depth)
+    lowest, scale = (digits[0],) * k, len(digits) ** k
+
+    def tails() -> Iterator[DigitWord]:
+        require_enumerable(ifs, depth)
+        for tail in itertools.product(digits, repeat=depth - k):
+            yield DigitWord.truncation(lowest + tail)
+
+    reports = []
+    for check in (check_containment_forward, check_containment_backward):
+        report = check(ifs, target, schedule, n, tails())
+        report.checked *= scale
+        report.skipped *= scale
+        report.details = {key: count * scale for key, count in report.details.items()}
+        rebuilt = (
+            {"word": {"preperiod": [list(p) for p in prefix] + f["word"]["preperiod"][k:],
+                      "period": []},
+             "reason": f["reason"]}
+            for prefix in itertools.product(digits, repeat=k) for f in report.failures
+        )
+        report.failures = list(itertools.islice(rebuilt, 20))
+        reports.append(report)
+    return reports
 
 
 def set_relation_reports(
@@ -716,6 +782,22 @@ def cover_reports(ifs, target, schedule, seed, n, j) -> list[CheckReport]:
                         details={"boxes": boxes, "bound": bound})]
 
 
+def _supports_follow_spines(builder: MeasureBuilder) -> bool:
+    """The level half of measure-normalization. Past each break point n_k the
+    first lam(n_k) + 2 levels must carry exactly {spine pair} and the rest of
+    the spine that pair's row; every other level carries the digit set, and
+    every spine pair is in it. Then each level's masses sum to 1."""
+    ifs = builder.ifs
+    prescribed = {}
+    for n_k, spine in builder.spines.items():
+        lam = builder.schedule.lam(n_k)
+        for i, p in enumerate(spine):
+            prescribed[n_k + i] = frozenset((p,)) if i < lam + 2 else ifs.row_set(p.v)
+    return all(p in ifs.digits for spine in builder.spines.values() for p in spine) and all(
+        support == prescribed.get(i, ifs.digits) for i, support in enumerate(builder.supports)
+    )
+
+
 def measure_reports(
     ifs, target, schedule, seed, break_points, delta, holder_slack
 ) -> list[CheckReport]:
@@ -723,13 +805,12 @@ def measure_reports(
     exponents past each break point n_k against (1 - 1/delta) s_{n_k} -
     holder_slack, at three support words and every radius b^-m past n_0."""
     builder = build_lower_bound_measure(ifs, target, schedule, break_points, delta)
-    # a level's masses sum to 1 exactly when its support is nonempty
-    level_ok = all(builder.supports)
+    level_ok = _supports_follow_spines(builder)
     bound_ok = all(builder.mass_bound_holds(k) for k in range(len(break_points)))
     norm = CheckReport("measure-normalization", level_ok and bound_ok, builder.depth,
                        details={"depth": builder.depth, "mass_bounds": bound_ok})
     if not level_ok:
-        norm.failures.append({"reason": "level sum differs from 1"})
+        norm.failures.append({"reason": "level support differs from the construction"})
     if not bound_ok:
         norm.failures.append({"reason": "point-phase mass bound violated"})
     rng = random.Random(seed)

@@ -51,6 +51,14 @@ class DigitWord:
         object.__setattr__(self, "period", per)
 
     @classmethod
+    def _minimal(cls, preperiod: tuple[DigitPair, ...], period: tuple[DigitPair, ...]) -> "DigitWord":
+        """A word from parts already in minimal form, not normalised again."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "preperiod", preperiod)
+        object.__setattr__(word, "period", period)
+        return word
+
+    @classmethod
     def periodic(cls, preperiod: Iterable[tuple[int, int]], period: Iterable[tuple[int, int]]) -> "DigitWord":
         per = tuple(period)
         if not per:
@@ -107,17 +115,19 @@ class DigitWord:
     # dynamics and projection
 
     def shift(self, n: int) -> "DigitWord":
-        """Drop the first n pairs."""
+        """Drop the first n pairs. The result is minimal as it stands: a
+        suffix of the preperiod keeps its last pair, and a rotation of a
+        primitive period is primitive."""
         if n < 0:
             raise ValueError("shift must be nonnegative")
         p = len(self.preperiod)
         if n <= p:
-            return DigitWord(self.preperiod[n:], self.period)
+            return DigitWord._minimal(self.preperiod[n:], self.period)
         if not self.period:
             raise InsufficientDepthError(f"cannot shift a depth-{p} truncation by {n}")
         q = len(self.period)
         off = (n - p) % q
-        return DigitWord((), self.period[off:] + self.period[:off])
+        return DigitWord._minimal((), self.period[off:] + self.period[:off])
 
     def hull(self, base: int) -> tuple[int, int, int, int]:
         """Integer hull (x, y, den, width) of the projection: the square

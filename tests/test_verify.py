@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -93,6 +94,13 @@ class TestContainment:
         rep_b = check_containment_backward(corner, corner_origin, linear12, 2, words)
         assert rep_f.passed and rep_b.passed
         assert rep_f.details["inside"] > 0
+
+    def test_exhaustive_at_depth_nine(self, vicsek, origin, linear12):
+        # 5^9 words, checked once per tail behind the 5^3 prefixes
+        rep_f, rep_b = verify.containment_exhaustive_reports(vicsek, origin, linear12, 0, 3, 9)
+        assert rep_f.passed and rep_b.passed
+        assert rep_f.checked == 5 ** 9
+        assert rep_f.details["inside"] > 0 and rep_b.details["window_hits"] == rep_b.checked > 0
 
 
 class TestSetRelation:
@@ -322,6 +330,26 @@ class TestMeasure:
         for k in range(2):
             n_k = measure.break_points[k]
             assert Fraction(1, measure.sizes[n_k]) == _point_phase_mass_explicit(measure, k)
+
+    @pytest.mark.parametrize("level", ["point-phase", "row-phase", "uniform"])
+    def test_normalization_fails_on_a_corrupted_builder(self, vicsek, linear12, monkeypatch, level):
+        # each corruption keeps every support nonempty and the sizes consistent
+        def corrupted(*args):
+            builder = build_lower_bound_measure(*args)
+            n_k = builder.break_points[0]
+            i = {"point-phase": n_k, "row-phase": n_k + linear12.lam(n_k) + 2, "uniform": 0}[level]
+            pair = min(builder.supports[i])
+            swap = {"point-phase": vicsek.row_set(pair.v), "row-phase": frozenset((pair,)),
+                    "uniform": frozenset((pair,))}[level]
+            builder.supports[i] = swap
+            builder.sizes[:] = itertools.accumulate(map(len, builder.supports), operator.mul, initial=1)
+            return builder
+
+        monkeypatch.setattr(verify, "build_lower_bound_measure", corrupted)
+        origin = make_target(vicsek, 0, 0)
+        norm = verify.measure_reports(vicsek, origin, linear12, 0, [3, 17], 2, 0.05)[0]
+        assert not norm.passed
+        assert {"reason": "level support differs from the construction"} in norm.failures
 
     def test_mass_bound_holds(self, measure):
         assert measure.mass_bound_holds(0)
