@@ -313,12 +313,13 @@ def alternating_block_word(block_base: int = 4, depth: int = 16384) -> DigitWord
     """
     if block_base < 2:
         raise ValueError("block base must be >= 2")
-    digits = []
-    j = 0
-    for i in range(1, depth + 1):
-        while block_base ** (j + 1) <= i:
-            j += 1
-        digits.append((0, 0) if j % 2 == 0 else (0, 2))
+    pairs = (DigitPair(0, 0), DigitPair(0, 2))
+    digits: list[DigitPair] = []
+    start, j = 1, 0
+    while start <= depth:
+        stop = min(start * block_base, depth + 1)
+        digits += [pairs[j % 2]] * (stop - start)
+        start, j = stop, j + 1
     return DigitWord.truncation(digits)
 
 
@@ -328,12 +329,12 @@ def target_from_word(ifs: GridIFS, word: DigitWord) -> TargetSpec:
     This path exists for exotic targets, e.g. block constructions given as
     deep truncations, which have no eventually periodic form.
     """
-    check_to = len(word.preperiod) + len(word.period)
-    for i in range(1, check_to + 1):
-        if word.pair_at(i) not in ifs.digits:
-            raise InadmissiblePairError(
-                f"target digit {tuple(word.pair_at(i))} at position {i} not in the digit set"
-            )
+    pairs = word.preperiod + word.period  # positions 1..L+p cover every pair
+    if not ifs.digits.issuperset(pairs):
+        i, bad = next((i, p) for i, p in enumerate(pairs, 1) if p not in ifs.digits)
+        raise InadmissiblePairError(
+            f"target digit {tuple(bad)} at position {i} not in the digit set"
+        )
     if word.is_periodic:
         freqs = tuple(sorted(digit_frequencies(ifs, word).items()))
         return TargetSpec(word, freqs, word.point(ifs.base))

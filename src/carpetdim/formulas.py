@@ -103,8 +103,24 @@ def closed_form_for(
         if w_val not in (0, 1):
             return None
         source = CLOSED_FORM_ZERO_ROW if w_val == 0 else CLOSED_FORM_TOP_ROW
-    value, branch = closed_form_dimension(
-        ifs.attractor_dimension(), frequency_slice_value(ifs, freqs),
-        schedule.params["lam"], schedule.params["xi"],
+    lam, xi = schedule.params["lam"], schedule.params["xi"]
+    value, _ = closed_form_dimension(
+        ifs.attractor_dimension(), frequency_slice_value(ifs, freqs), lam, xi
     )
-    return value, branch, source
+    return value, _exact_branch(ifs, freqs, lam, xi), source
+
+
+def _exact_branch(ifs: GridIFS, freqs: dict[int, Fraction], lam, xi) -> str:
+    """The branch attaining the closed form, decided exactly.
+
+    Times log b, the lambda branch less the xi branch is
+    (xi - lam) (log #J - (1 + lam) sum_a f_a log r_a): a rational
+    combination of prime logs, whose exponent vector is scaled to integers
+    for `GridIFS.log_sign`.
+    """
+    lam, xi = Fraction(lam), Fraction(xi)
+    slice_counts = [-(1 + lam) * freqs.get(a, 0) for a in range(ifs.base)]
+    w = [(xi - lam) * Fraction(e) for e in ifs.exponents(slice_counts, 1)]
+    scale = math.lcm(*(e.denominator for e in w))
+    sign = ifs.log_sign([int(e * scale) for e in w])
+    return BOTH_BRANCHES if sign == 0 else XI_BRANCH if sign > 0 else LAMBDA_BRANCH

@@ -93,6 +93,18 @@ class GridIFS:
             for e, col in zip(self._size_exps, self._row_exps)
         ]
 
+    def log_sign(self, w: Sequence[int]) -> int:
+        """Sign of sum_p w_p log p over `primes`, exactly: the sign of
+        prod_p p^w_p - 1, comparing the positive and the negative powers as
+        big integers. The logs of distinct primes are linearly independent
+        over Q, so only w = 0 gives 0, found in O(#primes) without any powers.
+        """
+        if not any(w):
+            return 0
+        gain = math.prod(p**x for p, x in zip(self.primes, w) if x > 0)
+        loss = math.prod(p**-x for p, x in zip(self.primes, w) if x < 0)
+        return (gain > loss) - (gain < loss)
+
     def row_product(self, counts: Sequence[int]) -> int:
         """The product of row_size(a)^counts[a]."""
         return math.prod(map(pow, self._row_sizes, counts))

@@ -40,10 +40,14 @@ class RateSchedule:
         return v
 
     def xi(self, n: int) -> int:
-        v = self.xi_fn(n)
-        if v < self.lam(n):
-            raise InvalidRatesError(f"xi({n}) = {v} below lam({n}) = {self.lam(n)}")
-        return v
+        return self.window(n)[1]
+
+    def window(self, n: int) -> tuple[int, int]:
+        """(lam(n), xi(n)), each evaluated once."""
+        lam, xi = self.lam(n), self.xi_fn(n)
+        if xi < lam:
+            raise InvalidRatesError(f"xi({n}) = {xi} below lam({n}) = {lam}")
+        return lam, xi
 
     @classmethod
     def linear(cls, lam, xi) -> "RateSchedule":

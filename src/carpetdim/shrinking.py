@@ -19,7 +19,7 @@ over a few small primes (`GridIFS.primes`), so each comparison is the sign
 of an integer linear form sum_p w_p log p. The logs of distinct primes are
 linearly independent over Q, so w = 0 is an exact tie, found in O(#primes);
 any other w is decided by comparing two big-integer prime powers (see
-`_log_sign`).
+`GridIFS.log_sign`).
 
 Every reader of a stage (exponent, row-count surface, agreement length,
 verify constructions) builds one `StageKernel` per stage. The target's digits
@@ -28,10 +28,16 @@ passes (`_target_rows`): `dimension_report` sizes it for its deepest window
 D, and a deeper window grows it by doubling. From it a stage finds its
 patterns in O(log D): each axis has at most one deviation down and one up,
 each one bisection on a running count, after the exact pattern, which copies
-the target and so always meets the window. The kernel then gives the best
-row counts at any depth j in O(b) per pattern, so a stage's whole surface
-row j = lam..xi costs O(xi) in Python, and its float depth scan is one
-C-level pass over the window (`StageKernel.argmin`).
+the target and so always meets the window. A pattern is its deviation
+position and sign, never a digit string, and its realizability is O(1)
+running-count differences. The kernel then gives the best row counts at any
+depth j in O(b) per pattern, so a stage's whole surface row j = lam..xi
+costs O(xi) in Python. The minimisation over j does not read the whole
+surface: below the first deviation every pattern copies the target, and on
+a periodic stretch the quotient is monotone along each residue class of j,
+so only the O(period) class ends are ranked (`StageKernel.argmin`). Only
+the depths from the first deviation on are ranked one by one; for the
+shipped periodic targets that is a few depths at the end of the window.
 """
 
 from __future__ import annotations
@@ -39,9 +45,10 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import accumulate, compress, islice, repeat
-from typing import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate, chain, compress, islice, repeat
+from typing import Iterator, Sequence
 
 from .coding import TargetSpec
 from .errors import ScheduleError
@@ -58,16 +65,45 @@ TAIL_FRACTION = 0.2
 
 @dataclass(frozen=True)
 class WindowPattern:
-    """Forced digit string on one axis of a stage window.
+    """Forced digits on one axis of a stage window, as a deviation against
+    the target: the target's digits on the constrained positions 1..last,
+    left at `deviate_pos` by `deviate_sign` and followed by the carry tail
+    (b-1 after a step down, 0 after a step up). The exact pattern, which
+    copies the target, has None in both.
 
-    `digits` covers window positions 1..L-1 (position L is unconstrained).
-    Deviating patterns record where and in which direction they leave the
-    target's digits; the exact pattern, which copies them, has None in both.
+    A pattern holds its axis's target digits by reference, so it costs O(1)
+    however long the window is; the whole string `digits` is derived on
+    first use and kept.
     """
 
     deviate_pos: int | None
     deviate_sign: int | None
-    digits: tuple[int, ...]
+    last: int
+    _target: tuple[int, ...] = field(compare=False, repr=False)
+    _base: int = field(compare=False, repr=False)
+
+    @property
+    def deviate_digit(self) -> int:
+        return self._target[self.deviate_pos - 1] + self.deviate_sign
+
+    @property
+    def tail_digit(self) -> int:
+        return self._base - 1 if self.deviate_sign < 0 else 0
+
+    def digit_at(self, i: int) -> int:
+        """The digit at constrained position i."""
+        p = self.deviate_pos
+        if p is None or i < p:
+            return self._target[i - 1]
+        return self.deviate_digit if i == p else self.tail_digit
+
+    @cached_property
+    def digits(self) -> tuple[int, ...]:
+        """The digits at positions 1..last."""
+        t, p = self._target, self.deviate_pos
+        if p is None:
+            return t[: self.last]
+        return t[: p - 1] + (self.deviate_digit,) + (self.tail_digit,) * (self.last - p)
 
 
 def axis_window_patterns(
@@ -105,7 +141,7 @@ def _run_counts(digits: Sequence[int], top: int) -> tuple[list[int], list[int]]:
 
 
 def _axis_patterns(
-    base: int, digits: Sequence[int], counts: tuple[list[int], list[int]], last: int
+    base: int, digits: tuple[int, ...], counts: tuple[list[int], list[int]], last: int
 ) -> list[WindowPattern]:
     """The patterns of an axis whose constrained positions 1..last carry the
     target digits digits[:last], given their `_run_counts`: the exact
@@ -118,16 +154,13 @@ def _axis_patterns(
     one: the first position whose nonzero count reaches that of `last`, one
     bisection. A deviation up is found the same way on the (b-1)-run.
     """
-    t = digits[:last]
     nonzero, nontop = counts
     down = bisect_left(nonzero, nonzero[last], 0, last)
     up = bisect_left(nontop, nontop[last], 0, last)
-    pats = [WindowPattern(None, None, t)]
+    pats = [WindowPattern(None, None, last, digits, base)]
     for p, sign in [(up, +1), (down, -1)] if up > down else [(down, -1), (up, +1)]:
         if p:
-            tail = base - 1 if sign < 0 else 0
-            forced = t[: p - 1] + (t[p - 1] + sign,) + (tail,) * (last - p)
-            pats.append(WindowPattern(p, sign, forced))
+            pats.append(WindowPattern(p, sign, last, digits, base))
     return pats
 
 
@@ -150,7 +183,7 @@ def window_hit(
     The target's numerals are formed once per stage and kept on the target,
     since a containment check asks for them once per sample word.
     """
-    lam, xi = schedule.lam(n), schedule.xi(n)
+    lam, xi = schedule.window(n)
     b = ifs.base
     wx, wy = pair_value(word.pairs_up_to(n + xi)[n : n + xi - 1], b)
     known = target._numerals
@@ -161,13 +194,6 @@ def window_hit(
     return abs(wx // cut - tx // cut) <= 1 and abs(wy - ty) <= 1
 
 
-def _paired(ifs: GridIFS, h: WindowPattern, v: WindowPattern, start: int = 0) -> bool:
-    """Do the two axis patterns form pairs of J wherever both are constrained,
-    from window position start + 1 on?"""
-    pairs = zip(islice(h.digits, start, None), islice(v.digits, start, None))
-    return all(map(ifs.digits.__contains__, pairs))
-
-
 class _TargetRows:
     """A target's digits over positions 1..depth, with the running counts the
     stage path reads, each built by one C-level pass:
@@ -176,7 +202,8 @@ class _TargetRows:
     - `col_runs`, `row_runs`: their `_run_counts`;
     - `prefix[a][k]`: rows equal to a among positions 1..k;
     - `logsum[k]`: the float sum of the row logs over positions 1..k;
-    - `row_logs[a]`: the log of row size a.
+    - `row_logs[a]`: the log of row size a;
+    - the counts behind `tail_fits`, built on first use.
     """
 
     def __init__(self, ifs: GridIFS, target: TargetSpec, depth: int):
@@ -192,6 +219,19 @@ class _TargetRows:
         ]
         self.row_logs = tuple(map(ifs.row_log, range(ifs.base)))
         self.logsum = list(accumulate(map(self.row_logs.__getitem__, self.rows), initial=0.0))
+        self._fits: dict[tuple[int, bool], list[int]] = {}
+
+    def tail_fits(self, c: int, vertical: bool, start: int, end: int) -> bool:
+        """Does the constant digit c, on the vertical axis when `vertical` is
+        set and on the horizontal one otherwise, pair into J with the
+        target's digit on the other axis at every position start..end? One
+        difference of running counts, kept per (c, axis)."""
+        fits = self._fits.get((c, vertical))
+        if fits is None:
+            pairs = zip(self.cols, repeat(c)) if vertical else zip(repeat(c), self.rows)
+            fits = list(accumulate(map(self.ifs.digits.__contains__, pairs), initial=0))
+            self._fits[c, vertical] = fits
+        return fits[end] - fits[start - 1] == end - start + 1
 
 
 def _target_rows(ifs: GridIFS, target: TargetSpec, upto: int) -> _TargetRows:
@@ -215,59 +255,63 @@ def _target_rows(ifs: GridIFS, target: TargetSpec, upto: int) -> _TargetRows:
     return table
 
 
-def _stage_patterns(
-    ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int
-) -> tuple[list[WindowPattern], list[WindowPattern], list[WindowPattern]]:
-    """Axis patterns of stage n plus the jointly realizable vertical ones.
+def _paired(ifs: GridIFS, table: _TargetRows, h: WindowPattern, v: WindowPattern) -> bool:
+    """Do the two axis patterns form pairs of J on every position where both
+    are constrained (1..h.last)?
 
-    A vertical pattern is realizable when its rows are inhabited beyond the
-    horizontal window and some horizontal pattern pairs with it inside. The
-    exact pattern always is: it pairs with the exact horizontal pattern into
-    the target's own pairs, which `target_from_word` checked against J. So
-    the realizable list is never empty and starts with the exact pattern.
+    Before its deviation each pattern copies the target, whose pairs are in
+    J, so only the positions from the first deviation on are read: each
+    deviation position as one pair, and the run after it as one pair when
+    both patterns are on their tails, or as one `tail_fits` test when one
+    tail meets the target's digits on the other axis.
     """
-    lam, xi = schedule.lam(n), schedule.xi(n)
-    # a short truncation fails naming the first depth it lacks: lam - 1, then xi - 1
-    target.word.require_depth(lam - 1)
-    target.word.require_depth(xi - 1)
-    table = _target_rows(ifs, target, xi - 1)
-    hpats = _axis_patterns(ifs.base, table.cols, table.col_runs, lam - 1)
-    vpats = _axis_patterns(ifs.base, table.rows, table.row_runs, xi - 1)
-    realizable = vpats[:1] + [v for v in vpats[1:] if _deviation_realizable(ifs, hpats, v, lam)]
-    return hpats, vpats, realizable
+    last, hp, vp = h.last, h.deviate_pos, v.deviate_pos
+    cuts = sorted({p for p in (hp, vp) if p is not None and p <= last})
+    for k, s in enumerate(cuts):
+        if (h.digit_at(s), v.digit_at(s)) not in ifs.digits:
+            return False
+        end = cuts[k + 1] - 1 if k + 1 < len(cuts) else last
+        if s == end:
+            continue
+        h_tail, v_tail = hp is not None and hp <= s, vp is not None and vp <= s
+        if h_tail and v_tail:
+            fits = (h.tail_digit, v.tail_digit) in ifs.digits
+        elif h_tail:
+            fits = table.tail_fits(h.tail_digit, False, s + 1, end)
+        else:
+            fits = table.tail_fits(v.tail_digit, True, s + 1, end)
+        if not fits:
+            return False
+    return True
 
 
 def _deviation_realizable(
-    ifs: GridIFS, hpats: list[WindowPattern], v: WindowPattern, lam: int
+    ifs: GridIFS, table: _TargetRows, hpats: list[WindowPattern], v: WindowPattern, lam: int
 ) -> bool:
-    """Realizability of a deviating vertical pattern. Before its deviation
-    position p it copies the target, so only the deviating digit and the
-    tail digit can name an empty row, and a horizontal pattern only has to
-    pair with it from the first position where either of them deviates."""
-    p, last = v.deviate_pos, len(v.digits)
-    if p >= lam and not ifs.row_size(v.digits[p - 1]):
+    """Realizability of a deviating vertical pattern: its deviating digit and
+    its tail digit name inhabited rows wherever they lie in lam..last (it
+    copies the target's rows before), and some horizontal pattern pairs with
+    it below lam."""
+    p, last = v.deviate_pos, v.last
+    if p >= lam and not ifs.row_size(v.deviate_digit):
         return False
-    if max(p + 1, lam) <= last and not ifs.row_size(v.digits[-1]):
+    if max(p + 1, lam) <= last and not ifs.row_size(v.tail_digit):
         return False
-    return any(_paired(ifs, h, v, min(p, h.deviate_pos or lam) - 1) for h in hpats)
+    return any(_paired(ifs, table, h, v) for h in hpats)
 
 
-def _log_sign(ifs: GridIFS, w: Sequence[int]) -> int:
-    """Sign of sum_p w_p log p over `ifs.primes`, exactly: the sign of
-    prod_p p^w_p - 1, comparing the positive and the negative powers as big
-    integers. The logs of distinct primes are linearly independent over Q,
-    so only w = 0 gives 0, found in O(#primes) without any powers.
-    """
-    if not any(w):
-        return 0
-    gain = math.prod(p**x for p, x in zip(ifs.primes, w) if x > 0)
-    loss = math.prod(p**-x for p, x in zip(ifs.primes, w) if x < 0)
-    return (gain > loss) - (gain < loss)
+def _stage_patterns(
+    ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int
+) -> tuple[list[WindowPattern], list[WindowPattern], list[WindowPattern]]:
+    """The horizontal and vertical axis patterns of stage n, then the
+    realizable vertical ones (see `StageKernel`)."""
+    kernel = StageKernel(ifs, target, schedule, n)
+    return kernel.hpats, kernel.vpats, kernel.patterns
 
 
 def _product_exceeds(ifs: GridIFS, c1: Sequence[int], c2: Sequence[int]) -> bool:
     """Is the row product of c1 larger than that of c2? Exact."""
-    return _log_sign(ifs, ifs.exponents(list(map(operator.sub, c1, c2)))) > 0
+    return ifs.log_sign(ifs.exponents(list(map(operator.sub, c1, c2)))) > 0
 
 
 def _depth_sign(
@@ -280,37 +324,51 @@ def _depth_sign(
     (n + j2) log N1 - (n + j1) log N2 = sum_p w_p log p with
     w = (n + j2) x1 - (n + j1) x2.
     """
-    return _log_sign(ifs, [(n + j2) * a - (n + j1) * c for a, c in zip(x1, x2)])
+    return ifs.log_sign([(n + j2) * a - (n + j1) * c for a, c in zip(x1, x2)])
 
 
 class StageKernel:
     """One stage's window, answering every depth j from a single build.
 
-    Holds the realizable vertical patterns of `_stage_patterns`, each as four
-    parts: the target's row digits up to its deviation position p (the exact
-    pattern deviates at xi, past the window), the deviating digit, the
-    constant carry tail, and the free row that fills depths beyond xi - 1.
-    The target's table (`_target_rows`, built in O(b D)) gives
-    the patterns in O(log D) and a pattern's exact row-count vector at any
-    depth in O(b); `argmin` ranks the depths by one C-level pass over the
-    window. Counts leave the kernel as plain tuples, and the `GridIFS`
-    methods turn them into values.
+    Holds the stage's axis patterns `hpats` and `vpats` and the realizable
+    vertical ones, `patterns`. A vertical pattern is realizable when its rows
+    are inhabited beyond the horizontal window and some horizontal pattern
+    pairs with it inside. The exact pattern always is: it pairs with the
+    exact horizontal pattern into the target's own pairs, which
+    `target_from_word` checked against J. So `patterns` is never empty and
+    starts with the exact pattern.
+
+    Each realizable pattern is kept as three parts: its deviation position p
+    (the exact pattern deviates at xi, past the window), the deviating digit
+    and the constant carry tail; before p it copies the target's rows, and
+    the free row fills depths beyond xi - 1. The target's table
+    (`_target_rows`, built in O(b D)) gives the patterns in O(log D), their
+    realizability in O(1) each, and a pattern's exact row-count vector at
+    any depth in O(b). `argmin` ranks O(period) depths below the first
+    deviation of a periodic target, and every depth from there on. Counts
+    leave the kernel as plain tuples, and the `GridIFS` methods turn them
+    into values.
     """
 
     def __init__(self, ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int):
-        lam, xi = schedule.lam(n), schedule.xi(n)
-        hpats, _, realizable = _stage_patterns(ifs, target, schedule, n)
+        lam, xi = schedule.window(n)
+        word = target.word
+        # a short truncation fails naming the first depth it lacks: lam - 1, then xi - 1
+        word.require_depth(lam - 1)
+        word.require_depth(xi - 1)
+        table = _target_rows(ifs, target, xi - 1)
         self.ifs, self.n, self.lam, self.xi = ifs, n, lam, xi
-        self.hpats = hpats
-        self.patterns = realizable
-        top = ifs.base - 1
-        self._parts = [
-            (xi, 0, 0) if v.deviate_pos is None
-            else (v.deviate_pos, v.digits[v.deviate_pos - 1], top if v.deviate_sign < 0 else 0)
-            for v in realizable
+        self.hpats = _axis_patterns(ifs.base, table.cols, table.col_runs, lam - 1)
+        self.vpats = _axis_patterns(ifs.base, table.rows, table.row_runs, xi - 1)
+        self.patterns = self.vpats[:1] + [
+            v for v in self.vpats[1:] if _deviation_realizable(ifs, table, self.hpats, v, lam)
+        ]
+        self._parts = [(xi, 0, 0)] + [
+            (v.deviate_pos, v.deviate_digit, v.tail_digit) for v in self.patterns[1:]
         ]
         self.first_deviation = min(p for p, _, _ in self._parts)
-        self._table = _target_rows(ifs, target, xi - 1)
+        self._table = table
+        self._cycle = (len(word.preperiod), len(word.period)) if word.is_periodic else None
         self._n_log_j = n * math.log(len(ifs.digits))
         self._log_b = math.log(ifs.base)
 
@@ -321,7 +379,7 @@ class StageKernel:
 
     def partners(self, v: WindowPattern) -> list[WindowPattern]:
         """Horizontal patterns that pair with the vertical pattern v."""
-        return [h for h in self.hpats if _paired(self.ifs, h, v)]
+        return [h for h in self.hpats if _paired(self.ifs, self._table, h, v)]
 
     def counts(self, idx: int, j: int) -> tuple[int, ...]:
         """Row-digit counts of pattern idx over window positions lam..j."""
@@ -351,37 +409,80 @@ class StageKernel:
                 best_idx, best = idx, c
         return self.patterns[best_idx], best
 
+    def _stretch(self, end: int) -> list[range]:
+        """The depths of lam..end that `argmin` ranks below the first
+        deviation, as ascending ranges: for a periodic target of preperiod L
+        and period p, every depth below max(lam, L) + p and the last p
+        depths; for a truncation, all of them."""
+        lam = self.lam
+        if self._cycle is None:
+            return [range(lam, end + 1)]
+        pre, period = self._cycle
+        first = max(lam, pre) + period
+        return [range(lam, min(end + 1, first)), range(max(first, end - period + 1), end + 1)]
+
+    def _row_logs(self, idx: int, start: int, last: int) -> Iterator[float]:
+        """The row logs of pattern idx at window positions start..last."""
+        p, dev, tail = self._parts[idx]
+        logs = self._table.row_logs
+        return chain(
+            map(logs.__getitem__, self._table.rows[start - 1 : min(p - 1, last)]),
+            [logs[dev]] if start <= p <= last else (),
+            repeat(logs[tail], last - max(p, start - 1)),
+        )
+
     def argmin(self, upto: int) -> tuple[int, tuple[int, ...]]:
         """The depth j in lam..upto (lam when upto < lam) minimising the stage
         quotient, and its best counts.
 
-        Float row-log sums rank the depths in one pass; every depth within
-        `_TIE_EPS` of the float minimum is settled exactly by `_depth_sign`,
-        in ascending order, so exact ties go to the smallest j.
+        Let g = max(first_deviation, lam). Below g every pattern copies the
+        target, so with S the target's row-log prefix sum the quotient at j
+        is (C + S(j)) / ((n + j) log b) for one C per stage. For a periodic
+        target of preperiod L and period p, S(j + p) = S(j) + sigma once
+        j >= L, so along each residue class of j mod p in max(lam, L)..g-1
+        the quotient is a ratio of two affine functions of the class index:
+        monotone, or constant. Only the two ends of a class can win, and a
+        constant class's first depth is one of them, so `_stretch` ranks
+        only the depths below max(lam, L) + p and the last p depths below g.
+        From g to upto each pattern sums its own row logs, and every depth
+        is ranked.
+
+        The floats are the target's `logsum` differences below g and the
+        running sums from g. Every ranked depth within `_TIE_EPS` of their
+        minimum is settled exactly by `_depth_sign`, in ascending order, so
+        exact ties go to the smallest j.
         """
         ifs, n, lam, xi = self.ifs, self.n, self.lam, self.xi
         upto = max(upto, lam)
         logsum = self._table.logsum
-        # a[k] is the float A(lam - 1 + k), the largest weighted row count of
-        # the window rows lam..lam - 1 + k. Below g every pattern copies the
-        # target's rows; from g on each pattern sums its own.
+        origin = logsum[lam - 1]
         g = max(self.first_deviation, lam)
-        a = list(map(operator.sub, islice(logsum, lam - 1, g), repeat(logsum[lam - 1])))
-        row_log = self._table.row_logs.__getitem__
-        sums = [
-            accumulate(map(row_log, islice(v.digits, g - 1, xi - 1)), initial=a[-1])
-            for v in self.patterns
-        ]
-        del a[-1]
-        a += map(max, *sums) if len(sums) > 1 else sums[0]
-        a.append(a[-1] + math.log(ifs.max_row_size))  # depth xi adds one free row
+        stretch = self._stretch(min(g - 1, upto))
+        depths = list(chain.from_iterable(stretch))
+        # a[i] is the float weighted row count at depths[i]
+        a = list(chain.from_iterable(
+            map(operator.sub, logsum[r.start : r.stop], repeat(origin)) for r in stretch
+        ))
+        if upto >= g:
+            last = min(upto, xi - 1)
+            sums = [
+                accumulate(self._row_logs(idx, g, last), initial=logsum[g - 1] - origin)
+                for idx in range(len(self._parts))
+            ]
+            # merged[k] is the largest weighted row count at depth g - 1 + k
+            merged = list(map(max, *sums)) if len(sums) > 1 else list(sums[0])
+            depths += range(g, last + 1)
+            a += islice(merged, 1, None)
+            if upto >= xi:  # depth xi adds one free row
+                depths.append(xi)
+                a.append(merged[-1] + math.log(ifs.max_row_size))
         quotients = list(map(
             operator.truediv,
-            map(self._n_log_j.__add__, islice(a, 1, upto - lam + 2)),
-            map(self._log_b.__rmul__, range(n + lam, n + upto + 1)),
+            map(self._n_log_j.__add__, a),
+            map(self._log_b.__rmul__, map(n.__add__, depths)),
         ))
         limit = min(quotients) + _TIE_EPS
-        near = compress(range(lam, upto + 1), map(limit.__gt__, quotients))
+        near = compress(depths, map(limit.__gt__, quotients))
         best_j, best_vec = next(near), None
         for j in near:
             if best_vec is None:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from carpetdim.errors import (
     DegenerateExpansionError,
     EmptyCandidateSetError,
     FiniteTruncationError,
+    InadmissiblePairError,
     NotInAttractorError,
     UndecidableDominanceError,
 )
@@ -250,3 +252,30 @@ class TestTargets:
         assert [tuple(w.pair_at(i)) for i in (4, 15)] == [(0, 2), (0, 2)]
         assert [tuple(w.pair_at(i)) for i in (16, 63)] == [(0, 0), (0, 0)]
         assert tuple(w.pair_at(64)) == (0, 2)
+
+    @pytest.mark.parametrize("block_base", [2, 3, 4, 5])
+    def test_block_word_matches_the_per_position_loop(self, block_base):
+        for depth in [*range(1, 101), 16384]:
+            assert alternating_block_word(block_base, depth) == _ref_block_word(block_base, depth)
+
+    @pytest.mark.parametrize("word, message", [
+        (DigitWord.truncation([(0, 0), (0, 2), (1, 1), (2, 2)]),
+         "target digit (1, 1) at position 3 not in the digit set"),
+        (DigitWord.periodic([(0, 0)], [(2, 0), (2, 2), (1, 1)]),
+         "target digit (2, 2) at position 3 not in the digit set"),
+        (DigitWord.periodic([], [(1, 2)]), "target digit (1, 2) at position 1 not in the digit set"),
+    ])
+    def test_inadmissible_target_names_its_first_bad_position(self, corner, word, message):
+        with pytest.raises(InadmissiblePairError, match=f"^{re.escape(message)}$"):
+            target_from_word(corner, word)
+
+
+def _ref_block_word(block_base, depth):
+    """`alternating_block_word` position by position, as it was first written."""
+    digits = []
+    j = 0
+    for i in range(1, depth + 1):
+        while block_base ** (j + 1) <= i:
+            j += 1
+        digits.append((0, 0) if j % 2 == 0 else (0, 2))
+    return DigitWord.truncation(digits)

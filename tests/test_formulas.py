@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carpetdim import (
     DigitWord,
@@ -178,3 +180,40 @@ class TestClosedFormRouting:
     def test_truncation_target_gets_none(self, corner):
         target = target_from_word(corner, alternating_block_word(depth=64))
         assert closed_form_for(corner, target, RateSchedule.linear(1, 2)) is None
+
+    def test_exact_branch_tie_is_both(self):
+        # base 25 with five pairs in every row: both branches are exactly 1/2
+        ifs = validate_ifs(25, [(u, v) for u in range(5) for v in range(25)])
+        got = closed_form_for(ifs, make_target(ifs, 0, 0), RateSchedule.linear(2, 3))
+        assert got == (0.5, "both", "zero-row-target")
+
+
+@st.composite
+def closed_form_cases(draw):
+    b = draw(st.integers(min_value=2, max_value=4))
+    cells = [(u, v) for u in range(b) for v in range(b)]
+    size = draw(st.integers(min_value=2, max_value=b * b - 1))
+    ifs = validate_ifs(b, draw(st.permutations(cells))[:size])
+    digits = sorted(ifs.digits)
+    per = draw(st.lists(st.sampled_from(digits), min_size=1, max_size=4))
+    target = target_from_word(ifs, DigitWord.periodic([], per))
+    lam = Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    xi = lam + Fraction(draw(st.integers(0, 4)), draw(st.integers(1, 3)))
+    return ifs, target, RateSchedule.linear(lam, xi)
+
+
+@given(closed_form_cases())
+@settings(max_examples=200, deadline=None)
+def test_exact_branch_matches_clearly_separated_floats(case):
+    ifs, target, schedule = case
+    got = closed_form_for(ifs, target, schedule)
+    if got is None:
+        return
+    lam, xi = (float(schedule.params[k]) for k in ("lam", "xi"))
+    gamma = ifs.attractor_dimension()
+    gamma2 = frequency_slice_value(ifs, target.frequency_map())
+    gap = gamma / (1 + lam) - (gamma + (xi - lam) * gamma2) / (1 + xi)
+    if abs(gap) > 1e-9:
+        assert got[1] == ("xi" if gap > 0 else "lambda")
+    if lam == xi:
+        assert got[1] == "both"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import carpetdim.shrinking as shrinking
 from carpetdim import (
     DigitWord,
+    GridIFS,
     RateSchedule,
     axis_digits_admissible,
     axis_window_patterns,
@@ -357,8 +358,8 @@ def test_log_sign_matches_exact_rationals(primes, data):
     w = data.draw(st.lists(st.integers(-300, 300), min_size=len(primes), max_size=len(primes)))
     value = math.prod(Fraction(p) ** e for p, e in zip(primes, w))
     ifs = SimpleNamespace(primes=tuple(primes))
-    assert shrinking._log_sign(ifs, w) == (value > 1) - (value < 1)
-    assert shrinking._log_sign(ifs, [0] * len(primes)) == 0
+    assert GridIFS.log_sign(ifs, w) == (value > 1) - (value < 1)
+    assert GridIFS.log_sign(ifs, [0] * len(primes)) == 0
 
 
 @given(random_stage_cases(), st.randoms())

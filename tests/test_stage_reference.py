@@ -11,6 +11,8 @@ answers from base-b numerals and the per-target table
 import itertools
 import math
 import re
+from collections import namedtuple
+from fractions import Fraction
 from itertools import accumulate
 
 import pytest
@@ -26,7 +28,15 @@ from carpetdim import (
     window_hit,
 )
 from carpetdim.errors import InsufficientDepthError
-from carpetdim.shrinking import WindowPattern, _TIE_EPS
+from carpetdim.shrinking import _TIE_EPS
+
+# The references' patterns are whole digit strings; the stage path's are
+# positions against the target, compared by `_shape`.
+WindowPattern = namedtuple("WindowPattern", "deviate_pos deviate_sign digits")
+
+
+def _shape(pattern):
+    return pattern.deviate_pos, pattern.deviate_sign, pattern.digits
 
 
 def _ref_axis_digits_admissible(base, target_digits, word_digits):
@@ -206,16 +216,27 @@ def _compare_stage(ifs, target, schedule, n):
         with pytest.raises(InsufficientDepthError, match=f"^{re.escape(str(exc))}$"):
             shrinking._stage_patterns(ifs, target, schedule, n)
         return
-    assert shrinking._stage_patterns(ifs, target, schedule, n) == ref
+    got = shrinking._stage_patterns(ifs, target, schedule, n)
+    assert [list(map(_shape, pats)) for pats in got] == [list(map(_shape, pats)) for pats in ref]
     lam, xi = schedule.lam(n), schedule.xi(n)
     realizable = ref[2]
     kernel = shrinking.StageKernel(ifs, target, schedule, n)
     for j in range(lam, xi + 3):
-        assert kernel.best(j) == _ref_best(ifs, lam, xi, realizable, j), j
+        _check_best(kernel, ifs, lam, xi, realizable, j)
     for upto in (xi, xi - 1):
         assert kernel.argmin(upto) == _ref_argmin(ifs, n, lam, xi, realizable, upto), upto
+    _check_stage_exponent(ifs, target, schedule, n, realizable)
+
+
+def _check_best(kernel, ifs, lam, xi, realizable, j):
+    pattern, counts = kernel.best(j)
+    ref_pattern, ref_counts = _ref_best(ifs, lam, xi, realizable, j)
+    assert (_shape(pattern), counts) == (_shape(ref_pattern), ref_counts), j
+
+
+def _check_stage_exponent(ifs, target, schedule, n, realizable):
     rec = shrinking.stage_exponent(ifs, target, schedule, n)
-    j, counts = _ref_argmin(ifs, n, lam, xi, realizable, xi)
+    j, counts = _ref_argmin(ifs, n, rec.lam, rec.xi, realizable, rec.xi)
     value = (n * math.log(len(ifs.digits)) + sum(
         m * ifs.row_log(a) for a, m in enumerate(counts) if m
     )) / ((n + j) * math.log(ifs.base))
@@ -261,3 +282,65 @@ def test_dimension_report_matches_the_reference_stages(case):
         assert (rec.argmin_j, rec.row_counts) == _ref_argmin(
             ifs, rec.n, lam, xi, realizable, xi
         )
+
+
+_RATES = st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 3), (1, Fraction(5, 2))])
+
+
+@st.composite
+def periodic_stages(draw):
+    """A random system, an eventually periodic target of preperiod 0-4 and
+    period 1-5, a linear, table or alternating schedule, one stage n in
+    20..150, a depth bound `upto` anywhere in lam..xi and a few depths j.
+    At these sizes the stretch below the first deviation holds many
+    periods, so `argmin` ranks only its class ends."""
+    b = draw(st.integers(min_value=2, max_value=4))
+    ifs = _draw_ifs(draw, b)
+    digits = sorted(ifs.digits)
+    pre = draw(st.lists(st.sampled_from(digits), max_size=4))
+    per = draw(st.lists(st.sampled_from(digits), min_size=1, max_size=5))
+    target = target_from_word(ifs, DigitWord.periodic(pre, per))
+    n = draw(st.integers(min_value=20, max_value=150))
+    kind = draw(st.sampled_from(["linear", "table", "alternating"]))
+    if kind == "linear":
+        schedule = RateSchedule.linear(*draw(_RATES))
+    elif kind == "table":
+        lam = draw(st.integers(1, 2 * n))
+        xi = lam + draw(st.integers(0, 2 * n))
+        schedule = RateSchedule.from_tables([1] * (n - 1) + [lam], [1] * (n - 1) + [xi])
+    else:
+        schedule = RateSchedule.alternating(draw(st.lists(_RATES, min_size=1, max_size=3)))
+    lam, xi = schedule.lam(n), schedule.xi(n)
+    upto = draw(st.integers(lam, xi))
+    depths = draw(st.lists(st.integers(lam, xi + 2), max_size=4))
+    return ifs, target, schedule, n, upto, depths
+
+
+@given(periodic_stages())
+@settings(max_examples=150, deadline=None)
+def test_periodic_stage_ranks_class_ends_like_the_reference(case):
+    ifs, target, schedule, n, upto, depths = case
+    lam, xi = schedule.lam(n), schedule.xi(n)
+    realizable = _ref_stage_patterns(ifs, target, schedule, n)[2]
+    kernel = shrinking.StageKernel(ifs, target, schedule, n)
+    assert kernel.argmin(upto) == _ref_argmin(ifs, n, lam, xi, realizable, upto), upto
+    for j in depths:
+        _check_best(kernel, ifs, lam, xi, realizable, j)
+    _check_stage_exponent(ifs, target, schedule, n, realizable)
+
+
+@pytest.mark.parametrize("n", [20, 100, 150, 400])
+def test_all_tie_stage_returns_lam(n):
+    # every row holds two pairs and the target's rows are 0: every depth
+    # of the window gives the quotient 1/2 exactly
+    ifs = validate_ifs(4, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    target = target_from_word(ifs, DigitWord.periodic([], [(0, 0)]))
+    schedule = RateSchedule.from_tables([1] * (n - 1) + [n + 1], [1] * (n - 1) + [2 * n])
+    kernel = shrinking.StageKernel(ifs, target, schedule, n)
+    lam, xi = kernel.lam, kernel.xi
+    for upto in (lam, lam + 1, n + n // 2, xi - 1, xi):
+        assert kernel.argmin(upto)[0] == lam
+    if n <= 150:
+        realizable = _ref_stage_patterns(ifs, target, schedule, n)[2]
+        assert kernel.argmin(xi) == _ref_argmin(ifs, n, lam, xi, realizable, xi)
+        _check_stage_exponent(ifs, target, schedule, n, realizable)
