@@ -46,7 +46,6 @@ from .verify import (
     check_containment_forward,
     check_set_relation,
     exhaustive_relation_check,
-    exhaustive_truncations,
     holder_exponent_samples,
     oracle_window_report,
     pattern_window_set,

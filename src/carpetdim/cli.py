@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -24,12 +25,12 @@ from .coding import (
     slice_dimension,
     target_from_word,
 )
-from .errors import CarpetError, ConfigError, FrequenciesDoNotExistError
+from .errors import CarpetError, ConfigError, FrequenciesDoNotExistError, ScheduleError
 from .formulas import ratio_limsup_dimension
 from .grid import GridIFS, validate_ifs
 from .schedules import RateSchedule
 from .shrinking import TAIL_FRACTION, StageKernel, dimension_report
-from .words import DigitWord
+from .words import SIZE_GUARD, DigitWord
 
 NAMED_IFS = {
     "vicsek": (3, [(0, 0), (2, 0), (0, 2), (1, 1), (2, 2)]),
@@ -220,31 +221,48 @@ def _parse_real(value, path: str) -> float:
 
 
 def _parse_n_range(node, path: str) -> list[int]:
+    """The sampled stages, at most SIZE_GUARD of them."""
     if node is None:
         return list(range(1, 401))
     if isinstance(node, dict) and "values" in node:
         values = _parse_int_list(node["values"], f"{path}.values")
         if not values or values[0] < 1 or any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError(path, "values must be nonempty, at least 1 and strictly increasing")
-        return values
-    if isinstance(node, dict):
+        count = len(values)
+    elif isinstance(node, dict):
         start = _parse_int(node.get("start", 1), f"{path}.start")
         stop = _parse_int(node.get("stop", 400), f"{path}.stop")
         if start < 1 or stop < start:
             raise ConfigError(path, f"bad range [{start}, {stop}]")
-        return list(range(start, stop + 1))
-    raise ConfigError(path, "expected {start, stop} or {values}")
+        values, count = range(start, stop + 1), stop - start + 1
+    else:
+        raise ConfigError(path, "expected {start, stop} or {values}")
+    if count > SIZE_GUARD:
+        raise ConfigError(path, f"{count} stages, past the guard {SIZE_GUARD}")
+    return list(values)
+
+
+def _stage_windows(
+    schedule: RateSchedule, target: TargetSpec, ns: list[int]
+) -> list[tuple[int, int]]:
+    """The windows (lam(n), xi(n)) of the stages ns, each evaluated once, after
+    the checks every stage a run reads must pass: the schedule gives each
+    window, lam grows as `RateSchedule.validate_range` asks, the deepest
+    window is at most SIZE_GUARD positions deep, and the target is known to
+    its depth xi(n) - 1."""
+    windows = schedule.validate_range(ns)
+    deepest = max(xi for _, xi in windows)
+    if deepest > SIZE_GUARD:
+        raise ScheduleError(f"the deepest window xi(n) passes the guard {SIZE_GUARD}")
+    target.word.require_depth(deepest - 1)
+    return windows
 
 
 def _check_stages(config: RunConfig, path: str) -> None:
-    """Every stage the run will read, checked before any output: the schedule
-    gives each lam(n) and xi(n), the target is known to the deepest window's
-    depth xi(n) - 1, and lam grows as `RateSchedule.validate_range` asks.
-    Errors are reported at `path`."""
+    """Every stage of the run, checked by `_stage_windows` before any output,
+    with errors reported at `path`."""
     try:
-        deepest = max(map(config.schedule.xi, config.n_values))
-        config.target.word.require_depth(deepest - 1)
-        config.schedule.validate_range(config.n_values)
+        _stage_windows(config.schedule, config.target, config.n_values)
     except CarpetError as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -343,13 +361,22 @@ class _CheckOptions:
             raise ConfigError(self.path if key is None else f"{self.path}.{key}", str(exc)) from exc
 
     def window(self, n, key="n"):
-        """(lam(n), xi(n)), with the target known to depth xi(n) - 1, as stage n reads it."""
-        lam, xi = self.rule(key, lambda: (self.schedule.lam(n), self.schedule.xi(n)))
-        self.rule(key, self.target.word.require_depth, xi - 1)
-        return lam, xi
+        """(lam(n), xi(n)), checked as a run's stages are (`_stage_windows`)."""
+        return self.rule(key, _stage_windows, self.schedule, self.target, [n])[0]
 
     def enumerable(self, key, k):
         self.rule(key, verify_mod.require_enumerable, self.ifs, k)
+
+
+def _sampled(o: _CheckOptions, depth: int) -> dict:
+    """`samples` words of `depth` pairs each, at most SIZE_GUARD pairs in all."""
+    if depth > SIZE_GUARD:
+        raise ConfigError(f"{o.path}.depth", f"need at most {SIZE_GUARD}, got {depth}")
+    samples = o.opt("samples", 2000, least=1)
+    if samples * depth > SIZE_GUARD:
+        raise ConfigError(f"{o.path}.samples",
+                          f"{samples} words of depth {depth} pass the guard {SIZE_GUARD} pairs")
+    return {"samples": samples, "depth": depth}
 
 
 def _oracle_options(o: _CheckOptions) -> dict:
@@ -362,8 +389,7 @@ def _containment_options(o: _CheckOptions) -> dict:
     o.rule(None, verify_mod.target_point, o.target)  # a truncation has no exact point
     n = o.opt("n", 3)
     need = n + o.window(n)[1]
-    return {"n": n, "samples": o.opt("samples", 2000, least=1),
-            "depth": o.opt("depth", need + 5, least=need, why=" = n + xi(n)")}
+    return {"n": n, **_sampled(o, o.opt("depth", need + 5, least=need, why=" = n + xi(n)"))}
 
 
 def _containment_exhaustive_options(o: _CheckOptions) -> dict:
@@ -387,8 +413,7 @@ def _set_relation_options(o: _CheckOptions) -> dict:
         depth = o.opt("depth", 8, least=n, why=" = n")
         o.enumerable("depth", depth)
         return {"n": n, "exhaustive": True, "depth": depth}
-    return {"n": n, "exhaustive": False, "depth": o.opt("depth", n + xi + 4, least=1),
-            "samples": o.opt("samples", 2000, least=1)}
+    return {"n": n, "exhaustive": False, **_sampled(o, o.opt("depth", n + xi + 4, least=1))}
 
 
 def _cover_options(o: _CheckOptions) -> dict:
@@ -438,12 +463,9 @@ def _verify_options(config: RunConfig) -> dict[str, dict]:
     return options
 
 
-def cmd_verify(config: RunConfig, out_dir: Path, seed_override: int | None = None) -> int:
+def cmd_verify(config: RunConfig, out_dir: Path) -> int:
     options = _verify_options(config)
-    if seed_override is None:
-        seed = _parse_int(config.verify.get("seed", 0), "verify.seed")
-    else:
-        seed = seed_override
+    seed = _parse_int(config.verify.get("seed", 0), "verify.seed")
     reports: list[verify_mod.CheckReport] = []
     for name, (_, family) in _CHECKS.items():
         if name in options:
@@ -458,7 +480,9 @@ def cmd_verify(config: RunConfig, out_dir: Path, seed_override: int | None = Non
     return 0 if payload["passed"] else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="carpetdim",
         description="dimension of rectangular shrinking targets on grid carpets",
@@ -472,10 +496,15 @@ def main(argv=None) -> int:
             p.add_argument("--n-max", type=int, help="override the largest sampled n")
         if name == "verify":
             p.add_argument("--seed", type=int, help="seed for sampled verification")
-    args = parser.parse_args(argv)
+    return parser
 
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
+        if getattr(args, "seed", None) is not None:
+            config.verify["seed"] = args.seed
         n_max = getattr(args, "n_max", None)
         if n_max is not None:
             if n_max < 1:
@@ -492,7 +521,7 @@ def main(argv=None) -> int:
             if args.command == "slice":
                 return cmd_slice(config, out_dir)
             if args.command == "verify":
-                return cmd_verify(config, out_dir, seed_override=args.seed)
+                return cmd_verify(config, out_dir)
             return cmd_sn_table(config, out_dir)
         except OSError as exc:
             where = exc.filename or out_dir

@@ -17,6 +17,7 @@ from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import (
+    CodingTooLongError,
     DegenerateExpansionError,
     EmptyCandidateSetError,
     FiniteTruncationError,
@@ -25,7 +26,7 @@ from .errors import (
     UndecidableDominanceError,
 )
 from .grid import DigitPair, GridIFS
-from .words import DigitWord
+from .words import SIZE_GUARD, DigitWord
 
 
 def _as_unit_fraction(value) -> Fraction:
@@ -44,23 +45,33 @@ def base_expansions(r: Fraction, base: int) -> list[tuple[tuple[int, ...], tuple
 
     Rationals whose reduced denominator divides a power of b have two
     expansions (terminating and high-digit tail); everything else has one,
-    found by long division with remainder cycling.
+    found by long division on integer remainders. Split the denominator as
+    q1 * q2, q1 made of the primes of b and q2 coprime to b: the preperiod
+    ends at the first remainder that q1 divides, so it is at most the bit
+    length of q1 long, and the period is shorter than q2. Past SIZE_GUARD
+    digits the expansion is refused before any digit is made.
     """
     if r == 0:
         return [((), (0,))]
     if r == 1:
         return [((), (base - 1,))]
-    seen: dict[Fraction, int] = {}
-    digits: list[int] = []
-    x = r
-    while x not in seen:
-        seen[x] = len(digits)
-        x *= base
-        d = int(x)
-        digits.append(d)
-        x -= d
-    start = seen[x]
-    pre, per = tuple(digits[:start]), tuple(digits[start:])
+    q = r.denominator
+    q1 = math.gcd(q, base)  # gcd(q, b^(2^i)) by squaring, until it stops growing
+    while (grown := math.gcd(q, q1 * q1)) != q1:
+        q1 = grown
+    if q1.bit_length() + q // q1 > SIZE_GUARD:
+        raise CodingTooLongError(
+            f"a coordinate's base-{base} expansion may pass {SIZE_GUARD} digits"
+        )
+    pre, per, x = [], [], r.numerator
+    while x % q1:
+        d, x = divmod(x * base, q)
+        pre.append(d)
+    start = x
+    while not per or x != start:
+        d, x = divmod(x * base, q)
+        per.append(d)
+    pre, per = tuple(pre), tuple(per)
     out = [(pre, per)]
     if per == (0,):
         # terminating expansion: also the variant ending in (b-1)(b-1)...
@@ -76,10 +87,15 @@ def _combine_axes(
     x_exp: tuple[tuple[int, ...], tuple[int, ...]],
     y_exp: tuple[tuple[int, ...], tuple[int, ...]],
 ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """Zip two per-axis expansions into one pair word (preperiod, period)."""
+    """Zip two per-axis expansions into one pair word (preperiod, period),
+    refused before it is built when it would pass SIZE_GUARD pairs."""
     (xp, xq), (yp, yq) = x_exp, y_exp
     p = max(len(xp), len(yp))
     q = lcm(len(xq), len(yq))
+    if p + q > SIZE_GUARD:
+        raise CodingTooLongError(
+            f"the point's coding has {p} + {q} pairs (preperiod + period), past {SIZE_GUARD}"
+        )
 
     def dig(pre, per, i):  # 0-indexed
         return pre[i] if i < len(pre) else per[(i - len(pre)) % len(per)]

@@ -57,6 +57,10 @@ class DegenerateExpansionError(CarpetError):
     pass
 
 
+class CodingTooLongError(CarpetError):
+    pass
+
+
 # rate schedules and dimension formulas
 
 class InvalidRatesError(CarpetError):

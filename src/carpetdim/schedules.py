@@ -121,15 +121,18 @@ class RateSchedule:
             params={"ratios": pairs, "block_base": block_base},
         )
 
-    def validate_range(self, n_values: Sequence[int]) -> None:
-        """Check the growth requirements on the sampled range.
+    def validate_range(self, n_values: Sequence[int]) -> list[tuple[int, int]]:
+        """The windows (lam(n), xi(n)) of the sampled range, each evaluated
+        once, after checking the growth requirements on it.
 
         lam must be nondecreasing along the range, and must actually grow on
         long ranges (short smoke tables are exempt).
         """
-        vals = [self.lam(n) for n in n_values]
+        windows = list(map(self.window, n_values))
+        vals = [lam for lam, _ in windows]
         for a, b in zip(vals, vals[1:]):
             if b < a:
                 raise ScheduleError("lam must be nondecreasing on the queried range")
         if len(n_values) >= 2 and n_values[-1] - n_values[0] >= 50 and vals[-1] == vals[0]:
             raise ScheduleError("lam does not grow over a long range; it must tend to infinity")
+        return windows

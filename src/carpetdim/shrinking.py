@@ -300,15 +300,6 @@ def _deviation_realizable(
     return any(_paired(ifs, table, h, v) for h in hpats)
 
 
-def _stage_patterns(
-    ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int
-) -> tuple[list[WindowPattern], list[WindowPattern], list[WindowPattern]]:
-    """The horizontal and vertical axis patterns of stage n, then the
-    realizable vertical ones (see `StageKernel`)."""
-    kernel = StageKernel(ifs, target, schedule, n)
-    return kernel.hpats, kernel.vpats, kernel.patterns
-
-
 def _product_exceeds(ifs: GridIFS, c1: Sequence[int], c2: Sequence[int]) -> bool:
     """Is the row product of c1 larger than that of c2? Exact."""
     return ifs.log_sign(ifs.exponents(list(map(operator.sub, c1, c2)))) > 0
@@ -573,9 +564,9 @@ def dimension_report(
         raise ValueError("n_values must be nonempty")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_values must be strictly increasing")
-    schedule.validate_range(ns)
+    windows = schedule.validate_range(ns)
     # one table as deep as the deepest window (or the word): doubling builds it 2-3 times, slower
-    _target_rows(ifs, target, max(map(schedule.xi, ns)) - 1)
+    _target_rows(ifs, target, max(xi for _, xi in windows) - 1)
     records = [stage_exponent(ifs, target, schedule, n) for n in ns]
     values = [r.value for r in records]
     tail_start = math.floor(len(values) * (1.0 - TAIL_FRACTION))

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .grid import DigitPair, GridIFS, pair_value
 from .schedules import RateSchedule
-from .shrinking import StageKernel, WindowPattern, _stage_patterns, stage_exponent, window_hit
+from .shrinking import StageKernel, WindowPattern, stage_exponent, window_hit
 from .words import DigitWord
 
 ENUMERATION_GUARD = 10 ** 7
@@ -689,10 +689,10 @@ def random_words(
     """Sample truncations biased toward the window boundary: a mix of plain
     uniform words, exact-match continuations, and pattern-following words."""
     digits = ifs.sorted_digits()
-    hpats, vpats, _ = _stage_patterns(ifs, target, schedule, n)
-    lam = schedule.lam(n)
+    kernel = StageKernel(ifs, target, schedule, n)
     # pair_slots[h][v]: drawing h, then v, draws one row, then one slot list
-    pair_slots = [[_pair_slots(ifs, h, v, lam) for v in vpats] for h in hpats]
+    pair_slots = [[_pair_slots(ifs, h, v, kernel.lam) for v in kernel.vpats]
+                  for h in kernel.hpats]
     out = []
     for i in range(count):
         prefix = [rng.choice(digits) for _ in range(n)]
@@ -707,14 +707,6 @@ def random_words(
         body += [rng.choice(digits) for _ in range(depth - n - len(body))]
         out.append(DigitWord.truncation(prefix + body[: depth - n]))
     return out
-
-
-def exhaustive_truncations(ifs: GridIFS, depth: int) -> Iterator[DigitWord]:
-    """Every truncation of the given depth (guarded)."""
-    require_enumerable(ifs, depth)
-    for prefix in itertools.product(ifs.sorted_digits(), repeat=depth):
-        yield DigitWord.truncation(prefix)
-
 
 
 # check families: each runs one `verify.checks` entry from the keyword options

@@ -16,6 +16,12 @@ from typing import Iterable
 from .errors import InsufficientDepthError
 from .grid import DigitPair, pair_value
 
+# The most digit pairs, or stages, one input may make the package build:
+# a target's coding, a stage's window (the target table to depth xi(n) - 1
+# holds about 275 MB at 10^6 positions), the sampled words of one verify
+# check, and the stages of one run. Past it an input is refused, not run.
+SIZE_GUARD = 10 ** 6
+
 
 def _coerce(pairs: Iterable[tuple[int, int]]) -> tuple[DigitPair, ...]:
     return tuple(p if isinstance(p, DigitPair) else DigitPair(*p) for p in pairs)

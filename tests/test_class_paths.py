@@ -30,7 +30,6 @@ from carpetdim import (
     build_lower_bound_measure,
     check_containment_backward,
     check_containment_forward,
-    exhaustive_truncations,
     holder_exponent_samples,
     target_from_word,
     validate_ifs,
@@ -103,7 +102,8 @@ def _ref_exhaustive_relation_check(ifs, target, schedule, n, depth):
 
 def _ref_containment_exhaustive(ifs, target, schedule, n, depth):
     """Both containment checks over every truncation of the depth."""
-    return [check(ifs, target, schedule, n, exhaustive_truncations(ifs, depth))
+    return [check(ifs, target, schedule, n,
+                  map(DigitWord.truncation, itertools.product(ifs.sorted_digits(), repeat=depth)))
             for check in (check_containment_forward, check_containment_backward)]
 
 

@@ -1,13 +1,16 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carpetdim import schedules
 from carpetdim.cli import RunConfig, _verify_options, main
 from carpetdim.errors import ConfigError
+from carpetdim.words import SIZE_GUARD
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -620,3 +623,75 @@ def test_random_config_nodes_raise_only_config_errors(which, data):
         _verify_options(run)
     except ConfigError:
         pass
+
+
+# inputs past SIZE_GUARD: (command, config override, extra argv, field)
+_PAST_THE_GUARD = {
+    "n-range-length": ("slice", {"n_range": {"start": 1, "stop": 10 ** 12}}, [], "n_range"),
+    "stage-overflow": ("sn-table", {"n_range": {"values": [10 ** 30]}}, [], "n_range"),
+    "stage-depth": ("dimension", {"n_range": {"values": [10 ** 9]}}, [], "n_range"),
+    "n-max-depth": ("dimension", {"n_range": {"values": [10 ** 12]}}, ["--n-max", str(10 ** 9)],
+                    "--n-max"),
+    "check-stage": ("verify", {"verify": {"checks": {"containment": {"n": 10 ** 12}}}}, [],
+                    "verify.checks.containment.n"),
+    "break-point": ("verify", {"verify": {"checks": {"measure": {"break_points": [2, 10 ** 12]}}}},
+                    [], "verify.checks.measure.break_points"),
+    "sampled-depth": ("verify", {"verify": {"checks": {"set_relation": {"depth": 10 ** 12}}}}, [],
+                      "verify.checks.set_relation.depth"),
+    "samples": ("verify", {"verify": {"checks": {"containment": {"samples": 10 ** 12}}}}, [],
+                "verify.checks.containment.samples"),
+    "coding-period": ("dimension", {"target": {"point": ["1/3", "1e-99999"]}}, [], "target"),
+    "coding-lcm": ("verify", {"target": {"point": ["1/99991", "1/10007"]}}, [], "target"),
+}
+_OUTPUT = {"dimension": "sn.csv", "sn-table": "sn_table.csv", "slice": "slice.json",
+           "verify": "verify.json"}
+
+
+@pytest.mark.parametrize("case", sorted(_PAST_THE_GUARD))
+def test_sizes_past_the_guard_exit_2_at_their_field(tmp_path, capsys, case):
+    command, override, extra, field = _PAST_THE_GUARD[case]
+    cfg = write_config(tmp_path, {**BASE_CONFIG, **override})
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main([command, "--config", cfg, "--out", str(out)] + extra) == 2
+    assert time.perf_counter() - start < 1.0
+    printed = capsys.readouterr()
+    assert printed.out.startswith(f"error: {field}: ") and printed.out.count("\n") == 1
+    assert printed.err == ""
+    assert not (out / _OUTPUT[command]).exists()
+
+
+def test_sampled_pairs_up_to_the_guard_are_accepted(tmp_path):
+    checks = {"set_relation": {"n": 2, "samples": SIZE_GUARD // 50, "depth": 50}}
+    run = RunConfig.from_dict({**BASE_CONFIG, "verify": {"checks": checks}})
+    assert _verify_options(run)["set_relation"]["samples"] == SIZE_GUARD // 50
+    checks["set_relation"]["samples"] += 1
+    with pytest.raises(ConfigError) as exc:
+        _verify_options(RunConfig.from_dict({**BASE_CONFIG, "verify": {"checks": checks}}))
+    assert exc.value.path == "verify.checks.set_relation.samples"
+
+
+def test_seed_flag_is_the_config_seed(tmp_path):
+    checks = {"containment": {"n": 3, "samples": 40}, "set_relation": {"n": 3, "samples": 20}}
+    outputs = []
+    for seed, argv in ((5, []), ("x", ["--seed", "5"])):  # the flag replaces the config's seed
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "verify": {"seed": seed, "checks": checks}})
+        out = tmp_path / f"v{len(outputs)}"
+        assert main(["verify", "--config", cfg, "--out", str(out)] + argv) == 0
+        outputs.append((out / "verify.json").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_a_dimension_stage_reads_its_window_three_times(tmp_path, monkeypatch):
+    # the range check, the report's table size and the stage itself each read one window
+    calls = []
+
+    def counted(ratio, n):
+        calls.append(n)
+        return ceil_mul(ratio, n)
+
+    ceil_mul = schedules._ceil_mul
+    monkeypatch.setattr(schedules, "_ceil_mul", counted)
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    assert main(["dimension", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 2 * 3 * 40

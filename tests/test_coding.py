@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from carpetdim import (
     validate_ifs,
 )
 from carpetdim.errors import (
+    CodingTooLongError,
     DegenerateExpansionError,
     EmptyCandidateSetError,
     FiniteTruncationError,
@@ -54,6 +56,26 @@ class TestBaseExpansions:
         ifs = validate_ifs(3, VICSEK_PAIRS)
         with pytest.raises(ValueError):
             expansions_of(ifs, 0.5, 0)
+
+    @given(st.integers(2, 12), st.integers(1, 4000), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_remainders_match_the_long_division(self, base, q, data):
+        r = Fraction(data.draw(st.integers(0, q)), q)
+        assert base_expansions(r, base) == _ref_base_expansions(r, base)
+
+    @pytest.mark.parametrize("q, base", [(3 ** 40, 3), (2 ** 30 * 5 ** 12, 10), (6 ** 9 * 7, 12)])
+    def test_long_preperiods_match_the_long_division(self, q, base):
+        for r in (Fraction(1, q), Fraction(q - 2, q)):
+            assert base_expansions(r, base) == _ref_base_expansions(r, base)
+
+    def test_expansions_past_the_guard_are_refused_before_any_digit(self, vicsek):
+        start = time.perf_counter()
+        with pytest.raises(CodingTooLongError):
+            base_expansions(Fraction("1e-99999"), 3)  # the part of 10^99999 coprime to 3
+        with pytest.raises(CodingTooLongError):
+            # periods 19998 and 5003 are each under the guard; their lcm is not
+            expansions_of(vicsek, Fraction(1, 99991), Fraction(1, 10007))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestExpansionsOf:
@@ -279,3 +301,26 @@ def _ref_block_word(block_base, depth):
             j += 1
         digits.append((0, 0) if j % 2 == 0 else (0, 2))
     return DigitWord.truncation(digits)
+
+
+def _ref_base_expansions(r, base):
+    """Long division over Fractions, each remainder kept in a dict until one repeats."""
+    if r == 0:
+        return [((), (0,))]
+    if r == 1:
+        return [((), (base - 1,))]
+    seen, digits, x = {}, [], r
+    while x not in seen:
+        seen[x] = len(digits)
+        x *= base
+        digits.append(int(x))
+        x -= int(x)
+    pre, per = tuple(digits[: seen[x]]), tuple(digits[seen[x]:])
+    out = [(pre, per)]
+    if per == (0,):
+        term = list(pre)
+        while term and term[-1] == 0:
+            term.pop()
+        term[-1] -= 1
+        out.append((tuple(term), (base - 1,)))
+    return out

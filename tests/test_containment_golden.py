@@ -8,6 +8,7 @@ words of the failure records as well as the counts and details.
 """
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -15,9 +16,9 @@ import pytest
 
 import carpetdim.verify as verify
 from carpetdim import (
+    DigitWord,
     check_containment_backward,
     check_containment_forward,
-    exhaustive_truncations,
     make_target,
     random_words,
 )
@@ -30,7 +31,9 @@ def _digest(report) -> str:
 def _inputs(name, vicsek, corner, schedule):
     """(system, target, n, words) of one pinned input."""
     if name == "corner-origin-exhaustive":
-        return corner, make_target(corner, 0, 0), 2, list(exhaustive_truncations(corner, 8))
+        words = [DigitWord.truncation(p)
+                 for p in itertools.product(corner.sorted_digits(), repeat=8)]
+        return corner, make_target(corner, 0, 0), 2, words
     ifs, target = vicsek, make_target(vicsek, 0, 0)
     return ifs, target, 8, random_words(ifs, target, schedule, 8, 800, 29, random.Random(5))
 

@@ -64,3 +64,7 @@ class TestRangeValidation:
         with pytest.raises(ScheduleError):
             sch.validate_range(list(range(1, 101)))
         sch.validate_range([1, 2, 3])  # short smoke ranges are fine
+
+    def test_windows_are_returned_in_range_order(self):
+        sch = RateSchedule.linear(Fraction(3, 2), 2)
+        assert sch.validate_range([1, 4, 5]) == [(2, 2), (6, 8), (8, 10)]

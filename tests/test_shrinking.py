@@ -251,7 +251,7 @@ def _recounted(ifs, target, schedule, n, j):
     over window positions lam..j. Returns each pattern's counts and the first
     counts with the largest row product."""
     lam, xi = schedule.lam(n), schedule.xi(n)
-    _, _, realizable = shrinking._stage_patterns(ifs, target, schedule, n)
+    realizable = shrinking.StageKernel(ifs, target, schedule, n).patterns
     every, best, best_prod = [], None, -1
     for v in realizable:
         counts = [0] * ifs.base

@@ -117,7 +117,7 @@ def _ref_axis_patterns(base, target_digits, length):
     return pats
 
 
-def _ref_stage_patterns(ifs, target, schedule, n):
+def _ref_patterns(ifs, target, schedule, n):
     lam, xi = schedule.lam(n), schedule.xi(n)
     hpats = _ref_axis_patterns(ifs.base, target.col_digits(lam - 1), lam)
     vpats = _ref_axis_patterns(ifs.base, target.row_digits(xi - 1), xi)
@@ -211,16 +211,16 @@ def stage_runs(draw):
 
 def _compare_stage(ifs, target, schedule, n):
     try:
-        ref = _ref_stage_patterns(ifs, target, schedule, n)
+        ref = _ref_patterns(ifs, target, schedule, n)
     except InsufficientDepthError as exc:
         with pytest.raises(InsufficientDepthError, match=f"^{re.escape(str(exc))}$"):
-            shrinking._stage_patterns(ifs, target, schedule, n)
+            shrinking.StageKernel(ifs, target, schedule, n)
         return
-    got = shrinking._stage_patterns(ifs, target, schedule, n)
+    kernel = shrinking.StageKernel(ifs, target, schedule, n)
+    got = (kernel.hpats, kernel.vpats, kernel.patterns)
     assert [list(map(_shape, pats)) for pats in got] == [list(map(_shape, pats)) for pats in ref]
     lam, xi = schedule.lam(n), schedule.xi(n)
     realizable = ref[2]
-    kernel = shrinking.StageKernel(ifs, target, schedule, n)
     for j in range(lam, xi + 3):
         _check_best(kernel, ifs, lam, xi, realizable, j)
     for upto in (xi, xi - 1):
@@ -267,7 +267,7 @@ def test_dimension_report_matches_the_reference_stages(case):
         schedule = RateSchedule.from_tables(sorted(lams), [l + 3 for l in sorted(lams)])
     for n in ns:
         try:
-            _ref_stage_patterns(ifs, target, schedule, n)
+            _ref_patterns(ifs, target, schedule, n)
         except InsufficientDepthError as exc:
             # the run sizes its table to the word and fails at the first
             # stage that needs more, as the per-stage reference does
@@ -278,7 +278,7 @@ def test_dimension_report_matches_the_reference_stages(case):
     assert [r.n for r in report.records] == ns
     for rec in report.records:
         lam, xi = rec.lam, rec.xi
-        realizable = _ref_stage_patterns(ifs, target, schedule, rec.n)[2]
+        realizable = _ref_patterns(ifs, target, schedule, rec.n)[2]
         assert (rec.argmin_j, rec.row_counts) == _ref_argmin(
             ifs, rec.n, lam, xi, realizable, xi
         )
@@ -321,7 +321,7 @@ def periodic_stages(draw):
 def test_periodic_stage_ranks_class_ends_like_the_reference(case):
     ifs, target, schedule, n, upto, depths = case
     lam, xi = schedule.lam(n), schedule.xi(n)
-    realizable = _ref_stage_patterns(ifs, target, schedule, n)[2]
+    realizable = _ref_patterns(ifs, target, schedule, n)[2]
     kernel = shrinking.StageKernel(ifs, target, schedule, n)
     assert kernel.argmin(upto) == _ref_argmin(ifs, n, lam, xi, realizable, upto), upto
     for j in depths:
@@ -341,6 +341,6 @@ def test_all_tie_stage_returns_lam(n):
     for upto in (lam, lam + 1, n + n // 2, xi - 1, xi):
         assert kernel.argmin(upto)[0] == lam
     if n <= 150:
-        realizable = _ref_stage_patterns(ifs, target, schedule, n)[2]
+        realizable = _ref_patterns(ifs, target, schedule, n)[2]
         assert kernel.argmin(xi) == _ref_argmin(ifs, n, lam, xi, realizable, xi)
         _check_stage_exponent(ifs, target, schedule, n, realizable)

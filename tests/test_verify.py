@@ -19,7 +19,6 @@ from carpetdim import (
     check_containment_forward,
     check_set_relation,
     exhaustive_relation_check,
-    exhaustive_truncations,
     holder_exponent_samples,
     make_target,
     oracle_window_report,
@@ -88,7 +87,8 @@ class TestContainment:
         assert rep_b.details["window_hits"] > 0
 
     def test_small_exhaustive_corner(self, corner, corner_origin, linear12):
-        words = list(exhaustive_truncations(corner, 8))
+        words = [DigitWord.truncation(p)
+                 for p in itertools.product(corner.sorted_digits(), repeat=8)]
         assert len(words) == 3 ** 8
         rep_f = check_containment_forward(corner, corner_origin, linear12, 2, words)
         rep_b = check_containment_backward(corner, corner_origin, linear12, 2, words)
@@ -220,7 +220,7 @@ class TestCover:
         family = build_cover(vicsek, origin, linear12, n, j)
         # oracle: walk every depth-6 truncation through the membership test
         corners = set()
-        for word in exhaustive_truncations(vicsek, 6):
+        for word in map(DigitWord.truncation, itertools.product(vicsek.sorted_digits(), repeat=6)):
             if window_hit(vicsek, origin, linear12, n, word):
                 digits = word.preperiod[: n + j]
                 xn = yn = 0
