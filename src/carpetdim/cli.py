@@ -26,7 +26,7 @@ from .coding import (
     target_from_word,
 )
 from .errors import CarpetError, ConfigError, FrequenciesDoNotExistError, ScheduleError
-from .formulas import ratio_limsup_dimension
+from .formulas import closed_form_for, ratio_limsup_dimension
 from .grid import GridIFS, validate_ifs
 from .schedules import RateSchedule
 from .shrinking import TAIL_FRACTION, StageKernel, dimension_report
@@ -283,6 +283,9 @@ def load_config(path: str) -> RunConfig:
 
 def cmd_dimension(config: RunConfig, out_dir: Path) -> int:
     report = dimension_report(config.ifs, config.target, config.schedule, config.n_values)
+    # the closed forms a run reports are decided here: `closed_form_for`, and the ratio form below
+    cf = closed_form_for(config.ifs, config.target, config.schedule)
+    closed_form, branch, source = cf or (None, None, None)
     with open(out_dir / "sn.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "s_n", "argmin_j"])
@@ -296,9 +299,9 @@ def cmd_dimension(config: RunConfig, out_dir: Path) -> int:
         "n_count": len(report.records),
         # this and "warnings" stay, always empty (every stage has its exact pattern), to keep the format
         "skipped": [],
-        "closed_form": None if report.closed_form is None else _round12(report.closed_form),
-        "closed_form_branch": report.closed_form_branch,
-        "formula_source": report.formula_source,
+        "closed_form": None if closed_form is None else _round12(closed_form),
+        "closed_form_branch": branch,
+        "formula_source": source,
         "warnings": [],
     }
     if config.schedule.kind == "alternating":
@@ -309,7 +312,7 @@ def cmd_dimension(config: RunConfig, out_dir: Path) -> int:
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
     print(f"limsup estimate {fmt(report.limsup_estimate)}"
-          + (f", closed form {fmt(report.closed_form)}" if report.closed_form is not None else ""))
+          + (f", closed form {fmt(closed_form)}" if closed_form is not None else ""))
     return 0
 
 
@@ -431,7 +434,13 @@ def _measure_options(o: _CheckOptions) -> dict:
     delta = o.rule("delta", verify_mod.measure_delta, o.opt("delta", 2, _parse_fraction))
     o.rule("break_points", verify_mod.measure_break_points, o.schedule, bps, delta)
     for n in bps:
-        o.window(n, "break_points")
+        _, xi = o.window(n, "break_points")
+    # the measure's depth; its Holder samples read one ball per level up to it
+    depth = bps[-1] + xi + 2
+    levels = depth * (depth + 1) // 2
+    if levels > SIZE_GUARD:
+        raise ConfigError(f"{o.path}.break_points", f"the Holder samples of a measure of depth "
+                          f"{depth} read {levels} cell levels, past the guard {SIZE_GUARD}")
     return {"break_points": bps, "delta": delta,
             "holder_slack": o.opt("holder_slack", 0.05, _parse_real)}
 

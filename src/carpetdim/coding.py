@@ -255,8 +255,8 @@ def slice_dimension(ifs: GridIFS, word: DigitWord) -> SliceDimension:
     For eventually periodic words with a well-defined height this is the
     frequency-weighted row entropy. Heights with a second expansion available
     (row digits eventually constant 0 or b-1, height not 0 or 1) are refused:
-    the slice formula does not see the other coding, so callers must route
-    those through the constant-row closed forms.
+    the slice through such a height meets the cells of both codings, and the
+    frequency formula reads only one.
     """
     b = ifs.base
     if word.is_periodic:
@@ -265,7 +265,8 @@ def slice_dimension(ifs: GridIFS, word: DigitWord) -> SliceDimension:
             _, w_val = word.point(b)
             if w_val not in (0, 1):
                 raise DegenerateExpansionError(
-                    f"height {w_val} has a second expansion; use the constant-row special case"
+                    f"height {w_val} has a second expansion: the slice meets the cells of "
+                    "both codings, and the frequency formula reads only one"
                 )
         return SliceDimension(frequency_slice_value(ifs, freqs), True)
     # truncation: smallest windowed average over the tail half of the known digits

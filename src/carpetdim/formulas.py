@@ -24,8 +24,8 @@ XI_BRANCH = "xi"
 BOTH_BRANCHES = "both"
 
 
-def closed_form_dimension(gamma: float, gamma2: float, lam, xi) -> tuple[float, str]:
-    """min of the two branches, tagged with which one attains it."""
+def closed_form_dimension(gamma: float, gamma2: float, lam, xi) -> float:
+    """min of the two branches (`closed_form_for` labels the branch, exactly)."""
     lam_r, xi_r = Fraction(lam), Fraction(xi)
     if lam_r <= 0:
         raise InvalidRatesError("lam must be positive")
@@ -34,13 +34,7 @@ def closed_form_dimension(gamma: float, gamma2: float, lam, xi) -> tuple[float, 
     if not 0 <= gamma2 <= gamma:
         raise ValueError(f"slice value {gamma2} outside [0, {gamma}]")
     lam_f, xi_f = float(lam_r), float(xi_r)
-    lam_branch = gamma / (1.0 + lam_f)
-    xi_branch = (gamma + (xi_f - lam_f) * gamma2) / (1.0 + xi_f)
-    if lam_branch == xi_branch:
-        return lam_branch, BOTH_BRANCHES
-    if lam_branch < xi_branch:
-        return lam_branch, LAMBDA_BRANCH
-    return xi_branch, XI_BRANCH
+    return min(gamma / (1.0 + lam_f), (gamma + (xi_f - lam_f) * gamma2) / (1.0 + xi_f))
 
 
 def ratio_limsup_dimension(
@@ -62,14 +56,15 @@ def ratio_limsup_dimension(
         )
     if freqs.get(0) == 1 or freqs.get(ifs.base - 1) == 1:
         raise FrequenciesDoNotExistError(
-            "extreme row frequency equals 1; use the constant-row special case"
+            "extreme row frequency equals 1: the target lies on a grid line, where stage "
+            "windows may follow a second coding that the frequency form does not see"
         )
     gamma = ifs.attractor_dimension()
     gamma2 = frequency_slice_value(ifs, freqs)
     values = (
         closed_form_dimension(
             gamma, gamma2, Fraction(schedule.lam(n), n), Fraction(schedule.xi(n), n)
-        )[0]
+        )
         for n in n_values
     )
     return max(values, default=-math.inf)
@@ -104,7 +99,7 @@ def closed_form_for(
             return None
         source = CLOSED_FORM_ZERO_ROW if w_val == 0 else CLOSED_FORM_TOP_ROW
     lam, xi = schedule.params["lam"], schedule.params["xi"]
-    value, _ = closed_form_dimension(
+    value = closed_form_dimension(
         ifs.attractor_dimension(), frequency_slice_value(ifs, freqs), lam, xi
     )
     return value, _exact_branch(ifs, freqs, lam, xi), source

@@ -52,7 +52,6 @@ from typing import Iterator, Sequence
 
 from .coding import TargetSpec
 from .errors import ScheduleError
-from .formulas import closed_form_for
 from .grid import GridIFS, pair_value
 from .schedules import RateSchedule
 from .words import DigitWord
@@ -534,7 +533,7 @@ def stage_exponent(
     return ExponentRecord(n, kernel.lam, kernel.xi, value, j, counts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DimensionReport:
     """Stage exponents over a sampled range plus the dimension estimate.
 
@@ -547,9 +546,6 @@ class DimensionReport:
     limsup_estimate: float
     running_max: float
     still_rising: bool
-    closed_form: float | None = None
-    closed_form_branch: str | None = None
-    formula_source: str | None = None
 
 
 def dimension_report(
@@ -571,13 +567,9 @@ def dimension_report(
     values = [r.value for r in records]
     tail_start = math.floor(len(values) * (1.0 - TAIL_FRACTION))
     running_max = max(values)
-    report = DimensionReport(
+    return DimensionReport(
         records=records,
         limsup_estimate=max(values[tail_start:]),
         running_max=running_max,
         still_rising=values.index(running_max) >= tail_start,
     )
-    cf = closed_form_for(ifs, target, schedule)
-    if cf is not None:
-        report.closed_form, report.closed_form_branch, report.formula_source = cf
-    return report

@@ -643,8 +643,8 @@ def holder_exponent_samples(
     The ball of radius r meets at most nine grid cells at the matching
     level; the ball mass is their exact mass as one block (`block_mass`).
     """
-    ifs = builder.ifs
-    b = ifs.base
+    b = builder.ifs.base
+    points = [word.point(b) for word in sample_points]
     out = []
     for r in radii:
         r = Fraction(r)
@@ -652,13 +652,16 @@ def holder_exponent_samples(
             raise RadiusTooSmallError(f"radius {r} outside (0, 1)")
         if r < Fraction(1, b ** builder.depth):
             raise RadiusTooSmallError(f"radius {r} finer than depth {builder.depth}")
-        # level n with b^-(n+1) < r <= b^-n
-        level = 0
-        while Fraction(1, b ** (level + 1)) >= r:
+        # level L with b^-(L+1) < r <= b^-L: the largest L with b^L <= floor(1/r),
+        # from a float estimate corrected in integers
+        inv = r.denominator // r.numerator
+        level = int(math.log(inv, b))
+        while b ** level > inv:
+            level -= 1
+        while b ** (level + 1) <= inv:
             level += 1
-        for word in sample_points:
-            x, y = word.point(b)
-            scale = b ** level
+        scale = b ** level
+        for x, y in points:
             kx_lo = max(0, math.ceil((x - r) * scale) - 1)
             kx_hi = min(scale - 1, math.floor((x + r) * scale))
             ky_lo = max(0, math.ceil((y - r) * scale) - 1)

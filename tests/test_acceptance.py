@@ -50,7 +50,7 @@ def test_criterion_1_golden_values(vicsek):
     schedule = RateSchedule.linear(1, 2)
     value, branch, _ = closed_form_for(vicsek, origin, schedule)
     origin_ok = abs(value - CLOSED_FORM_ORIGIN) <= 1e-12 and branch == "xi"
-    direct, _ = closed_form_dimension(GAMMA, CANTOR, 1, 2)
+    direct = closed_form_dimension(GAMMA, CANTOR, 1, 2)
     origin_ok = origin_ok and abs(direct - CLOSED_FORM_ORIGIN) <= 1e-12
 
     center = make_target(vicsek, Fraction(1, 2), Fraction(1, 2))

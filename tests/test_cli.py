@@ -397,6 +397,15 @@ class TestSliceCommand:
         assert payload["value"] == pytest.approx(math.log(2) / math.log(3), abs=1e-9)
         assert payload["liminf_attained"]
 
+    def test_height_with_a_second_expansion_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "target": {"point": ["0", "1/3"]}})
+        out = tmp_path / "slice"
+        assert main(["slice", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().out == (
+            "error: height 1/3 has a second expansion: the slice meets the cells of both "
+            "codings, and the frequency formula reads only one\n")
+        assert not (out / "slice.json").exists()
+
 
 class TestSnTableCommand:
     def test_surface_consistency(self, tmp_path):
@@ -636,6 +645,8 @@ _PAST_THE_GUARD = {
                     "verify.checks.containment.n"),
     "break-point": ("verify", {"verify": {"checks": {"measure": {"break_points": [2, 10 ** 12]}}}},
                     [], "verify.checks.measure.break_points"),
+    "measure-levels": ("verify", {"verify": {"checks": {"measure": {"break_points": [2, 2000]}}}},
+                       [], "verify.checks.measure.break_points"),
     "sampled-depth": ("verify", {"verify": {"checks": {"set_relation": {"depth": 10 ** 12}}}}, [],
                       "verify.checks.set_relation.depth"),
     "samples": ("verify", {"verify": {"checks": {"containment": {"samples": 10 ** 12}}}}, [],
@@ -669,6 +680,17 @@ def test_sampled_pairs_up_to_the_guard_are_accepted(tmp_path):
     with pytest.raises(ConfigError) as exc:
         _verify_options(RunConfig.from_dict({**BASE_CONFIG, "verify": {"checks": checks}}))
     assert exc.value.path == "verify.checks.set_relation.samples"
+
+
+def test_measure_levels_up_to_the_guard_are_accepted():
+    # depth 470 + 940 + 2 = 1412 reads 997,578 levels; 471 gives depth 1415 and 1,001,820
+    checks = {"measure": {"break_points": [2, 470]}}
+    run = RunConfig.from_dict({**BASE_CONFIG, "verify": {"checks": checks}})
+    assert _verify_options(run)["measure"]["break_points"] == [2, 470]
+    checks["measure"]["break_points"] = [2, 471]
+    with pytest.raises(ConfigError) as exc:
+        _verify_options(RunConfig.from_dict({**BASE_CONFIG, "verify": {"checks": checks}}))
+    assert exc.value.path == "verify.checks.measure.break_points"
 
 
 def test_seed_flag_is_the_config_seed(tmp_path):

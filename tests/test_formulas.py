@@ -24,30 +24,37 @@ CANTOR = math.log(2) / math.log(3)
 
 
 class TestClosedForm:
-    def test_vicsek_origin_value(self):
-        value, branch = closed_form_dimension(GAMMA, CANTOR, 1, 2)
+    """`closed_form_dimension` gives the value; `closed_form_for` labels its
+    branch, exactly."""
+
+    def test_vicsek_origin_value(self, vicsek):
+        value = closed_form_dimension(GAMMA, CANTOR, 1, 2)
         assert value == pytest.approx(min(GAMMA / 2, (GAMMA + CANTOR) / 3), abs=1e-15)
         assert value == pytest.approx(0.6986344247631281, abs=1e-12)
-        assert branch == "xi"
+        origin = make_target(vicsek, 0, 0)
+        assert closed_form_for(vicsek, origin, RateSchedule.linear(1, 2))[:2] == (value, "xi")
 
-    def test_equal_rates_collapse(self):
-        value, branch = closed_form_dimension(GAMMA, CANTOR, 2, 2)
+    def test_equal_rates_collapse(self, vicsek):
+        value = closed_form_dimension(GAMMA, CANTOR, 2, 2)
         assert value == pytest.approx(GAMMA / 3, abs=1e-15)
-        assert branch == "both"
+        origin = make_target(vicsek, 0, 0)
+        assert closed_form_for(vicsek, origin, RateSchedule.linear(2, 2))[:2] == (value, "both")
 
-    def test_zero_slice_gives_xi_branch(self):
-        value, branch = closed_form_dimension(GAMMA, 0.0, 1, 2)
+    def test_zero_slice_gives_xi_branch(self, vicsek):
+        # the centre's rows are all the one-pair middle row: a zero slice term
+        value = closed_form_dimension(GAMMA, 0.0, 1, 2)
         assert value == pytest.approx(GAMMA / 3, abs=1e-15)
-        assert branch == "xi"
+        centre = make_target(vicsek, Fraction(1, 2), Fraction(1, 2))
+        assert closed_form_for(vicsek, centre, RateSchedule.linear(1, 2))[:2] == (value, "xi")
 
     def test_monotone_in_slice_term(self):
-        values = [closed_form_dimension(GAMMA, g2, 1, 2)[0] for g2 in
+        values = [closed_form_dimension(GAMMA, g2, 1, 2) for g2 in
                   [0.0, 0.1, 0.2, 0.4, 0.6, CANTOR]]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_continuity_at_equal_rates(self):
-        at_eq = closed_form_dimension(GAMMA, CANTOR, 1, 1)[0]
-        near = closed_form_dimension(GAMMA, CANTOR, 1, Fraction(101, 100))[0]
+        at_eq = closed_form_dimension(GAMMA, CANTOR, 1, 1)
+        near = closed_form_dimension(GAMMA, CANTOR, 1, Fraction(101, 100))
         assert at_eq == pytest.approx(GAMMA / 2, abs=1e-15)
         assert abs(near - at_eq) < 0.01
 
@@ -63,8 +70,8 @@ class TestSpecialCase:
     def test_vicsek_bottom_row_matches_general_form(self, vicsek):
         value, branch, source = closed_form_for(vicsek, make_target(vicsek, 0, 0),
                                                 RateSchedule.linear(1, 2))
-        general, gbranch = closed_form_dimension(GAMMA, CANTOR, 1, 2)
-        assert (value, branch, source) == (general, gbranch, "zero-row-target")
+        general = closed_form_dimension(GAMMA, CANTOR, 1, 2)
+        assert (value, branch, source) == (general, "xi", "zero-row-target")
 
     def test_single_pair_row_drops_slice_term(self):
         ifs = validate_ifs(3, [(0, 0), (1, 1), (2, 1)])
@@ -88,19 +95,19 @@ class TestErgodic:
 
     def test_uniform_bernoulli_on_vicsek(self, vicsek):
         probs = {0: Fraction(2, 5), 1: Fraction(1, 5), 2: Fraction(2, 5)}
-        value, _ = closed_form_dimension(GAMMA, frequency_slice_value(vicsek, probs), 1, 2)
+        value = closed_form_dimension(GAMMA, frequency_slice_value(vicsek, probs), 1, 2)
         gamma2 = Fraction(4, 5) * CANTOR
         expected = min(GAMMA / 2, (GAMMA + float(gamma2)) / 3)
         assert value == pytest.approx(expected, abs=1e-12)
 
     def test_point_mass_reduces_to_bottom_row(self, vicsek):
         probs = {0: 1, 1: 0, 2: 0}
-        value, _ = closed_form_dimension(GAMMA, frequency_slice_value(vicsek, probs), 1, 2)
+        value = closed_form_dimension(GAMMA, frequency_slice_value(vicsek, probs), 1, 2)
         special = closed_form_for(vicsek, make_target(vicsek, 0, 0), RateSchedule.linear(1, 2))
         assert value == special[0]
 
     def test_middle_row_mass_gives_zero_slice(self, vicsek):
-        value, _ = closed_form_dimension(GAMMA, frequency_slice_value(vicsek, {1: 1}), 1, 2)
+        value = closed_form_dimension(GAMMA, frequency_slice_value(vicsek, {1: 1}), 1, 2)
         assert value == pytest.approx(GAMMA / 3, abs=1e-15)
 
     def test_mass_on_empty_row(self, corner):

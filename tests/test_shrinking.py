@@ -14,6 +14,7 @@ from carpetdim import (
     RateSchedule,
     axis_digits_admissible,
     axis_window_patterns,
+    closed_form_for,
     dimension_report,
     digit_frequencies,
     frequency_slice_value,
@@ -375,8 +376,6 @@ def test_exact_continuation_always_hits(case, rng):
 
 
 def test_generic_frequency_target_converges_at_400(vicsek, linear12):
-    from carpetdim import closed_form_for
-
     target = target_from_word(vicsek, DigitWord.periodic([], [(0, 0), (1, 1), (2, 2)]))
     cf, _, source = closed_form_for(vicsek, target, linear12)
     assert source == "frequency-closed-form"
@@ -389,8 +388,9 @@ class TestDimensionReport:
         target = _origin(vicsek)
         report = dimension_report(vicsek, target, linear12, range(1, 121))
         assert len(report.records) == 120
-        assert report.closed_form == pytest.approx(0.6986344247631281, abs=1e-12)
-        assert report.formula_source == "zero-row-target"
+        cf, _, source = closed_form_for(vicsek, target, linear12)
+        assert cf == pytest.approx(0.6986344247631281, abs=1e-12)
+        assert source == "zero-row-target"
         # the sequence decreases toward the limit here
         assert not report.still_rising
         assert report.running_max == report.records[0].value
@@ -400,7 +400,7 @@ class TestDimensionReport:
         target = _origin(vicsek)
         short = dimension_report(vicsek, target, linear12, range(1, 101))
         long = dimension_report(vicsek, target, linear12, range(1, 401))
-        cf = short.closed_form
+        cf, _, _ = closed_form_for(vicsek, target, linear12)
         assert abs(long.limsup_estimate - cf) < abs(short.limsup_estimate - cf)
 
     def test_subsampling_never_raises_the_estimate(self, vicsek, linear12):
