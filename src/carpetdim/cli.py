@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 from . import verify as verify_mod
@@ -47,6 +48,11 @@ NAMED_TARGETS = {
 
 def fmt(x: float) -> str:
     return f"{float(x):.12g}"
+
+
+# one sn_table.csv row as csv.writer writes it: `fmt` is %.12g, the line ends in
+# its \r\n, and no field needs quoting
+_SURFACE_ROW = "%d,%d,%.12g,%.12g\r\n"
 
 
 def _round12(x: float) -> float:
@@ -330,15 +336,14 @@ def cmd_slice(config: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_sn_table(config: RunConfig, out_dir: Path) -> int:
-    ifs = config.ifs
     with open(out_dir / "sn_table.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "j", "weighted_row_count", "quotient"])
+        fh.write("n,j,weighted_row_count,quotient\r\n")
         for n in config.n_values:
-            kernel = StageKernel(ifs, config.target, config.schedule, n)
-            for j in range(kernel.lam, kernel.xi + 1):
-                a = ifs.weighted_row_count(kernel.best(j)[1])
-                writer.writerow([n, j, fmt(a), fmt(kernel.quotient(j, a))])
+            kernel = StageKernel(config.ifs, config.target, config.schedule, n)
+            depths = range(kernel.lam, kernel.xi + 1)
+            a = kernel.weighted_row_counts()
+            rows = zip(repeat(n), depths, a, kernel.quotients(depths, a))
+            fh.writelines(map(_SURFACE_ROW.__mod__, rows))
     print(f"wrote surface for {len(config.n_values)} stages")
     return 0
 

@@ -25,7 +25,7 @@ from .errors import (
     NotInAttractorError,
     UndecidableDominanceError,
 )
-from .grid import DigitPair, GridIFS
+from .grid import DigitPair, GridIFS, _factor
 from .words import SIZE_GUARD, DigitWord
 
 
@@ -44,29 +44,29 @@ def base_expansions(r: Fraction, base: int) -> list[tuple[tuple[int, ...], tuple
     """All base-b digit expansions of r in [0, 1] as (preperiod, period).
 
     Rationals whose reduced denominator divides a power of b have two
-    expansions (terminating and high-digit tail); everything else has one,
-    found by long division on integer remainders. Split the denominator as
-    q1 * q2, q1 made of the primes of b and q2 coprime to b: the preperiod
-    ends at the first remainder that q1 divides, so it is at most the bit
-    length of q1 long, and the period is shorter than q2. Past SIZE_GUARD
-    digits the expansion is refused before any digit is made.
+    expansions (terminating and high-digit tail); everything else has one.
+    Split the denominator q as q1 * q2, q1 made of the primes of b and q2
+    coprime to b. The preperiod is k digits long for the least k with q1 | b^k
+    (at most the bit length of q1): its digits are floor(r b^k), written in
+    base b by halves, and the period, shorter than q2, is long division on
+    the integer remainders from r b^k mod 1 on. Past SIZE_GUARD digits the
+    expansion is refused before any digit is made.
     """
     if r == 0:
         return [((), (0,))]
     if r == 1:
         return [((), (base - 1,))]
-    q = r.denominator
-    q1 = math.gcd(q, base)  # gcd(q, b^(2^i)) by squaring, until it stops growing
-    while (grown := math.gcd(q, q1 * q1)) != q1:
-        q1 = grown
-    if q1.bit_length() + q // q1 > SIZE_GUARD:
+    q = q2 = r.denominator
+    q1, k = 1, 0
+    for p, e in _factor(base).items():  # q1 and k from the exponent of each prime of b in q
+        a, q2 = _strip(q2, p)
+        q1, k = q1 * p**a, max(k, -(-a // e))
+    if q1.bit_length() + q2 > SIZE_GUARD:
         raise CodingTooLongError(
             f"a coordinate's base-{base} expansion may pass {SIZE_GUARD} digits"
         )
-    pre, per, x = [], [], r.numerator
-    while x % q1:
-        d, x = divmod(x * base, q)
-        pre.append(d)
+    head, x = divmod(r.numerator * base**k, q)
+    pre, per = _base_digits(head, base, k), []
     start = x
     while not per or x != start:
         d, x = divmod(x * base, q)
@@ -81,6 +81,41 @@ def base_expansions(r: Fraction, base: int) -> list[tuple[tuple[int, ...], tuple
         term[-1] -= 1
         out.append((tuple(term), (base - 1,)))
     return out
+
+
+def _strip(m: int, p: int) -> tuple[int, int]:
+    """(v, m / p^v) for the exponent v of the prime p in m >= 1: the powers
+    p^(2^i) up to m, divided out from the largest down."""
+    if p == 2:
+        v = (m & -m).bit_length() - 1
+        return v, m >> v
+    if m % p:
+        return 0, m
+    powers = [p]
+    while powers[-1] ** 2 <= m:
+        powers.append(powers[-1] ** 2)
+    v = 0
+    for i in reversed(range(len(powers))):
+        q, rem = divmod(m, powers[i])
+        if not rem:
+            m, v = q, v + (1 << i)
+    return v, m
+
+
+def _base_digits(x: int, base: int, k: int) -> list[int]:
+    """x < base^k as k base-b digits, most significant first: split at
+    base^(k // 2) until the parts are short (no `str`, which refuses long
+    ints)."""
+    if not x:
+        return [0] * k
+    if k <= 32:
+        digits = []
+        for _ in range(k):
+            x, d = divmod(x, base)
+            digits.append(d)
+        return digits[::-1]
+    hi, lo = divmod(x, base ** (k // 2))
+    return _base_digits(hi, base, k - k // 2) + _base_digits(lo, base, k // 2)
 
 
 def _combine_axes(

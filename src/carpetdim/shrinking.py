@@ -31,13 +31,16 @@ each one bisection on a running count, after the exact pattern, which copies
 the target and so always meets the window. A pattern is its deviation
 position and sign, never a digit string, and its realizability is O(1)
 running-count differences. The kernel then gives the best row counts at any
-depth j in O(b) per pattern, so a stage's whole surface row j = lam..xi
-costs O(xi) in Python. The minimisation over j does not read the whole
-surface: below the first deviation every pattern copies the target, and on
-a periodic stretch the quotient is monotone along each residue class of j,
-so only the O(period) class ends are ranked (`StageKernel.argmin`). Only
-the depths from the first deviation on are ranked one by one; for the
-shipped periodic targets that is a few depths at the end of the window.
+depth j in O(b) per pattern. Below g = max(first deviation, lam) every
+pattern copies the target, so no reader of a stage walks those depths one
+by one. The surface row j = lam..xi (`sn-table`,
+`StageKernel.weighted_row_counts`) sums the target's per-digit count
+columns there, O(b (g - lam)) in C-level passes, and calls `best` at each
+depth from g on. The minimisation over j (`StageKernel.argmin`) ranks only
+the O(period) class ends there, since on a periodic stretch the quotient is
+monotone along each residue class of j, and then every depth from g on;
+for the shipped periodic targets that is a few depths at the end of the
+window.
 """
 
 from __future__ import annotations
@@ -335,7 +338,9 @@ class StageKernel:
     (`_target_rows`, built in O(b D)) gives the patterns in O(log D), their
     realizability in O(1) each, and a pattern's exact row-count vector at
     any depth in O(b). `argmin` ranks O(period) depths below the first
-    deviation of a periodic target, and every depth from there on. Counts
+    deviation of a periodic target, and every depth from there on;
+    `weighted_row_counts` gives the surface row in O(b (g - lam)) C-level
+    passes below g = max(first deviation, lam), plus `best` from g on. Counts
     leave the kernel as plain tuples, and the `GridIFS` methods turn them
     into values.
     """
@@ -366,6 +371,15 @@ class StageKernel:
         """Stage quotient (n log #J + a) / ((n + j) log b) of a weighted row
         count a at depth j."""
         return (self._n_log_j + a) / ((self.n + j) * self._log_b)
+
+    def quotients(self, depths: Sequence[int], a: Sequence[float]) -> list[float]:
+        """`quotient` at each depth of `depths` and its weighted row count in
+        `a`, by the same float operations, in C-level passes."""
+        return list(map(
+            operator.truediv,
+            map(self._n_log_j.__add__, a),
+            map(self._log_b.__rmul__, map(self.n.__add__, depths)),
+        ))
 
     def partners(self, v: WindowPattern) -> list[WindowPattern]:
         """Horizontal patterns that pair with the vertical pattern v."""
@@ -398,6 +412,28 @@ class StageKernel:
             if _product_exceeds(self.ifs, c, best):
                 best_idx, best = idx, c
         return self.patterns[best_idx], best
+
+    def weighted_row_counts(self) -> list[float]:
+        """The stage's surface row: `weighted_row_count(best(j)[1])` at each
+        depth j = lam..xi, equal to it bit for bit.
+
+        Below g = max(first_deviation, lam) the best counts are the target's
+        rows lam..j, so those depths are summed column by column: for each row
+        digit a of the target's rows lam..g-1, by ascending a, its prefix-count
+        differences times row_log(a) are added to the running sums. These are
+        `weighted_row_count`'s terms in its order; a zero count adds 0.0,
+        which leaves the non-negative sums as they are, and every target row
+        is inhabited, so its log is finite. From g on each depth is `best`.
+        """
+        lam, g = self.lam, max(self.first_deviation, self.lam)
+        table = self._table
+        sums = [0.0] * (g - lam)
+        for col, log in zip(table.prefix, table.row_logs):
+            if col[g - 1] > col[lam - 1]:
+                counts = map(operator.sub, col[lam:g], repeat(col[lam - 1]))
+                sums = list(map(operator.add, sums, map(operator.mul, counts, repeat(log))))
+        weigh = self.ifs.weighted_row_count
+        return sums + [weigh(self.best(j)[1]) for j in range(g, self.xi + 1)]
 
     def _stretch(self, end: int) -> list[range]:
         """The depths of lam..end that `argmin` ranks below the first
@@ -466,11 +502,7 @@ class StageKernel:
             if upto >= xi:  # depth xi adds one free row
                 depths.append(xi)
                 a.append(merged[-1] + math.log(ifs.max_row_size))
-        quotients = list(map(
-            operator.truediv,
-            map(self._n_log_j.__add__, a),
-            map(self._log_b.__rmul__, map(n.__add__, depths)),
-        ))
+        quotients = self.quotients(depths, a)
         limit = min(quotients) + _TIE_EPS
         near = compress(depths, map(limit.__gt__, quotients))
         best_j, best_vec = next(near), None

@@ -68,6 +68,25 @@ class TestBaseExpansions:
         for r in (Fraction(1, q), Fraction(q - 2, q)):
             assert base_expansions(r, base) == _ref_base_expansions(r, base)
 
+    @given(st.integers(2, 16), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_preperiod_by_one_conversion_matches_the_digit_loop(self, base, data):
+        # denominators q1 * q2: q1 made of the primes of the base, often to high powers
+        primes = [p for p in (2, 3, 5, 7, 11, 13) if base % p == 0]
+        q1 = math.prod(p ** data.draw(st.integers(0, 200)) for p in primes)
+        coprime = [c for c in (1, 3, 7, 11, 49, 97, 999) if math.gcd(c, base) == 1]
+        q2 = data.draw(st.sampled_from(coprime))
+        q = q1 * q2
+        r = Fraction(data.draw(st.integers(0, q)), q)
+        assert base_expansions(r, base) == _digit_loop_expansions(r, base)
+
+    def test_long_terminating_preperiod_is_one_conversion(self):
+        start = time.perf_counter()
+        [(pre, per), (pre2, per2)] = base_expansions(Fraction("1e-300000"), 10)
+        assert time.perf_counter() - start < 5.0  # the digit loop takes about 12 s
+        assert (len(pre), pre[-1], set(pre[:-1]), per) == (300000, 1, {0}, (0,))
+        assert (len(pre2), pre2[-1], per2) == (300000, 0, (9,))
+
     def test_expansions_past_the_guard_are_refused_before_any_digit(self, vicsek):
         start = time.perf_counter()
         with pytest.raises(CodingTooLongError):
@@ -301,6 +320,38 @@ def _ref_block_word(block_base, depth):
             j += 1
         digits.append((0, 0) if j % 2 == 0 else (0, 2))
     return DigitWord.truncation(digits)
+
+
+def _digit_loop_expansions(r, base):
+    """`base_expansions` with its preperiod made one digit at a time, as it
+    was first written: long division on integer remainders until the first
+    remainder that q1, the part of the denominator made of the base's
+    primes, divides."""
+    if r == 0:
+        return [((), (0,))]
+    if r == 1:
+        return [((), (base - 1,))]
+    q = r.denominator
+    q1 = math.gcd(q, base)
+    while (grown := math.gcd(q, q1 * q1)) != q1:
+        q1 = grown
+    pre, per, x = [], [], r.numerator
+    while x % q1:
+        d, x = divmod(x * base, q)
+        pre.append(d)
+    start = x
+    while not per or x != start:
+        d, x = divmod(x * base, q)
+        per.append(d)
+    pre, per = tuple(pre), tuple(per)
+    out = [(pre, per)]
+    if per == (0,):
+        term = list(pre)
+        while term and term[-1] == 0:
+            term.pop()
+        term[-1] -= 1
+        out.append((tuple(term), (base - 1,)))
+    return out
 
 
 def _ref_base_expansions(r, base):

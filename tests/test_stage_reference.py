@@ -13,7 +13,9 @@ import math
 import re
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -225,7 +227,19 @@ def _compare_stage(ifs, target, schedule, n):
         _check_best(kernel, ifs, lam, xi, realizable, j)
     for upto in (xi, xi - 1):
         assert kernel.argmin(upto) == _ref_argmin(ifs, n, lam, xi, realizable, upto), upto
+    _check_surface(kernel)
     _check_stage_exponent(ifs, target, schedule, n, realizable)
+
+
+def _check_surface(kernel):
+    """The stage's surface row and its quotients equal `weighted_row_count`
+    of `best` and `quotient` at each depth, by `repr`."""
+    depths = range(kernel.lam, kernel.xi + 1)
+    ref = [kernel.ifs.weighted_row_count(kernel.best(j)[1]) for j in depths]
+    row = kernel.weighted_row_counts()
+    assert list(map(repr, row)) == list(map(repr, ref))
+    ref_q = [kernel.quotient(j, a) for j, a in zip(depths, ref)]
+    assert list(map(repr, kernel.quotients(depths, row))) == list(map(repr, ref_q))
 
 
 def _check_best(kernel, ifs, lam, xi, realizable, j):
@@ -237,8 +251,9 @@ def _check_best(kernel, ifs, lam, xi, realizable, j):
 def _check_stage_exponent(ifs, target, schedule, n, realizable):
     rec = shrinking.stage_exponent(ifs, target, schedule, n)
     j, counts = _ref_argmin(ifs, n, rec.lam, rec.xi, realizable, rec.xi)
-    value = (n * math.log(len(ifs.digits)) + sum(
-        m * ifs.row_log(a) for a, m in enumerate(counts) if m
+    # the row logs added one at a time, by ascending row digit
+    value = (n * math.log(len(ifs.digits)) + reduce(
+        add, (m * ifs.row_log(a) for a, m in enumerate(counts) if m), 0
     )) / ((n + j) * math.log(ifs.base))
     assert (rec.argmin_j, rec.row_counts, repr(rec.value)) == (j, counts, repr(value))
 
@@ -326,6 +341,7 @@ def test_periodic_stage_ranks_class_ends_like_the_reference(case):
     assert kernel.argmin(upto) == _ref_argmin(ifs, n, lam, xi, realizable, upto), upto
     for j in depths:
         _check_best(kernel, ifs, lam, xi, realizable, j)
+    _check_surface(kernel)
     _check_stage_exponent(ifs, target, schedule, n, realizable)
 
 
@@ -344,3 +360,21 @@ def test_all_tie_stage_returns_lam(n):
         realizable = _ref_patterns(ifs, target, schedule, n)[2]
         assert kernel.argmin(xi) == _ref_argmin(ifs, n, lam, xi, realizable, xi)
         _check_stage_exponent(ifs, target, schedule, n, realizable)
+
+
+_VICSEK = validate_ifs(3, [(0, 0), (2, 0), (0, 2), (1, 1), (2, 2)])
+# rows 0..3 hold 3, 1, 2 and 4 maps
+_BASE4 = validate_ifs(4, [(0, 0), (1, 0), (3, 0), (2, 1), (0, 2), (3, 2),
+                          (0, 3), (1, 3), (2, 3), (3, 3)])
+
+
+@pytest.mark.parametrize("ifs, pre, per, n", [
+    # vicsek (1/3, 1/3): the first deviation is at 1, so g = lam
+    (_VICSEK, [(0, 0)], [(2, 2)], 5),
+    # rows 3, 0, 2 repeating up to g = 39: three row logs above 0, whose
+    # float sums depend on the order in which they are added
+    (_BASE4, [], [(3, 3), (1, 0), (0, 2)], 20),
+])
+def test_surface_row_on_pinned_stages(ifs, pre, per, n):
+    target = target_from_word(ifs, DigitWord.periodic(pre, per))
+    _check_surface(shrinking.StageKernel(ifs, target, RateSchedule.linear(1, 2), n))
