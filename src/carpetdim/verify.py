@@ -11,14 +11,15 @@ verdict (`_relation_stage`). A grid cell is the base-b numerals of its corner,
 tested against one support per level by `_in_supports`: a set-relation
 witness is a translated level-n cell of the digit set, and the lower-bound
 measure gives a positive level-L cell 1/size(L), with size(L) the product of
-the support sizes of levels 1..L.
+the support sizes of levels 1..L. A Holder ball instead shares its centre's
+digits, read once per sample point, and tests only the last digits in which
+each of its cells differs from the centre's cell.
 
 The exhaustive checks decide once per class of inputs, not once per word. The
 oracle tests each head's columns once and each distinct row string once; both
 exhaustive checks cost |J|^(depth-n) tails plus, for the set relation, one
-verdict per prefix and class of valid shifts; a Holder ball's mass is one
-count of cells. Failures are rebuilt in enumeration order, up to the 20 a
-report shows.
+verdict per prefix and class of valid shifts. Failures are rebuilt in
+enumeration order, up to the 20 a report shows.
 """
 
 from __future__ import annotations
@@ -525,15 +526,9 @@ class MeasureBuilder:
     def mass(self, kx: int, ky: int, level: int) -> Fraction:
         """Exact mass of the level-`level` cell with lower-left corner
         (kx, ky)/b^level: 1/sizes[level] inside the supports, else 0."""
-        return self.block_mass(range(kx, kx + 1), range(ky, ky + 1), level)
-
-    def block_mass(self, kxs: range, kys: range, level: int) -> Fraction:
-        """Exact mass of the level-`level` cells with corners (kx, ky)/b^level
-        over kxs x kys: the number of them inside the supports over sizes[level]."""
         if not 0 <= level <= self.depth:
             raise DepthTooLargeError(f"level {level} outside 0..{self.depth}")
-        supports, b = self.supports[:level], self.ifs.base
-        inside = sum(_in_supports(kx, ky, supports, b) for kx in kxs for ky in kys)
+        inside = _in_supports(kx, ky, self.supports[:level], self.ifs.base)
         return Fraction(inside, self.sizes[level])
 
     def mass_bound_holds(self, k: int) -> bool:
@@ -547,8 +542,8 @@ class MeasureBuilder:
         """A periodic word whose first `upto` levels all carry positive mass."""
         if not 1 <= upto <= self.depth:
             raise DepthTooLargeError(f"level {upto} outside 1..{self.depth}")
-        choices = map(sorted, self.supports[:upto])
-        digits = [c[0] if rng is None else rng.choice(c) for c in choices]
+        choices = list(map(sorted, self.supports[:upto]))
+        digits = [c[0] for c in choices] if rng is None else _draw(rng, choices)
         return DigitWord.periodic(digits, (digits[-1],))
 
 
@@ -633,6 +628,53 @@ class HolderSample:
     exponent: float
 
 
+def _expansion(c: Fraction, base: int, depth: int) -> list[int]:
+    """The first `depth` base-b digits of c in [0, 1], whose first L spell
+    min(floor(c b^L), b^L - 1): the greedy digits below 1, all b - 1 at 1."""
+    if c == 1:
+        return [base - 1] * depth
+    p, q, out = c.numerator, c.denominator, []
+    for _ in range(depth):
+        d, p = divmod(p * base, q)
+        out.append(d)
+    return out
+
+
+def _runs(digits: list[int], value: int) -> list[int]:
+    """runs[i]: how many of digits[:i] equal `value` in a row at its end."""
+    return list(itertools.accumulate(digits, lambda n, d: n + 1 if d == value else 0, initial=0))
+
+
+def _ball_cells(
+    c: Fraction, digits: list[int], runs: tuple[list[int], list[int]], r: Fraction, level: int, base: int
+) -> list[tuple[int, list[int]]]:
+    """The level-L cells along one axis that a ball of radius r about the
+    coordinate c counts (b^-(L+1) < r <= b^-L), each as (t, the last t digits of its
+    numeral, least significant first), for the smallest t such that the
+    numeral shares its first L - t digits with the point's own numeral
+    M = min(floor(c b^L), b^L - 1), which `digits` spells (`_expansion`).
+    The numerals are M + d with -2 <= d <= 1; `runs` is `_runs` of the digits
+    for 0 and for b - 1, since a borrow runs through the 0s before the last
+    digit and a carry through the b - 1s."""
+    p, q, rn, rd, scale = c.numerator, c.denominator, r.numerator, r.denominator, base ** level
+    m = min(p * scale // q, scale - 1)
+    lo = max(0, -((rn * q - p * rd) * scale // (q * rd)) - 1)  # ceil((c - r) b^L) - 1
+    hi = min(scale - 1, (p * rd + rn * q) * scale // (q * rd))  # floor((c + r) b^L)
+    out = []
+    for d in range(lo - m, hi - m + 1):
+        if not d:
+            out.append((0, []))
+            continue
+        carry, last = divmod(digits[level - 1] + d, base)
+        if not carry:
+            out.append((1, [last]))
+            continue
+        run = runs[carry > 0][level - 1]
+        stop = digits[level - 2 - run] + carry
+        out.append((run + 2, [last] + [0 if carry > 0 else base - 1] * run + [stop]))
+    return out
+
+
 def holder_exponent_samples(
     builder: MeasureBuilder,
     sample_points: Sequence[DigitWord],
@@ -641,10 +683,21 @@ def holder_exponent_samples(
     """Mass decay exponents log(mass of ball) / log(radius).
 
     The ball of radius r meets at most nine grid cells at the matching
-    level; the ball mass is their exact mass as one block (`block_mass`).
+    level L, all within two cells of the point's own cell; the ball mass is
+    the count of them inside the supports over sizes[L]. Each coordinate's
+    digits are read once, to the builder's depth (`_expansion`), and so is
+    how many leading levels of the point's own cells lie in the supports. A
+    neighbouring cell differs from the point's cell in its last few digits
+    only (`_ball_cells`), and only those levels are tested again.
     """
-    b = builder.ifs.base
-    points = [word.point(b) for word in sample_points]
+    b, supports = builder.ifs.base, builder.supports
+    points = []
+    for word in sample_points:
+        x, y = word.point(b)
+        xd, yd = _expansion(x, b, builder.depth), _expansion(y, b, builder.depth)
+        xruns, yruns = (_runs(xd, 0), _runs(xd, b - 1)), (_runs(yd, 0), _runs(yd, b - 1))
+        reach = sum(1 for _ in itertools.takewhile(bool, map(operator.contains, supports, zip(xd, yd))))
+        points.append((x, y, xd, yd, xruns, yruns, reach))
     out = []
     for r in radii:
         r = Fraction(r)
@@ -660,13 +713,19 @@ def holder_exponent_samples(
             level -= 1
         while b ** (level + 1) <= inv:
             level += 1
-        scale = b ** level
-        for x, y in points:
-            kx_lo = max(0, math.ceil((x - r) * scale) - 1)
-            kx_hi = min(scale - 1, math.floor((x + r) * scale))
-            ky_lo = max(0, math.ceil((y - r) * scale) - 1)
-            ky_hi = min(scale - 1, math.floor((y + r) * scale))
-            nu = builder.block_mass(range(kx_lo, kx_hi + 1), range(ky_lo, ky_hi + 1), level)
+        for x, y, xd, yd, xruns, yruns, reach in points:
+            xrow = _ball_cells(x, xd, xruns, r, level, b)
+            yrow = _ball_cells(y, yd, yruns, r, level, b)
+            # every cell keeps the point's first level - t digit pairs; the last
+            # t are tested deepest first, where a neighbour mostly leaves
+            t = max(k for k, _ in xrow + yrow)
+            inside = 0
+            if reach >= level - t:
+                deep = supports[level - t : level][::-1]
+                xs = [tail + xd[level - t : level - k][::-1] for k, tail in xrow]
+                ys = [tail + yd[level - t : level - k][::-1] for k, tail in yrow]
+                inside = sum(all(map(operator.contains, deep, zip(u, v))) for u in xs for v in ys)
+            nu = Fraction(inside, builder.sizes[level])
             if nu == 0:
                 exponent = math.inf
             else:
@@ -680,6 +739,30 @@ def holder_exponent_samples(
 # sample word generation
 
 
+def _draw(rng: random.Random, seqs: Iterable[Sequence]) -> list:
+    """One pick from each sequence of seqs in turn: the picks that
+    `rng.choice` would make on them, leaving rng in the same state. A pick
+    from a sequence of m items takes getrandbits(k), with k the bit length
+    of m, until the value is below m, and indexes the sequence with it. An
+    empty sequence raises IndexError (getrandbits(0) is always 0, which is
+    never below 0)."""
+    getrandbits = rng.getrandbits
+    out: list = []
+    append = out.append
+    last = None
+    for seq in seqs:
+        if seq is not last:  # a run of one sequence reads its size once
+            last, m = seq, len(seq)
+            if not m:
+                raise IndexError("cannot draw from an empty sequence")
+            k = m.bit_length()
+        i = getrandbits(k)
+        while i >= m:
+            i = getrandbits(k)
+        append(seq[i])
+    return out
+
+
 def random_words(
     ifs: GridIFS,
     target: TargetSpec,
@@ -690,7 +773,13 @@ def random_words(
     rng: random.Random,
 ) -> list[DigitWord]:
     """Sample truncations biased toward the window boundary: a mix of plain
-    uniform words, exact-match continuations, and pattern-following words."""
+    uniform words, exact-match continuations, and pattern-following words.
+
+    Every pick goes through `_draw`, which keeps `Random.choice`'s rule
+    (getrandbits of the bit length of the sequence's size, retried until it
+    is below the size) in the package: Python documents only the sequence of
+    `random()` as stable across versions, so the sampled words depend on
+    `getrandbits` alone."""
     digits = ifs.sorted_digits()
     kernel = StageKernel(ifs, target, schedule, n)
     # pair_slots[h][v]: drawing h, then v, draws one row, then one slot list
@@ -698,17 +787,18 @@ def random_words(
                   for h in kernel.hpats]
     out = []
     for i in range(count):
-        prefix = [rng.choice(digits) for _ in range(n)]
-        body = []
+        pairs = _draw(rng, [digits] * n)
         if i % 4 >= 2:
-            # follow a random pattern pair; at its first empty slot start over uniformly
-            for slot in rng.choice(rng.choice(pair_slots)):
-                if not slot:
-                    body = []
-                    break
-                body.append(rng.choice(slot))
-        body += [rng.choice(digits) for _ in range(depth - n - len(body))]
-        out.append(DigitWord.truncation(prefix + body[: depth - n]))
+            # follow a random pattern pair, drawing up to its first empty slot;
+            # if it has one, start over uniformly
+            (row,) = _draw(rng, [pair_slots])
+            (slots,) = _draw(rng, [row])
+            drawn = _draw(rng, itertools.takewhile(bool, slots))
+            if len(drawn) == len(slots):
+                pairs += drawn
+        pairs += _draw(rng, [digits] * (depth - len(pairs)))
+        # every pair is a DigitPair of the digit set, so the word is minimal as it stands
+        out.append(DigitWord._minimal(tuple(pairs[:depth]), ()))
     return out
 
 
@@ -765,8 +855,7 @@ def set_relation_reports(
         return [exhaustive_relation_check(ifs, target, schedule, n, depth)]
     rng = random.Random(seed)
     digits = ifs.sorted_digits()
-    words = [DigitWord.periodic((), [rng.choice(digits) for _ in range(depth)])
-             for _ in range(samples)]
+    words = [DigitWord.periodic((), _draw(rng, [digits] * depth)) for _ in range(samples)]
     return [check_set_relation(ifs, target, schedule, n, words)]
 
 

@@ -3,7 +3,8 @@
 Every module-level import of a module must be used in that module, and every
 module-level private function or class (`_name`) must be referenced somewhere
 in the package besides its own definition. A deletion that leaves a helper
-or an import behind fails here.
+or an import behind fails here. No module calls `Random.choice`: every pick
+goes through `verify._draw`, which keeps its rule in the package.
 """
 
 import ast
@@ -65,3 +66,11 @@ def test_every_private_helper_is_referenced(path):
         if not any(node.name in _names_used(tree, skip=node) for tree in TREES.values())
     ]
     assert not unused, f"{path.name}: unreferenced private definitions {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(TREES), ids=lambda p: p.name)
+def test_no_random_choice(path):
+    # Python documents only random()'s sequence as stable across versions
+    uses = [node.lineno for node in ast.walk(TREES[path])
+            if isinstance(node, ast.Attribute) and node.attr == "choice"]
+    assert not uses, f"{path.name}: `.choice` on lines {uses}; draw through verify._draw"

@@ -6,6 +6,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import carpetdim.shrinking as shrinking
 import carpetdim.verify as verify
@@ -421,9 +423,65 @@ class TestMeasure:
         assert point_mass == _point_phase_mass_explicit(measure, 0)
         assert point_mass <= sample.ball_mass <= 9 * point_mass
 
+    @given(
+        st.lists(st.tuples(st.sampled_from([(u, v) for u in range(3) for v in range(3)]),
+                           st.integers(min_value=1, max_value=25)), max_size=4),
+        st.lists(st.sampled_from([(0, 0), (2, 2), (2, 0), (1, 1), (0, 1)]), min_size=1, max_size=2),
+        st.integers(min_value=0, max_value=52),
+        st.integers(min_value=334, max_value=1000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_ball_mass_is_the_cell_sum(self, measure, runs, period, m, permille):
+        # any point, also on the top or right edge and with long runs of 0 or 2
+        # (the carries of a neighbouring cell), and radii between the powers of 3
+        word = DigitWord.periodic([p for p, k in runs for _ in range(k)], period)
+        r = Fraction(min(permille, 999 if m == 0 else 1000), 1000 * 3 ** m)
+        (sample,) = holder_exponent_samples(measure, [word], [r])
+        x, y = word.point(3)
+        scale = 3 ** sample.level
+        assert Fraction(1, 3 * scale) < r <= Fraction(1, scale)
+        cells = [range(max(0, math.ceil((c - r) * scale) - 1), min(scale - 1, math.floor((c + r) * scale)) + 1)
+                 for c in (x, y)]
+        assert sample.ball_mass == sum(measure.mass(kx, ky, sample.level)
+                                       for kx in cells[0] for ky in cells[1])
+
     def test_radius_guards(self, measure):
         word = measure.support_word(measure.depth)
         with pytest.raises(RadiusTooSmallError):
             holder_exponent_samples(measure, [word], [Fraction(1, 3 ** (measure.depth + 1))])
         with pytest.raises(RadiusTooSmallError):
             holder_exponent_samples(measure, [word], [Fraction(2)])
+
+
+class TestDraw:
+    # sizes 2^j reject about half the raw draws: getrandbits takes j + 1 bits
+    SIZES = st.one_of(st.integers(min_value=1, max_value=70), st.sampled_from([128, 129, 1000]))
+    SEEDS = st.integers(min_value=0, max_value=2 ** 64)
+
+    @given(SEEDS, SIZES, st.integers(min_value=0, max_value=40))
+    @settings(max_examples=400, deadline=None)
+    def test_same_picks_and_state_as_choice(self, seed, size, count):
+        seq = [f"s{i}" for i in range(size)]
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert verify._draw(rng, [seq] * count) == [ref.choice(seq) for _ in range(count)]
+        assert rng.getstate() == ref.getstate()
+
+    @given(SEEDS, st.lists(SIZES, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_one_pick_from_each_sequence(self, seed, sizes):
+        seqs = [range(size) for size in sizes]
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert verify._draw(rng, seqs) == [ref.choice(seq) for seq in seqs]
+        assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("size", [2 ** j for j in range(11)])
+    def test_powers_of_two(self, size):
+        seq = range(size)
+        rng, ref = random.Random(size), random.Random(size)
+        assert verify._draw(rng, [seq] * 200) == [ref.choice(seq) for _ in range(200)]
+        assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("seqs", [[[]], [[], [1]], [[1, 2], []]], ids=["empty", "first", "second"])
+    def test_empty_sequence_raises(self, seqs):
+        with pytest.raises(IndexError):
+            verify._draw(random.Random(0), seqs)
