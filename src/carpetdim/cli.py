@@ -107,8 +107,12 @@ def _parse_ifs(node, path: str) -> GridIFS:
 
 def _parse_word(node, path: str) -> DigitWord:
     node = _parse_object(node, path)
-    pre = _parse_pairs(node.get("preperiod", []), f"{path}.preperiod")
-    per = _parse_pairs(node.get("period", []), f"{path}.period")
+    pre, per = node.get("preperiod", []), node.get("period", [])
+    if isinstance(pre, list) and isinstance(per, list) and len(pre) + len(per) > SIZE_GUARD:
+        raise ConfigError(path, f"{len(pre)} + {len(per)} pairs (preperiod + period), "
+                          f"past the guard {SIZE_GUARD}")
+    pre = _parse_pairs(pre, f"{path}.preperiod")
+    per = _parse_pairs(per, f"{path}.period")
     if per:
         return DigitWord.periodic(pre, per)
     if not pre:
@@ -130,6 +134,8 @@ def _parse_target(ifs: GridIFS, node, path: str) -> TargetSpec:
                 return make_target(ifs, Fraction(extra[0]), Fraction(extra[1]))
             block_base = _parse_int(node.get("block_base", 4), f"{path}.block_base")
             depth = _parse_int(node.get("depth", 16384), f"{path}.depth")
+            if depth > SIZE_GUARD:
+                raise ConfigError(f"{path}.depth", f"need at most {SIZE_GUARD}, got {depth}")
             word = alternating_block_word(block_base=block_base, depth=depth)
             return target_from_word(ifs, word)
         if "point" in node:

@@ -4,16 +4,19 @@ frequencies, and horizontal slice dimensions.
 Every point of the attractor has between one and four admissible codings
 (each coordinate has at most two base-b expansions). A unique representative
 is selected by maximizing the running product of row sizes along the coding,
-with pair-count tie-breaks; all comparisons are done in exact integer
-arithmetic, never floating logs.
+with pair-count tie-breaks; every comparison is the exact sign of an exponent
+vector over the primes of the row sizes (`GridIFS.log_sign`), never a
+floating log and never the products themselves.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter, sub
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -121,7 +124,7 @@ def _base_digits(x: int, base: int, k: int) -> list[int]:
 def _combine_axes(
     x_exp: tuple[tuple[int, ...], tuple[int, ...]],
     y_exp: tuple[tuple[int, ...], tuple[int, ...]],
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+) -> tuple[tuple[DigitPair, ...], tuple[DigitPair, ...]]:
     """Zip two per-axis expansions into one pair word (preperiod, period),
     refused before it is built when it would pass SIZE_GUARD pairs."""
     (xp, xq), (yp, yq) = x_exp, y_exp
@@ -131,13 +134,11 @@ def _combine_axes(
         raise CodingTooLongError(
             f"the point's coding has {p} + {q} pairs (preperiod + period), past {SIZE_GUARD}"
         )
-
-    def dig(pre, per, i):  # 0-indexed
-        return pre[i] if i < len(pre) else per[(i - len(pre)) % len(per)]
-
-    pre = tuple((dig(xp, xq, i), dig(yp, yq, i)) for i in range(p))
-    per = tuple((dig(xp, xq, p + i), dig(yp, yq, p + i)) for i in range(q))
-    return pre, per
+    # the first p + q digits of each axis, zipped, one DigitPair per distinct pair
+    xs, ys = ((pre + per * ((p + q) // len(per) + 1))[:p + q] for pre, per in (x_exp, y_exp))
+    cells = {xy: DigitPair(*xy) for xy in set(zip(xs, ys))}
+    pairs = tuple(map(cells.__getitem__, zip(xs, ys)))
+    return pairs[:p], pairs[p:]
 
 
 def expansions_of(ifs: GridIFS, z, w) -> set[DigitWord]:
@@ -152,7 +153,7 @@ def expansions_of(ifs: GridIFS, z, w) -> set[DigitWord]:
     for xe in base_expansions(zr, ifs.base):
         for ye in base_expansions(wr, ifs.base):
             pre, per = _combine_axes(xe, ye)
-            if all(p in ifs.digits for p in pre) and all(p in ifs.digits for p in per):
+            if ifs.digits.issuperset(pre) and ifs.digits.issuperset(per):
                 found.add(DigitWord.periodic(pre, per))
     if not found:
         raise NotInAttractorError(f"({zr}, {wr}) has no admissible coding")
@@ -162,14 +163,19 @@ def expansions_of(ifs: GridIFS, z, w) -> set[DigitWord]:
 # representative selection
 
 
-def _row_size_prefix_products(ifs: GridIFS, word: DigitWord, upto: int) -> list[int]:
-    """Prefix products of row sizes, positions 1..upto."""
-    out = []
-    acc = 1
-    for i in range(1, upto + 1):
-        acc *= ifs.row_size(word.row_digit(i))
-        out.append(acc)
-    return out
+def _row_counts(ifs: GridIFS, pairs: Iterable[DigitPair]) -> list[int]:
+    """How often each row digit 0..b-1 occurs in `pairs`."""
+    counts = Counter(map(itemgetter(1), pairs))
+    return [counts[a] for a in range(ifs.base)]
+
+
+def _largest(ifs: GridIFS, cands: list[DigitWord], counts: list[list[int]]) -> list[DigitWord]:
+    """The candidates whose row counts give the largest row product, decided
+    exactly by the sign of each difference's exponent vector."""
+    return [
+        c for c, m in zip(cands, counts)
+        if all(ifs.log_sign(ifs.exponents(list(map(sub, m, other)))) >= 0 for other in counts)
+    ]
 
 
 def _pair_count_key(ifs: GridIFS, word: DigitWord) -> tuple:
@@ -190,9 +196,10 @@ def canonical_representative(ifs: GridIFS, candidates: Iterable[DigitWord]) -> D
     """Pick the unique representative coding from a set of candidates.
 
     The winner's running product of row sizes must weakly dominate every
-    other candidate's at all large depths (decided exactly: per-cycle
-    geometric means first, then pointwise comparison across one aligned
-    cycle). Remaining ties fall to marked-pair counts.
+    other candidate's at all large depths, decided exactly on row counts:
+    per-cycle counts scaled to the lcm of the periods first, then the running
+    counts at the depth where every candidate has entered its cycle.
+    Remaining ties fall to marked-pair counts.
     """
     cands = list(dict.fromkeys(candidates))
     if not cands:
@@ -208,48 +215,31 @@ def canonical_representative(ifs: GridIFS, candidates: Iterable[DigitWord]) -> D
     if len(pts) > 1:
         raise ValueError("candidates project to different points")
 
-    # growth rate: compare per-cycle products raised to lcm/q, exactly
+    # growth rate: the per-cycle row counts scaled to the lcm L of the periods
     L = lcm(*(len(c.period) for c in cands))
-
-    def cycle_product(c: DigitWord) -> int:
-        prod = 1
-        for p in c.period:
-            prod *= ifs.row_size(p.v)
-        return prod
-
-    rates = [cycle_product(c) ** (L // len(c.period)) for c in cands]
-    top = max(rates)
-    cands = [c for c, r in zip(cands, rates) if r == top]
+    cands = _largest(ifs, cands, [[m * (L // len(c.period)) for m in _row_counts(ifs, c.period)]
+                                  for c in cands])
     if len(cands) == 1:
         return cands[0]
 
-    # equal growth: compare prefix products pointwise across one aligned cycle
+    # equal growth: the running row counts once every candidate is in its cycle.
+    # A coding's rows are one expansion of the point's height; a height has at
+    # most two, and two end in constant 0s and constant (b-1)s. So past `start`
+    # the rows are shared or constant, of equal size after the growth test, and
+    # no later depth (in the aligned cycle or beyond) changes the order.
     start = max(len(c.preperiod) for c in cands)
-    upto = start + L
-    tables = [_row_size_prefix_products(ifs, c, upto) for c in cands]
-    dominant = []
-    for ci, ti in enumerate(tables):
-        if all(
-            ti[n] >= tables[cj][n]
-            for n in range(start, upto)
-            for cj in range(len(cands))
-        ):
-            dominant.append(cands[ci])
-    if not dominant:
-        raise UndecidableDominanceError(
-            "no candidate maximizes the row products at every large depth"
-        )
+    dominant = _largest(ifs, cands, [_row_counts(ifs, c.pairs_up_to(start)) for c in cands])
     if len(dominant) == 1:
         return dominant[0]
 
-    keyed = sorted(dominant, key=lambda c: _pair_count_key(ifs, c), reverse=True)
-    best_key = _pair_count_key(ifs, keyed[0])
-    tied = [c for c in keyed if _pair_count_key(ifs, c) == best_key]
+    keys = [_pair_count_key(ifs, c) for c in dominant]
+    best = max(keys)
+    tied = [c for c, k in zip(dominant, keys) if k == best]
     if len(tied) > 1:
         raise UndecidableDominanceError(
             "marked-pair tie-breaks do not separate the candidates"
         )
-    return keyed[0]
+    return tied[0]
 
 
 # frequencies and slices
@@ -263,10 +253,7 @@ def digit_frequencies(ifs: GridIFS, word: DigitWord) -> dict[int, Fraction]:
     if not word.is_periodic:
         raise FiniteTruncationError("frequencies of a truncation are undefined")
     q = len(word.period)
-    freqs = {a: Fraction(0) for a in range(ifs.base)}
-    for p in word.period:
-        freqs[p.v] += Fraction(1, q)
-    return freqs
+    return {a: Fraction(m, q) for a, m in enumerate(_row_counts(ifs, word.period))}
 
 
 def frequency_slice_value(ifs: GridIFS, freqs: Mapping[int, Fraction]) -> float:

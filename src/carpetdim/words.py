@@ -49,10 +49,12 @@ class DigitWord:
         per = _coerce(self.period)
         if per:
             per = _primitive(per)
-            # pull matching trailing digits of the preperiod into the cycle
-            while pre and pre[-1] == per[-1]:
-                per = (per[-1],) + per[:-1]
-                pre = pre[:-1]
+            # pull the k trailing preperiod digits that repeat the cycle into it
+            q, k = len(per), 0
+            while k < len(pre) and pre[-1 - k] == per[-1 - k % q]:
+                k += 1
+            r = q - k % q
+            pre, per = pre[:len(pre) - k], per[r:] + per[:r]
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
 

@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import carpetdim
 from carpetdim import schedules
 from carpetdim.cli import RunConfig, _verify_options, main
 from carpetdim.errors import ConfigError
@@ -653,6 +658,9 @@ _PAST_THE_GUARD = {
                 "verify.checks.containment.samples"),
     "coding-period": ("dimension", {"target": {"point": ["1/3", "1e-99999"]}}, [], "target"),
     "coding-lcm": ("verify", {"target": {"point": ["1/99991", "1/10007"]}}, [], "target"),
+    "block-depth": ("dimension", {"ifs": {"name": "corner"},
+                                  "target": {"name": "corner-blocks", "depth": 10 ** 12}}, [],
+                    "target.depth"),
 }
 _OUTPUT = {"dimension": "sn.csv", "sn-table": "sn_table.csv", "slice": "slice.json",
            "verify": "verify.json"}
@@ -670,6 +678,44 @@ def test_sizes_past_the_guard_exit_2_at_their_field(tmp_path, capsys, case):
     assert printed.out.startswith(f"error: {field}: ") and printed.out.count("\n") == 1
     assert printed.err == ""
     assert not (out / _OUTPUT[command]).exists()
+
+
+# the CLI in a child process whose address space is capped at 1.2 GB (`ulimit -v 1200000`)
+_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1200000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from carpetdim.cli import main
+raise SystemExit(main(sys.argv[1:]))
+"""
+# inputs at or past the guard's edge: (config override, exit code, field of the error)
+_AT_THE_EDGE = {
+    # a 10^5-digit preperiod with two codings: the big-integer prefix products of
+    # the representative choice ran out of memory here
+    "long-preperiod-point": ({"ifs": {"base": 10, "pairs": [[0, 0], [1, 0], [0, 1], [0, 9], [1, 9]]},
+                              "target": {"point": ["0", "1e-100000"]}}, 0, None),
+    "block-depth": ({"ifs": {"name": "corner"},
+                     "target": {"name": "corner-blocks", "depth": 10 ** 12}}, 2, "target.depth"),
+    "word-length": ({"target": {"word": {"preperiod": [[0, 0]] * SIZE_GUARD, "period": [[0, 0]]}}},
+                    2, "target.word"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_AT_THE_EDGE))
+def test_guarded_sizes_exit_0_or_2_under_a_memory_cap(tmp_path, case):
+    pytest.importorskip("resource")
+    override, code, field = _AT_THE_EDGE[case]
+    cfg = write_config(tmp_path, {**BASE_CONFIG, **override})
+    src = str(Path(carpetdim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", _CAPPED, "dimension", "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert (run.returncode, run.stderr) == (code, "")
+    if field:
+        assert run.stdout.startswith(f"error: {field}: ") and run.stdout.count("\n") == 1
+    else:
+        assert (tmp_path / "out" / "sn.csv").exists()
 
 
 def test_sampled_pairs_up_to_the_guard_are_accepted(tmp_path):

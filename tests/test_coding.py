@@ -2,10 +2,11 @@ import itertools
 import math
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carpetdim import (
@@ -20,6 +21,7 @@ from carpetdim import (
     target_from_word,
     validate_ifs,
 )
+from carpetdim.coding import _combine_axes
 from carpetdim.errors import (
     CodingTooLongError,
     DegenerateExpansionError,
@@ -163,6 +165,127 @@ class TestCanonicalRepresentative:
         chosen = canonical_representative(vicsek, cands)
         pts = {c.point(3) for c in cands}
         assert chosen.point(3) in pts and len(pts) == 1
+
+
+def _ref_representative(ifs, candidates):
+    """`canonical_representative` on big-integer row products, as it was first
+    written: per-cycle products raised to lcm / period, then every prefix
+    product across one aligned cycle, then the marked-pair keys."""
+    cands = list(dict.fromkeys(candidates))
+    if len(cands) == 1:
+        return cands[0]
+    L = math.lcm(*(len(c.period) for c in cands))
+
+    def cycle_product(c):
+        return math.prod(ifs.row_size(p.v) for p in c.period)
+
+    rates = [cycle_product(c) ** (L // len(c.period)) for c in cands]
+    cands = [c for c, r in zip(cands, rates) if r == max(rates)]
+    if len(cands) == 1:
+        return cands[0]
+    start = max(len(c.preperiod) for c in cands)
+    tables = [list(itertools.accumulate(
+        (ifs.row_size(c.row_digit(i)) for i in range(1, start + L + 1)), lambda a, b: a * b
+    )) for c in cands]
+    dominant = [
+        c for c, ti in zip(cands, tables)
+        if all(ti[n] >= tj[n] for n in range(start, start + L) for tj in tables)
+    ]
+    if not dominant:
+        raise UndecidableDominanceError("no dominant candidate")
+
+    def key(c):
+        b = ifs.base
+        window = c.preperiod + c.period
+        return tuple(x for m in [(0, 0), (0, b - 1), (b - 1, 0)]
+                     for x in (Fraction(c.period.count(m), len(c.period)), window.count(m)))
+
+    keyed = sorted(dominant, key=key, reverse=True)
+    if len([c for c in keyed if key(c) == key(keyed[0])]) > 1:
+        raise UndecidableDominanceError("tied keys")
+    return keyed[0]
+
+
+def _ref_combine_axes(x_exp, y_exp):
+    """`_combine_axes` index by index, as it was first written."""
+    (xp, xq), (yp, yq) = x_exp, y_exp
+    p, q = max(len(xp), len(yp)), math.lcm(len(xq), len(yq))
+
+    def dig(pre, per, i):
+        return pre[i] if i < len(pre) else per[(i - len(pre)) % len(per)]
+
+    pre = tuple((dig(xp, xq, i), dig(yp, yq, i)) for i in range(p))
+    per = tuple((dig(xp, xq, p + i), dig(yp, yq, p + i)) for i in range(q))
+    return pre, per
+
+
+def _ref_target_word(ifs, z, w):
+    """The representative coding of (z, w), every step by its first reference."""
+    found = set()
+    for xe in base_expansions(z, ifs.base):
+        for ye in base_expansions(w, ifs.base):
+            pre, per = _ref_combine_axes(xe, ye)
+            if all(p in ifs.digits for p in pre + per):
+                found.add(DigitWord.periodic(pre, per))
+    if not found:
+        raise NotInAttractorError("no admissible coding")
+    return _ref_representative(ifs, found)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (NotInAttractorError, UndecidableDominanceError) as exc:
+        return type(exc)
+
+
+@st.composite
+def systems_and_points(draw):
+    """A random base 2-5 system and a point whose coordinates are mostly
+    b-adic (two expansions each), some with a period from a factor 3 or 7."""
+    base = draw(st.integers(2, 5))
+    grid = [(u, v) for u in range(base) for v in range(base)]
+    pairs = draw(st.sets(st.sampled_from(grid), min_size=2, max_size=base * base - 1))
+
+    def coordinate():
+        den = base ** draw(st.integers(0, 3)) * draw(st.sampled_from([1, 1, 1, 3, 7]))
+        return Fraction(draw(st.integers(0, den)), den)
+
+    return validate_ifs(base, pairs), coordinate(), coordinate()
+
+
+@given(systems_and_points())
+@example((validate_ifs(3, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 2)]),
+          Fraction(1, 3), Fraction(1, 3)))  # four codings
+@example((validate_ifs(4, [(0, 1), (0, 2), (1, 0), (2, 0), (3, 0), (3, 1), (3, 3)]),
+          Fraction(1, 2), Fraction(1, 12)))  # the marked pairs tie
+@example((validate_ifs(3, VICSEK_PAIRS), Fraction(1, 2), Fraction(1, 3)))  # no coding
+@settings(max_examples=600, deadline=None)
+def test_representative_matches_the_big_integer_products(case):
+    ifs, z, w = case
+    ours = _outcome(lambda: canonical_representative(ifs, expansions_of(ifs, z, w)))
+    assert ours == _outcome(_ref_target_word, ifs, z, w)
+
+
+@given(*[st.tuples(st.lists(st.integers(0, 3), max_size=5).map(tuple),
+                   st.lists(st.integers(0, 3), min_size=1, max_size=6).map(tuple))] * 2)
+@settings(max_examples=300, deadline=None)
+def test_combined_axes_match_the_per_index_zip(x_exp, y_exp):
+    assert _combine_axes(x_exp, y_exp) == _ref_combine_axes(x_exp, y_exp)
+
+
+def test_long_preperiod_representative_in_linear_memory():
+    # the representative of (0, 10^-40000) kept every prefix product of row
+    # sizes as a big integer: 222 MB
+    ifs = validate_ifs(10, [(0, 0), (1, 0), (0, 1), (0, 9), (1, 9)])
+    tracemalloc.start()
+    try:
+        target = make_target(ifs, 0, Fraction(1, 10 ** 40000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 10 ** 6
+    assert target.word == DigitWord.periodic([(0, 0)] * 40000, [(0, 9)])
 
 
 class TestDigitFrequencies:
