@@ -25,33 +25,37 @@ Every reader of a stage (exponent, row-count surface, agreement length,
 verify constructions) builds one `StageKernel` per stage. The target's digits
 are read from one table per (target, system), built in O(b D) by C-level
 passes (`_target_rows`): `dimension_report` sizes it for its deepest window
-D, and a deeper window grows it by doubling. From it a stage finds its
-patterns in O(log D): each axis has at most one deviation down and one up,
-each one bisection on a running count, after the exact pattern, which copies
-the target and so always meets the window. A pattern is its deviation
-position and sign, never a digit string, and its realizability is O(1)
-running-count differences. The kernel then gives the best row counts at any
-depth j in O(b) per pattern. Below g = max(first deviation, lam) every
-pattern copies the target, so no reader of a stage walks those depths one
-by one. The surface row j = lam..xi (`sn-table`,
-`StageKernel.weighted_row_counts`) sums the target's per-digit count
-columns there, O(b (g - lam)) in C-level passes, and calls `best` at each
-depth from g on. The minimisation over j (`StageKernel.argmin`) ranks only
-the O(period) class ends there, since on a periodic stretch the quotient is
-monotone along each residue class of j, and then every depth from g on;
-for the shipped periodic targets that is a few depths at the end of the
-window.
+D, and a deeper window grows it by doubling. A stage's patterns are its
+parts: each axis has at most one deviation down and one up, found by one
+bisection each on a running count, after the exact pattern, which copies the
+target and so always meets the window. A pattern is its deviation position
+and sign, never a digit string, and its realizability is O(1) running-count
+differences. On a periodic target whose window has passed its preperiod by
+two periods, the parts depend only on a small key (the residue of lam - 1
+and the gap xi - lam, see `_TargetRows.shape`), so each key's parts are
+built once and shifted into place, and a stage costs O(#candidate depths)
+Python steps. The kernel gives the best row counts at any depth j in O(b)
+per pattern. Below g = max(first deviation, lam) every pattern copies the
+target, so no reader of a stage walks those depths one by one. The surface
+row j = lam..xi (`sn-table`, `StageKernel.weighted_row_counts`) sums the
+target's per-digit count columns there, O(b (g - lam)) in C-level passes,
+and calls `best` at each depth from g on. The minimisation over j
+(`StageKernel.argmin`) ranks only the depths where the quotient can turn
+below g: O(period) class ends on a periodic target, and the ends of the
+row runs on a truncation, O(log xi) on a block word. From g on it ranks
+every depth; for the shipped periodic targets that is a few depths at the
+end of the window.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress, islice, repeat
-from typing import Iterator, Sequence
+from itertools import accumulate, compress, islice, repeat
+from typing import Sequence
 
 from .coding import TargetSpec
 from .errors import ScheduleError
@@ -201,27 +205,56 @@ class _TargetRows:
     stage path reads, each built by one C-level pass:
 
     - `cols`, `rows`: the column and row digits;
-    - `col_runs`, `row_runs`: their `_run_counts`;
     - `prefix[a][k]`: rows equal to a among positions 1..k;
     - `logsum[k]`: the float sum of the row logs over positions 1..k;
-    - `row_logs[a]`: the log of row size a;
-    - the counts behind `tail_fits`, built on first use.
+    - `row_logs[a]`: the log of row size a, and the logs of #J and b;
+    - built on first use: `col_runs` and `row_runs`, the digits'
+      `_run_counts`; `run_ends`; the counts behind `tail_fits`.
+
+    A periodic target's stages past its preperiod read their parts from
+    `shape`, which builds them on `_head`, a table a few periods deep, so
+    the run counts of the deep table are built only when a stage before
+    that, or verify, asks for axis patterns.
     """
 
-    def __init__(self, ifs: GridIFS, target: TargetSpec, depth: int):
-        pairs = target.word.pairs_up_to(depth)
-        top = ifs.base - 1
-        self.ifs, self.depth = ifs, depth
+    def __init__(self, ifs: GridIFS, word: DigitWord, depth: int):
+        pairs = word.pairs_up_to(depth)
+        # the word, not its target: the target holds this table
+        self.ifs, self.depth, self._word = ifs, depth, word
         self.cols = tuple(map(operator.itemgetter(0), pairs))
         self.rows = tuple(map(operator.itemgetter(1), pairs))
-        self.col_runs = _run_counts(self.cols, top)
-        self.row_runs = _run_counts(self.rows, top)
         self.prefix = [
             list(accumulate(map(a.__eq__, self.rows), initial=0)) for a in range(ifs.base)
         ]
         self.row_logs = tuple(map(ifs.row_log, range(ifs.base)))
         self.logsum = list(accumulate(map(self.row_logs.__getitem__, self.rows), initial=0.0))
+        self.max_row_digit = ifs.max_row_digit
+        self.log_j, self.log_b = math.log(len(ifs.digits)), math.log(ifs.base)
+        self.cycle = (len(word.preperiod), len(word.period)) if word.is_periodic else None
         self._fits: dict[tuple[int, bool], list[int]] = {}
+        self._shapes: dict[tuple[int, int], tuple[list[tuple[int, int, int]], int | None]] = {}
+
+    @cached_property
+    def col_runs(self) -> tuple[list[int], list[int]]:
+        return _run_counts(self.cols, self.ifs.base - 1)
+
+    @cached_property
+    def row_runs(self) -> tuple[list[int], list[int]]:
+        return _run_counts(self.rows, self.ifs.base - 1)
+
+    @cached_property
+    def _head(self) -> _TargetRows:
+        """A table of a periodic target to depth L + 5p, past every window
+        that `shape` builds: lam0 - 1 < L + 3p and xi0 - lam0 < 2p."""
+        pre, period = self.cycle
+        return _TargetRows(self.ifs, self._word, pre + 5 * period)
+
+    @cached_property
+    def run_ends(self) -> list[int]:
+        """The positions k < depth whose row digit differs from that of k + 1:
+        the last position of each run of one row digit."""
+        rows = self.rows
+        return list(compress(range(1, self.depth), map(operator.ne, rows, islice(rows, 1, None))))
 
     def tail_fits(self, c: int, vertical: bool, start: int, end: int) -> bool:
         """Does the constant digit c, on the vertical axis when `vertical` is
@@ -235,6 +268,46 @@ class _TargetRows:
             self._fits[c, vertical] = fits
         return fits[end] - fits[start - 1] == end - start + 1
 
+    def shape(self, lam: int, xi: int) -> tuple[list[tuple[int, int, int]], int | None]:
+        """The stage window (lam, xi)'s `_stage_parts`, and the index of the
+        part that `best` picks at every depth from xi - 1 on, or None when
+        each stage decides it.
+
+        On a periodic target of preperiod L and period p, a row or column
+        digit at a position past L depends only on the position mod p. Once
+        the horizontal window's last position lam - 1 is at least L + 2p:
+        - each axis's deviations lie within p of its last position, where a
+          shift by a multiple of p moves them, or, when the axis's period is
+          one constant 0 or b - 1, at a fixed position up to L;
+        - every `tail_fits` run from a fixed position to a moving one covers
+          a whole period past L, so its answer does not depend on where the
+          run ends;
+        - a gap xi - lam of at least p puts every moving vertical deviation
+          past lam - 1, so only the gap's residue mod p matters.
+        So the window has the parts of the window (lam0, xi0) keyed by the
+        residue of lam - 1 mod p and the gap (kept below p, or reduced into
+        p..2p - 1), with each moving position shifted by xi - xi0. The
+        winner past xi - 1 compares count differences on positions within p
+        of xi - 1, so it is kept too, unless a part deviates at a fixed
+        position, whose tail grows with the window.
+        """
+        if self.cycle is None or lam - 1 < self.cycle[0] + 2 * self.cycle[1]:
+            return _stage_parts(self, lam, xi), None
+        pre, period = self.cycle
+        lam0 = pre + 2 * period + 1 + (lam - 1 - pre) % period
+        gap = xi - lam
+        xi0 = lam0 + (gap if gap < period else period + gap % period)
+        shape = self._shapes.get((lam0, xi0))
+        if shape is None:
+            head = self._head
+            parts = _stage_parts(head, lam0, xi0)
+            moving = all(p > pre for p, _, _ in parts)
+            winner = _best_part(head, lam0, xi0, parts, xi0 - 1)[0] if moving else None
+            shape = self._shapes[lam0, xi0] = parts, winner
+        parts, winner = shape
+        shift = xi - xi0
+        return [(p + shift if p > pre else p, dev, tail) for p, dev, tail in parts], winner
+
 
 def _target_rows(ifs: GridIFS, target: TargetSpec, upto: int) -> _TargetRows:
     """The target's table over positions 1..upto, or over all its known
@@ -244,15 +317,17 @@ def _target_rows(ifs: GridIFS, target: TargetSpec, upto: int) -> _TargetRows:
     by the target would hash its whole word. A stage that outgrows it builds
     it again at least twice as deep, never past a truncation's depth.
     """
+    table = target._rows
+    if table is not None and table.depth >= upto and table.ifs == ifs:
+        return table
     known = target.word.truncation_depth
     cap = math.inf if known is None else known
     upto = min(upto, cap)
-    table = target._rows
     if table is not None and table.ifs == ifs:
         if table.depth >= upto:
             return table
         upto = min(max(upto, 2 * table.depth), cap)
-    table = _TargetRows(ifs, target, upto)
+    table = _TargetRows(ifs, target.word, upto)
     object.__setattr__(target, "_rows", table)
     return table
 
@@ -302,6 +377,54 @@ def _deviation_realizable(
     return any(_paired(ifs, table, h, v) for h in hpats)
 
 
+def _stage_parts(table: _TargetRows, lam: int, xi: int) -> list[tuple[int, int, int]]:
+    """The realizable vertical patterns of the stage window (lam, xi), each
+    as its part (deviation position, deviating digit, tail digit): the exact
+    pattern first, as (xi, 0, 0), past the window, then the realizable
+    deviations by descending position. Built from the axis patterns."""
+    ifs = table.ifs
+    hpats = _axis_patterns(ifs.base, table.cols, table.col_runs, lam - 1)
+    vpats = _axis_patterns(ifs.base, table.rows, table.row_runs, xi - 1)
+    return [(xi, 0, 0)] + [
+        (v.deviate_pos, v.deviate_digit, v.tail_digit)
+        for v in vpats[1:]
+        if _deviation_realizable(ifs, table, hpats, v, lam)
+    ]
+
+
+def _part_counts(
+    table: _TargetRows, lam: int, xi: int, part: tuple[int, int, int], j: int
+) -> tuple[int, ...]:
+    """Row-digit counts over window positions lam..j of the pattern whose
+    part is `part`: the target's rows before its deviation position p, the
+    deviating digit at p, the tail digit after, the free row past xi - 1."""
+    p, dev, tail = part
+    last = min(j, xi - 1)
+    copied = max(lam - 1, min(last, p - 1))  # target rows lam..copied
+    counts = [col[copied] - col[lam - 1] for col in table.prefix]
+    if lam <= p <= last:
+        counts[dev] += 1
+    run = last - max(lam, p + 1) + 1
+    if run > 0:
+        counts[tail] += run
+    if j >= xi:
+        counts[table.max_row_digit] += j - xi + 1
+    return tuple(counts)
+
+
+def _best_part(
+    table: _TargetRows, lam: int, xi: int, parts: list[tuple[int, int, int]], j: int
+) -> tuple[int, tuple[int, ...]]:
+    """The index of the part with the largest exact row product at depth j
+    (the first one on equal products), and its counts."""
+    best_idx, best = 0, _part_counts(table, lam, xi, parts[0], j)
+    for idx in range(1, len(parts)):
+        c = _part_counts(table, lam, xi, parts[idx], j)
+        if _product_exceeds(table.ifs, c, best):
+            best_idx, best = idx, c
+    return best_idx, best
+
+
 def _product_exceeds(ifs: GridIFS, c1: Sequence[int], c2: Sequence[int]) -> bool:
     """Is the row product of c1 larger than that of c2? Exact."""
     return ifs.log_sign(ifs.exponents(list(map(operator.sub, c1, c2)))) > 0
@@ -323,49 +446,75 @@ def _depth_sign(
 class StageKernel:
     """One stage's window, answering every depth j from a single build.
 
-    Holds the stage's axis patterns `hpats` and `vpats` and the realizable
-    vertical ones, `patterns`. A vertical pattern is realizable when its rows
-    are inhabited beyond the horizontal window and some horizontal pattern
-    pairs with it inside. The exact pattern always is: it pairs with the
-    exact horizontal pattern into the target's own pairs, which
-    `target_from_word` checked against J. So `patterns` is never empty and
-    starts with the exact pattern.
+    A vertical pattern is realizable when its rows are inhabited beyond the
+    horizontal window and some horizontal pattern pairs with it inside. The
+    exact pattern always is: it pairs with the exact horizontal pattern into
+    the target's own pairs, which `target_from_word` checked against J.
 
-    Each realizable pattern is kept as three parts: its deviation position p
-    (the exact pattern deviates at xi, past the window), the deviating digit
-    and the constant carry tail; before p it copies the target's rows, and
-    the free row fills depths beyond xi - 1. The target's table
-    (`_target_rows`, built in O(b D)) gives the patterns in O(log D), their
-    realizability in O(1) each, and a pattern's exact row-count vector at
-    any depth in O(b). `argmin` ranks O(period) depths below the first
-    deviation of a periodic target, and every depth from there on;
-    `weighted_row_counts` gives the surface row in O(b (g - lam)) C-level
-    passes below g = max(first deviation, lam), plus `best` from g on. Counts
-    leave the kernel as plain tuples, and the `GridIFS` methods turn them
-    into values.
+    The kernel holds each realizable pattern as its part: its deviation
+    position p (the exact pattern deviates at xi, past the window), the
+    deviating digit and the constant carry tail. Before p it copies the
+    target's rows, and the free row fills depths beyond xi - 1. The parts
+    come from the target's table (`_target_rows`, built in O(b D)): on a
+    periodic target past its preperiod, from the shape kept per key
+    (`_TargetRows.shape`) in O(#parts); otherwise from the axis patterns,
+    in O(log D). A part's exact row-count vector at any depth costs O(b).
+    `WindowPattern`s are built only when asked for: the axis patterns
+    `hpats` and `vpats`, and `patterns`, the realizable vertical ones,
+    which start with the exact pattern.
+
+    `argmin` ranks the candidate depths below g = max(first deviation,
+    lam), O(period) on a periodic target and the row runs' ends on a
+    truncation, and every depth from g on; `weighted_row_counts` gives the
+    surface row in O(b (g - lam)) C-level passes below g, plus `best` from
+    g on. Counts leave the kernel as plain tuples, and the `GridIFS`
+    methods turn them into values.
     """
 
-    def __init__(self, ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int):
-        lam, xi = schedule.window(n)
+    def __init__(
+        self,
+        ifs: GridIFS,
+        target: TargetSpec,
+        schedule: RateSchedule,
+        n: int,
+        *,
+        window: tuple[int, int] | None = None,
+    ):
+        # `window` is (lam(n), xi(n)) when the caller has evaluated it already
+        lam, xi = schedule.window(n) if window is None else window
         word = target.word
-        # a short truncation fails naming the first depth it lacks: lam - 1, then xi - 1
-        word.require_depth(lam - 1)
-        word.require_depth(xi - 1)
+        if not word.is_periodic:
+            # a short truncation fails naming the first depth it lacks: lam - 1, then xi - 1
+            word.require_depth(lam - 1)
+            word.require_depth(xi - 1)
         table = _target_rows(ifs, target, xi - 1)
         self.ifs, self.n, self.lam, self.xi = ifs, n, lam, xi
-        self.hpats = _axis_patterns(ifs.base, table.cols, table.col_runs, lam - 1)
-        self.vpats = _axis_patterns(ifs.base, table.rows, table.row_runs, xi - 1)
-        self.patterns = self.vpats[:1] + [
-            v for v in self.vpats[1:] if _deviation_realizable(ifs, table, self.hpats, v, lam)
-        ]
-        self._parts = [(xi, 0, 0)] + [
-            (v.deviate_pos, v.deviate_digit, v.tail_digit) for v in self.patterns[1:]
-        ]
-        self.first_deviation = min(p for p, _, _ in self._parts)
         self._table = table
-        self._cycle = (len(word.preperiod), len(word.period)) if word.is_periodic else None
-        self._n_log_j = n * math.log(len(ifs.digits))
-        self._log_b = math.log(ifs.base)
+        self._parts, self._winner = table.shape(lam, xi)
+        # deviations come by descending position, each before xi
+        self.first_deviation = self._parts[-1][0]
+        self._n_log_j = n * table.log_j
+        self._log_b = table.log_b
+
+    @cached_property
+    def hpats(self) -> list[WindowPattern]:
+        """The horizontal window's axis patterns."""
+        table = self._table
+        return _axis_patterns(self.ifs.base, table.cols, table.col_runs, self.lam - 1)
+
+    @cached_property
+    def vpats(self) -> list[WindowPattern]:
+        """The vertical window's axis patterns."""
+        table = self._table
+        return _axis_patterns(self.ifs.base, table.rows, table.row_runs, self.xi - 1)
+
+    @cached_property
+    def patterns(self) -> list[WindowPattern]:
+        """The realizable vertical patterns, one per part."""
+        rows, base, last = self._table.rows, self.ifs.base, self.xi - 1
+        return [WindowPattern(None, None, last, rows, base)] + [
+            WindowPattern(p, dev - rows[p - 1], last, rows, base) for p, dev, _ in self._parts[1:]
+        ]
 
     def quotient(self, j: int, a: float) -> float:
         """Stage quotient (n log #J + a) / ((n + j) log b) of a weighted row
@@ -387,31 +536,21 @@ class StageKernel:
 
     def counts(self, idx: int, j: int) -> tuple[int, ...]:
         """Row-digit counts of pattern idx over window positions lam..j."""
-        lam, xi = self.lam, self.xi
-        p, dev, tail = self._parts[idx]
-        last = min(j, xi - 1)
-        copied = max(lam - 1, min(last, p - 1))  # target rows lam..copied
-        counts = [col[copied] - col[lam - 1] for col in self._table.prefix]
-        if lam <= p <= last:
-            counts[dev] += 1
-        run = last - max(lam, p + 1) + 1
-        if run > 0:
-            counts[tail] += run
-        if j >= xi:
-            counts[self.ifs.max_row_digit] += j - xi + 1
-        return tuple(counts)
+        return _part_counts(self._table, self.lam, self.xi, self._parts[idx], j)
+
+    def _best(self, j: int) -> tuple[int, tuple[int, ...]]:
+        """`best` at depth j, with the pattern's index in `patterns`."""
+        if min(j, self.xi - 1) < self.first_deviation:
+            return 0, self.counts(0, j)  # no pattern has left the target yet
+        if j >= self.xi - 1 and self._winner is not None:
+            return self._winner, self.counts(self._winner, j)
+        return _best_part(self._table, self.lam, self.xi, self._parts, j)
 
     def best(self, j: int) -> tuple[WindowPattern, tuple[int, ...]]:
         """The pattern with the largest exact row product at depth j (the
         first one on equal products) and its counts."""
-        best_idx, best = 0, self.counts(0, j)
-        if min(j, self.xi - 1) < self.first_deviation:
-            return self.patterns[0], best  # no pattern has left the target yet
-        for idx in range(1, len(self._parts)):
-            c = self.counts(idx, j)
-            if _product_exceeds(self.ifs, c, best):
-                best_idx, best = idx, c
-        return self.patterns[best_idx], best
+        idx, counts = self._best(j)
+        return self.patterns[idx], counts
 
     def weighted_row_counts(self) -> list[float]:
         """The stage's surface row: `weighted_row_count(best(j)[1])` at each
@@ -433,29 +572,49 @@ class StageKernel:
                 counts = map(operator.sub, col[lam:g], repeat(col[lam - 1]))
                 sums = list(map(operator.add, sums, map(operator.mul, counts, repeat(log))))
         weigh = self.ifs.weighted_row_count
-        return sums + [weigh(self.best(j)[1]) for j in range(g, self.xi + 1)]
+        return sums + [weigh(self._best(j)[1]) for j in range(g, self.xi + 1)]
 
-    def _stretch(self, end: int) -> list[range]:
+    def _stretch(self, end: int) -> list[int]:
         """The depths of lam..end that `argmin` ranks below the first
-        deviation, as ascending ranges: for a periodic target of preperiod L
-        and period p, every depth below max(lam, L) + p and the last p
-        depths; for a truncation, all of them."""
+        deviation, ascending: for a periodic target of preperiod L and
+        period p, every depth below max(lam, L) + p and the last p depths;
+        for a truncation, lam, end and the row runs' ends between them."""
         lam = self.lam
-        if self._cycle is None:
-            return [range(lam, end + 1)]
-        pre, period = self._cycle
+        if end <= lam:
+            return [lam] if end == lam else []
+        table = self._table
+        if table.cycle is None:
+            ends = table.run_ends
+            return [lam, *ends[bisect_right(ends, lam) : bisect_left(ends, end)], end]
+        pre, period = table.cycle
         first = max(lam, pre) + period
-        return [range(lam, min(end + 1, first)), range(max(first, end - period + 1), end + 1)]
+        return [*range(lam, min(end + 1, first)), *range(max(first, end - period + 1), end + 1)]
 
-    def _row_logs(self, idx: int, start: int, last: int) -> Iterator[float]:
-        """The row logs of pattern idx at window positions start..last."""
-        p, dev, tail = self._parts[idx]
-        logs = self._table.row_logs
-        return chain(
-            map(logs.__getitem__, self._table.rows[start - 1 : min(p - 1, last)]),
-            [logs[dev]] if start <= p <= last else (),
-            repeat(logs[tail], last - max(p, start - 1)),
-        )
+    def _merged(self, g: int, last: int) -> list[float]:
+        """The largest float weighted row count over the patterns at each
+        depth g..last, where g = max(first_deviation, lam) and last < xi, in
+        C-level passes. Every pattern copies the target's rows up to its
+        deviation position p, as the exact one does up to last: `logsum`
+        differences. A deviating one then adds, when lam <= p, the
+        deviating digit's log, and one tail log per depth, times the tail's
+        length so far."""
+        lam, table = self.lam, self._table
+        logsum, logs = table.logsum, table.row_logs
+        origin = logsum[lam - 1]
+        merged = copied = list(map(origin.__rsub__, logsum[g : last + 1]))
+        for p, dev, tail in self._parts[1:]:
+            if p > last:
+                continue  # copies the target at every depth up to last
+            # depth q counts every position before the tail: p >= g, or lam - 1 when p < lam
+            if p >= lam:
+                q, base = p, logsum[p - 1] - origin + logs[dev]
+                sums = copied[: p - g] + [base]
+            else:
+                q, base, sums = lam - 1, 0.0, []
+            lengths = range(max(g - q, 1), last - q + 1)
+            sums += map(base.__add__, map(logs[tail].__mul__, lengths))
+            merged = list(map(max, merged, sums))
+        return merged
 
     def argmin(self, upto: int) -> tuple[int, tuple[int, ...]]:
         """The depth j in lam..upto (lam when upto < lam) minimising the stage
@@ -463,18 +622,22 @@ class StageKernel:
 
         Let g = max(first_deviation, lam). Below g every pattern copies the
         target, so with S the target's row-log prefix sum the quotient at j
-        is (C + S(j)) / ((n + j) log b) for one C per stage. For a periodic
-        target of preperiod L and period p, S(j + p) = S(j) + sigma once
-        j >= L, so along each residue class of j mod p in max(lam, L)..g-1
-        the quotient is a ratio of two affine functions of the class index:
-        monotone, or constant. Only the two ends of a class can win, and a
-        constant class's first depth is one of them, so `_stretch` ranks
-        only the depths below max(lam, L) + p and the last p depths below g.
+        is (C + S(j)) / ((n + j) log b) for one C per stage: a ratio of two
+        affine functions of j wherever S is affine, so monotone there, or
+        constant, and only the ends of such a stretch can win. A constant
+        stretch's first depth is one of its ends, so exact ties still go to
+        the smallest j. `_stretch` ranks only these ends:
+        - on a truncation S is affine on each run of one row digit, so the
+          ends are lam, the runs' last positions and g - 1;
+        - on a periodic target of preperiod L and period p, S(j + p) =
+          S(j) + sigma once j >= L, so S is affine along each residue class
+          of j mod p in max(lam, L)..g-1, whose ends are the depths below
+          max(lam, L) + p and the last p depths below g.
         From g to upto each pattern sums its own row logs, and every depth
         is ranked.
 
-        The floats are the target's `logsum` differences below g and the
-        running sums from g. Every ranked depth within `_TIE_EPS` of their
+        The floats are the target's `logsum` differences below g and
+        `_merged`'s sums from g. Every ranked depth within `_TIE_EPS` of their
         minimum is settled exactly by `_depth_sign`, in ascending order, so
         exact ties go to the smallest j.
         """
@@ -483,36 +646,31 @@ class StageKernel:
         logsum = self._table.logsum
         origin = logsum[lam - 1]
         g = max(self.first_deviation, lam)
-        stretch = self._stretch(min(g - 1, upto))
-        depths = list(chain.from_iterable(stretch))
+        depths = self._stretch(min(g - 1, upto))
         # a[i] is the float weighted row count at depths[i]
-        a = list(chain.from_iterable(
-            map(operator.sub, logsum[r.start : r.stop], repeat(origin)) for r in stretch
-        ))
+        a = [logsum[j] - origin for j in depths]
         if upto >= g:
             last = min(upto, xi - 1)
-            sums = [
-                accumulate(self._row_logs(idx, g, last), initial=logsum[g - 1] - origin)
-                for idx in range(len(self._parts))
-            ]
-            # merged[k] is the largest weighted row count at depth g - 1 + k
-            merged = list(map(max, *sums)) if len(sums) > 1 else list(sums[0])
-            depths += range(g, last + 1)
-            a += islice(merged, 1, None)
+            merged = [logsum[last] - origin]  # g = xi: no pattern leaves the target
+            if g <= last:
+                # merged[k] is the largest weighted row count at depth g + k
+                merged = self._merged(g, last)
+                depths += range(g, last + 1)
+                a += merged
             if upto >= xi:  # depth xi adds one free row
                 depths.append(xi)
-                a.append(merged[-1] + math.log(ifs.max_row_size))
+                a.append(merged[-1] + self._table.row_logs[self._table.max_row_digit])
         quotients = self.quotients(depths, a)
         limit = min(quotients) + _TIE_EPS
         near = compress(depths, map(limit.__gt__, quotients))
         best_j, best_vec = next(near), None
         for j in near:
             if best_vec is None:
-                best_vec = ifs.exponents(self.best(best_j)[1], n)
-            vec = ifs.exponents(self.best(j)[1], n)
+                best_vec = ifs.exponents(self._best(best_j)[1], n)
+            vec = ifs.exponents(self._best(j)[1], n)
             if _depth_sign(ifs, n, j, vec, best_j, best_vec) < 0:
                 best_j, best_vec = j, vec
-        return best_j, self.best(best_j)[1]
+        return best_j, self._best(best_j)[1]
 
 
 def max_row_counts(
@@ -555,11 +713,17 @@ class ExponentRecord:
 
 
 def stage_exponent(
-    ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int
+    ifs: GridIFS,
+    target: TargetSpec,
+    schedule: RateSchedule,
+    n: int,
+    *,
+    window: tuple[int, int] | None = None,
 ) -> ExponentRecord:
     """Minimize (n log #J + weighted row count) / ((n + j) log b) over the
-    window depths j = lam(n)..xi(n); ties resolve to the smallest j."""
-    kernel = StageKernel(ifs, target, schedule, n)
+    window depths j = lam(n)..xi(n); ties resolve to the smallest j.
+    `window` is (lam(n), xi(n)) when the caller has evaluated it already."""
+    kernel = StageKernel(ifs, target, schedule, n, window=window)
     j, counts = kernel.argmin(kernel.xi)
     value = kernel.quotient(j, ifs.weighted_row_count(counts))
     return ExponentRecord(n, kernel.lam, kernel.xi, value, j, counts)
@@ -595,7 +759,7 @@ def dimension_report(
     windows = schedule.validate_range(ns)
     # one table as deep as the deepest window (or the word): doubling builds it 2-3 times, slower
     _target_rows(ifs, target, max(xi for _, xi in windows) - 1)
-    records = [stage_exponent(ifs, target, schedule, n) for n in ns]
+    records = [stage_exponent(ifs, target, schedule, n, window=w) for n, w in zip(ns, windows)]
     values = [r.value for r in records]
     tail_start = math.floor(len(values) * (1.0 - TAIL_FRACTION))
     running_max = max(values)

@@ -750,8 +750,9 @@ def test_seed_flag_is_the_config_seed(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_a_dimension_stage_reads_its_window_three_times(tmp_path, monkeypatch):
-    # the range check, the report's table size and the stage itself each read one window
+def test_a_dimension_stage_reads_its_window_twice(tmp_path, monkeypatch):
+    # the run's range check and the report's each read one window, and the
+    # report hands its windows to the stages
     calls = []
 
     def counted(ratio, n):
@@ -762,4 +763,26 @@ def test_a_dimension_stage_reads_its_window_three_times(tmp_path, monkeypatch):
     monkeypatch.setattr(schedules, "_ceil_mul", counted)
     cfg = write_config(tmp_path, BASE_CONFIG)
     assert main(["dimension", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert len(calls) == 2 * 3 * 40
+    assert len(calls) == 2 * 2 * 40
+
+
+def test_a_tiny_linear_rate_exits_0_at_once(tmp_path):
+    # its closed form's branch took `log_sign` hours on weights scaled by 10^300
+    cfg = write_config(tmp_path, {**BASE_CONFIG, "target": {"name": "vicsek-center"},
+                                  "schedule": {"kind": "linear", "lam": "1e-300", "xi": "2"},
+                                  "n_range": {"start": 1, "stop": 10}})
+    start = time.perf_counter()
+    assert main(["dimension", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert json.loads((tmp_path / "o" / "summary.json").read_text())["closed_form_branch"] == "xi"
+
+
+def test_a_truncation_stage_ranks_its_run_ends(tmp_path):
+    # corner-blocks rows come in runs of one digit, four times longer each
+    # block; ranking every depth of every window took about 16 s
+    cfg = write_config(tmp_path, {**BASE_CONFIG, "ifs": {"name": "corner"},
+                                  "target": {"name": "corner-blocks"},
+                                  "n_range": {"start": 1, "stop": 8000}})
+    start = time.perf_counter()
+    assert main(["dimension", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert time.perf_counter() - start < 5.0

@@ -1,5 +1,7 @@
 import math
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from carpetdim import (
     target_from_word,
     validate_ifs,
 )
+from carpetdim import formulas
 from carpetdim.errors import FrequenciesDoNotExistError, InvalidRatesError
 
 GAMMA = math.log(5) / math.log(3)
@@ -224,3 +227,38 @@ def test_exact_branch_matches_clearly_separated_floats(case):
         assert got[1] == ("xi" if gap > 0 else "lambda")
     if lam == xi:
         assert got[1] == "both"
+
+
+def _ref_branch(ifs, freqs, lam, xi):
+    """The branch by `GridIFS.log_sign` alone, on the weights scaled to
+    integers by the lcm of their denominators."""
+    lam, xi = Fraction(lam), Fraction(xi)
+    slice_counts = [-(1 + lam) * freqs.get(a, 0) for a in range(ifs.base)]
+    w = [(xi - lam) * Fraction(e) for e in ifs.exponents(slice_counts, 1)]
+    scale = math.lcm(*(e.denominator for e in w))
+    sign = ifs.log_sign([int(e * scale) for e in w])
+    return "both" if sign == 0 else "xi" if sign > 0 else "lambda"
+
+
+@given(closed_form_cases())
+@settings(max_examples=200, deadline=None)
+def test_float_branch_sign_matches_log_sign(case):
+    ifs, target, schedule = case
+    freqs = target.frequency_map()
+    lam, xi = schedule.params["lam"], schedule.params["xi"]
+    expected = _ref_branch(ifs, freqs, lam, xi)
+    assert formulas._exact_branch(ifs, freqs, lam, xi) == expected
+    # an infinite rounding bound sends every nonzero sign to `log_sign`
+    with mock.patch.object(formulas, "_BRANCH_ROUNDING", math.inf):
+        assert formulas._exact_branch(ifs, freqs, lam, xi) == expected
+
+
+@pytest.mark.parametrize("lam", ["1e-6", "1e-8", "1e-300"])
+def test_tiny_lambda_rate_decides_its_branch_at_once(vicsek, lam):
+    # the lcm of the weights' denominators is about 1/lam: `log_sign` alone
+    # took 1 s at 1e-6 and never finished at 1e-300
+    target = make_target(vicsek, Fraction(1, 2), Fraction(1, 2))
+    start = time.perf_counter()
+    got = closed_form_for(vicsek, target, RateSchedule.linear(Fraction(lam), 2))
+    assert time.perf_counter() - start < 1.0
+    assert got[1:] == ("xi", "frequency-closed-form")

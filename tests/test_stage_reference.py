@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from operator import add
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -378,3 +379,173 @@ _BASE4 = validate_ifs(4, [(0, 0), (1, 0), (3, 0), (2, 1), (0, 2), (3, 2),
 def test_surface_row_on_pinned_stages(ifs, pre, per, n):
     target = target_from_word(ifs, DigitWord.periodic(pre, per))
     _check_surface(shrinking.StageKernel(ifs, target, RateSchedule.linear(1, 2), n))
+
+
+@st.composite
+def block_words(draw):
+    """A random system and a truncated block word: runs of one digit pair
+    each, of lengths 1-200, under a linear or table schedule, with a few
+    stages whose windows the word covers."""
+    b = draw(st.integers(min_value=2, max_value=5))
+    ifs = _draw_ifs(draw, b)
+    digits = sorted(ifs.digits)
+    runs = draw(st.lists(
+        st.tuples(st.sampled_from(digits), st.integers(1, 200)), min_size=1, max_size=8
+    ))
+    word = [pair for pair, length in runs for _ in range(length)]
+    target = target_from_word(ifs, DigitWord.truncation(word))
+    depth = len(word)
+    ends = list(accumulate(length for _, length in runs))
+    if draw(st.booleans()):
+        schedule = RateSchedule.linear(*draw(_RATES))
+        top = max(n for n in range(1, depth + 2) if schedule.xi(n) - 1 <= depth)
+        ns = draw(st.lists(st.integers(1, top), min_size=1, max_size=3, unique=True))
+    else:
+        lam = draw(st.integers(1, depth + 1))
+        xi = draw(st.integers(lam, depth + 1))
+        schedule, ns = RateSchedule.from_tables([lam], [xi]), [1]
+    return ifs, target, schedule, ns, ends
+
+
+@given(block_words())
+@settings(max_examples=120, deadline=None)
+def test_truncation_ranks_its_run_ends_like_the_full_scan(case):
+    ifs, target, schedule, ns, ends = case
+    for n in ns:
+        lam, xi = schedule.window(n)
+        realizable = _ref_patterns(ifs, target, schedule, n)[2]
+        kernel = shrinking.StageKernel(ifs, target, schedule, n)
+        # bounds at and just past each run's end make it the last end ranked
+        bounds = {lam, xi - 1, xi} | {e + k for e in ends for k in (0, 1) if lam <= e + k <= xi}
+        for upto in sorted(bounds):
+            assert kernel.argmin(upto) == _ref_argmin(ifs, n, lam, xi, realizable, upto), upto
+        _check_stage_exponent(ifs, target, schedule, n, realizable)
+
+
+def _unkeyed_shape(table, lam, xi):
+    """`_TargetRows.shape` without its memo: the stage's own axis patterns."""
+    return shrinking._stage_parts(table, lam, xi), None
+
+
+# constant-tail targets: every row of vicsek-origin is 0; the uniform-fibre
+# carpet of the `ties` benchmark (base 4, rows 0 and 1 of two maps each) has
+# the target (0, 0), so both of its axes end in a constant 0
+_CONSTANT_TAILS = [
+    (_VICSEK, [], [(0, 0)]),
+    (validate_ifs(4, [(0, 0), (1, 0), (0, 1), (1, 1)]), [], [(0, 0)]),
+    # rows 0, 1 and 2 hold 1, 3 and 2 maps: the deviation down at the fixed
+    # position 1 (tail 2) loses to the one up at xi - 1 on a gap of 1 and
+    # wins on any longer gap, so its winner is decided per stage
+    (validate_ifs(3, [(0, 0), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2)]), [(0, 1)], [(0, 0)]),
+]
+
+
+@st.composite
+def keyed_runs(draw):
+    """A random system of base 2-5 and an eventually periodic target (or a
+    constant-tail one), a linear, table or alternating schedule and a run of
+    up to 40 consecutive stages from n0 on. Small n0 gives windows that
+    straddle the preperiod, before and after the shapes are keyed."""
+    if draw(st.integers(0, 4)) == 0:
+        ifs, pre, per = draw(st.sampled_from(_CONSTANT_TAILS))
+    else:
+        b = draw(st.integers(min_value=2, max_value=5))
+        ifs = _draw_ifs(draw, b)
+        digits = sorted(ifs.digits)
+        pre = draw(st.lists(st.sampled_from(digits), max_size=5))
+        constant = [p for p in digits if {p[0], p[1]} & {0, b - 1}]
+        per = draw(st.one_of(
+            st.lists(st.sampled_from(digits), min_size=1, max_size=4),
+            # one axis (or both) ends in a constant 0 or b - 1
+            st.lists(st.sampled_from(constant or digits), min_size=1, max_size=1),
+        ))
+    target = target_from_word(ifs, DigitWord.periodic(pre, per))
+    n0 = draw(st.integers(1, 30))
+    count = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["linear", "table", "alternating"]))
+    if kind == "linear":
+        schedule = RateSchedule.linear(*draw(_RATES))
+    elif kind == "table":
+        # windows around the threshold lam - 1 = L + 2p of the keyed shapes,
+        # with gaps below p, which leave vertical deviations inside lam - 1
+        period = len(target.word.period)
+        reach = len(target.word.preperiod) + 2 * period
+        lams = st.integers(max(1, reach - 3), reach + 3 * period + 3)
+        lams = sorted(draw(st.lists(lams, min_size=count, max_size=count)))
+        gaps = st.one_of(st.integers(0, 2 * period), st.integers(0, 30))
+        xis = [lam + draw(gaps) for lam in lams]
+        schedule = RateSchedule.from_tables([1] * (n0 - 1) + lams, [1] * (n0 - 1) + xis)
+    else:
+        schedule = RateSchedule.alternating(
+            draw(st.lists(_RATES, min_size=1, max_size=3)), block_base=2
+        )
+    return ifs, target, schedule, range(n0, n0 + count)
+
+
+def _compare_keyed(ifs, target, schedule, n):
+    """The stage built through the memo against a fresh build of its own."""
+    kernel = shrinking.StageKernel(ifs, target, schedule, n)
+    lam, xi = kernel.lam, kernel.xi
+    with mock.patch.object(shrinking._TargetRows, "shape", _unkeyed_shape):
+        fresh = shrinking.StageKernel(ifs, target, schedule, n)
+    assert kernel._parts == fresh._parts, n
+    assert list(map(_shape, kernel.patterns)) == list(map(_shape, fresh.patterns)), n
+    assert kernel.first_deviation == fresh.first_deviation, n
+    for j in range(lam, xi + 2):
+        pattern, counts = kernel.best(j)
+        ref_pattern, ref_counts = fresh.best(j)
+        assert (_shape(pattern), counts) == (_shape(ref_pattern), ref_counts), (n, j)
+    assert kernel.argmin(xi) == fresh.argmin(xi), n
+    rec = shrinking.stage_exponent(ifs, target, schedule, n)
+    with mock.patch.object(shrinking._TargetRows, "shape", _unkeyed_shape):
+        ref = shrinking.stage_exponent(ifs, target, schedule, n)
+    assert (rec.argmin_j, rec.row_counts, repr(rec.value)) == (
+        ref.argmin_j, ref.row_counts, repr(ref.value)
+    ), n
+
+
+@given(keyed_runs())
+@settings(max_examples=200, deadline=None)
+def test_keyed_stage_shape_matches_a_fresh_build(case):
+    ifs, target, schedule, ns = case
+    for n in ns:
+        _compare_keyed(ifs, target, schedule, n)
+    # a run past the threshold reads its shapes from the memo
+    pre, period = len(target.word.preperiod), len(target.word.period)
+    keyed = any(schedule.lam(n) - 1 >= pre + 2 * period for n in ns)
+    assert bool(target._rows._shapes) == keyed
+
+
+@pytest.mark.parametrize("base, pairs, pre, per, lam, xi", [
+    # a gap xi - lam below the period: the vertical deviation at 13 lies
+    # inside the horizontal window and fails to pair there
+    (4, [(0, 0), (0, 2), (1, 0), (1, 2), (1, 3), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2)],
+     [], [(0, 2), (0, 0), (0, 0), (1, 3)], 14, 16),
+    (4, [(0, 0), (1, 2), (1, 3), (2, 3), (3, 1), (3, 3)],
+     [], [(2, 3), (2, 3), (3, 1), (1, 3)], 17, 19),
+    # lam - 1 = L + 2p - 1, one short of the keyed shapes: the row deviation
+    # down at the fixed position 2 pairs only with the column deviation up at
+    # lam - 1 = 3, right after it; one period further on, the column digit 1
+    # at 3 lies between them, and its pair (1, 2) with the row tail is not in J
+    (3, [(1, 0), (2, 1), (2, 2)], [(2, 1), (2, 2)], [(1, 0)], 4, 15),
+])
+def test_keyed_shape_at_the_pinned_windows(base, pairs, pre, per, lam, xi):
+    ifs = validate_ifs(base, pairs)
+    target = target_from_word(ifs, DigitWord.periodic(pre, per))
+    _compare_keyed(ifs, target, RateSchedule.from_tables([lam], [xi]), 1)
+
+
+@pytest.mark.parametrize("ifs, pre, per", _CONSTANT_TAILS + [
+    (_VICSEK, [], [(1, 1)]),  # vicsek-center
+    (_VICSEK, [(1, 1)], [(0, 2), (2, 0), (1, 1)]),
+])
+def test_keyed_stages_of_a_long_run_match_the_reference(ifs, pre, per):
+    # a run of linear (1, 2) stages visits each key many times
+    target = target_from_word(ifs, DigitWord.periodic(pre, per))
+    schedule = RateSchedule.linear(1, 2)
+    report = shrinking.dimension_report(ifs, target, schedule, range(1, 161))
+    for rec in report.records[::7]:
+        realizable = _ref_patterns(ifs, target, schedule, rec.n)[2]
+        assert (rec.argmin_j, rec.row_counts) == _ref_argmin(
+            ifs, rec.n, rec.lam, rec.xi, realizable, rec.xi
+        ), rec.n
