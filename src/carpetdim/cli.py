@@ -270,11 +270,11 @@ def _stage_windows(
     return windows
 
 
-def _check_stages(config: RunConfig, path: str) -> None:
-    """Every stage of the run, checked by `_stage_windows` before any output,
-    with errors reported at `path`."""
+def _check_stages(config: RunConfig, path: str) -> list[tuple[int, int]]:
+    """The windows of every stage of the run, checked by `_stage_windows`
+    before any output, with errors reported at `path`."""
     try:
-        _stage_windows(config.schedule, config.target, config.n_values)
+        return _stage_windows(config.schedule, config.target, config.n_values)
     except CarpetError as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -293,8 +293,8 @@ def load_config(path: str) -> RunConfig:
 # commands
 
 
-def cmd_dimension(config: RunConfig, out_dir: Path) -> int:
-    report = dimension_report(config.ifs, config.target, config.schedule, config.n_values)
+def cmd_dimension(config: RunConfig, out_dir: Path, windows: list[tuple[int, int]]) -> int:
+    report = dimension_report(config.ifs, config.target, config.schedule, config.n_values, windows)
     # the closed forms a run reports are decided here: `closed_form_for`, and the ratio form below
     cf = closed_form_for(config.ifs, config.target, config.schedule)
     closed_form, branch, source = cf or (None, None, None)
@@ -531,13 +531,13 @@ def main(argv=None) -> int:
                 raise ConfigError("--n-max", f"need at least 1, got {n_max}")
             config.n_values = [n for n in config.n_values if n <= n_max] or [n_max]
         if args.command in ("dimension", "sn-table"):
-            _check_stages(config, "n_range" if n_max is None else "--n-max")
+            windows = _check_stages(config, "n_range" if n_max is None else "--n-max")
         out_dir = Path(args.out)
         # creating --out and writing any output file fail the same way
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
             if args.command == "dimension":
-                return cmd_dimension(config, out_dir)
+                return cmd_dimension(config, out_dir, windows)
             if args.command == "slice":
                 return cmd_slice(config, out_dir)
             if args.command == "verify":

@@ -749,14 +749,16 @@ def dimension_report(
     target: TargetSpec,
     schedule: RateSchedule,
     n_values: Sequence[int],
+    windows: Sequence[tuple[int, int]] | None = None,
 ) -> DimensionReport:
-    """Run the stage exponent over n_values and estimate the limiting value."""
+    """Run the stage exponent over n_values and estimate the limiting value;
+    `windows`, if given, are `RateSchedule.validate_range(n_values)`."""
     ns = list(n_values)
     if not ns:
         raise ValueError("n_values must be nonempty")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_values must be strictly increasing")
-    windows = schedule.validate_range(ns)
+    windows = schedule.validate_range(ns) if windows is None else windows
     # one table as deep as the deepest window (or the word): doubling builds it 2-3 times, slower
     _target_rows(ifs, target, max(xi for _, xi in windows) - 1)
     records = [stage_exponent(ifs, target, schedule, n, window=w) for n, w in zip(ns, windows)]

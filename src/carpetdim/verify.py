@@ -1,24 +1,25 @@
 """Finite-depth verification of the cover and measure constructions.
 
-Everything here runs in exact rational or integer arithmetic. A sample word
-projects to an integer hull (`DigitWord.hull`): an exact point for an
-eventually periodic word, its grid square for a truncation. The containment
-checks ask whether the shift-n hull lies inside the closed stage rectangle,
-or meets it, in integers, so no sample can be misclassified by rounding; the
-window condition they compare against is |W - T| <= 1 on base-b numerals
-(see `shrinking`). Both set-relation checks feed integer samples to one
-verdict (`_relation_stage`). A grid cell is the base-b numerals of its corner,
-tested against one support per level by `_in_supports`: a set-relation
-witness is a translated level-n cell of the digit set, and the lower-bound
-measure gives a positive level-L cell 1/size(L), with size(L) the product of
-the support sizes of levels 1..L. A Holder ball instead shares its centre's
-digits, read once per sample point, and tests only the last digits in which
-each of its cells differs from the centre's cell.
+Everything here runs in exact rational or integer arithmetic. The containment
+checks ask whether a sample's shift-n hull lies inside the closed stage
+rectangle, or meets it, in integers, so no sample can be misclassified by
+rounding: a truncation's tail numerals are compared with bounds formed once
+per stage and tail length, an eventually periodic word's point
+(`DigitWord.hull`) exactly. They test the window condition |W - T| <= 1 on
+base-b numerals (see `shrinking`). Both set-relation checks feed integer
+samples to one verdict (`_relation_stage`). A grid cell is the base-b
+numerals of its corner, tested against one support per level by
+`_in_supports`: a set-relation witness is a translated level-n cell of the
+digit set, and the lower-bound measure gives a positive level-L cell
+1/size(L), with size(L) the product of the support sizes of levels 1..L. A
+Holder ball shares its centre's digits, read once per sample point, and
+tests only the last digits in which each of its cells differs.
 
 The exhaustive checks decide once per class of inputs, not once per word. The
 oracle tests each head's columns once and each distinct row string once; both
 exhaustive checks cost |J|^(depth-n) tails plus, for the set relation, one
-verdict per prefix and class of valid shifts. Failures are rebuilt in
+verdict per prefix and class of valid shifts. The cover counts its squares,
+|J|^n prefixes times the distinct window tails. Failures are rebuilt in
 enumeration order, up to the 20 a report shows.
 """
 
@@ -30,6 +31,7 @@ import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -72,14 +74,7 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checked": self.checked,
-            "skipped": self.skipped,
-            "failures": self.failures[:20],
-            "details": self.details,
-        }
+        return {**vars(self), "failures": self.failures[:20]}
 
 
 def _fail(report: CheckReport, word: DigitWord, reason: str) -> None:
@@ -114,72 +109,69 @@ def _stage_rectangle(
     return axis(z, schedule.lam(n)), axis(w, schedule.xi(n))
 
 
-def _hull_relation(
-    rectangle: tuple[tuple[int, int, int], ...], word: DigitWord, base: int, n: int
-) -> tuple[bool, bool]:
-    """(inside, meets): does the shift-n hull of the word lie inside the
-    closed rectangle, and does it meet it?"""
-    x, y, den, width = word.shift(n).hull(base)
-    inside = meets = True
-    for v, (lo, hi, rden) in zip((x, y), rectangle):
-        vlo, vhi, lo, hi = v * rden, (v + width) * rden, lo * den, hi * den
-        inside = inside and lo <= vlo and vhi <= hi
-        meets = meets and lo <= vhi and vlo <= hi
-    return inside, meets
+def _hull_test(ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int, scale: int):
+    """A word's (inside, meets): does its shift-n hull lie inside the closed
+    `_stage_rectangle`, and meet it? A truncation's k tail numerals (x, y) are
+    compared with each axis' ceil(lo b^k / den) and floor(hi b^k / den),
+    formed once per k; an eventually periodic word's point exactly."""
+    b, rectangle, bounds = ifs.base, _stage_rectangle(ifs, target, schedule, n, scale), {}
+
+    def test(word: DigitWord) -> tuple[bool, bool]:
+        if word.period or len(word.preperiod) < n:  # shift(n) refuses a shorter truncation
+            x, y, den, _ = word.shift(n).hull(b)
+            inside = all(lo * den <= v * rden <= hi * den for v, (lo, hi, rden) in zip((x, y), rectangle))
+            return inside, inside
+        tail = word.preperiod[n:]
+        if len(tail) not in bounds:
+            bk = b ** len(tail)
+            bounds[len(tail)] = [(-(-lo * bk // den), hi * bk // den) for lo, hi, den in rectangle]
+        (xl, xh), (yl, yh) = bounds[len(tail)]
+        x, y = pair_value(tail, b)
+        return xl <= x < xh and yl <= y < yh, xl <= x + 1 and x <= xh and yl <= y + 1 and y <= yh
+
+    return test
 
 
 def check_containment_forward(
-    ifs: GridIFS,
-    target: TargetSpec,
-    schedule: RateSchedule,
-    n: int,
-    samples: Iterable[DigitWord],
+    ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int, samples: Iterable[DigitWord]
 ) -> CheckReport:
     """Samples whose shifted hull sits inside the stage rectangle must hit
     the window conditions. Hulls that meet the rectangle without sitting
     inside it are skipped."""
-    rectangle = _stage_rectangle(ifs, target, schedule, n, 1)
+    hull_test = _hull_test(ifs, target, schedule, n, 1)
     depth = n + schedule.xi(n)
-    report = CheckReport("containment-forward", True, 0)
-    inside_count = 0
+    report = CheckReport("containment-forward", True, 0, details={"inside": 0})
     for word in samples:
         word.require_depth(depth)  # a too-shallow word outside the rectangle fails too
-        inside, meets = _hull_relation(rectangle, word, ifs.base, n)
+        inside, meets = hull_test(word)
         report.checked += 1
         if inside:
-            inside_count += 1
+            report.details["inside"] += 1
             if not window_hit(ifs, target, schedule, n, word):
                 _fail(report, word, "shifted point inside the rectangle but window miss")
         elif meets:
             report.skipped += 1
-    report.details["inside"] = inside_count
     return report
 
 
 def check_containment_backward(
-    ifs: GridIFS,
-    target: TargetSpec,
-    schedule: RateSchedule,
-    n: int,
-    samples: Iterable[DigitWord],
+    ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int, samples: Iterable[DigitWord]
 ) -> CheckReport:
     """Samples hitting the window conditions must land in the enlarged
     rectangle (two grid levels wider per axis): their shifted hull must meet it."""
-    rectangle = _stage_rectangle(ifs, target, schedule, n, ifs.base ** 2)
+    hull_test = _hull_test(ifs, target, schedule, n, ifs.base ** 2)
     report = CheckReport("containment-backward", True, 0)
     for word in samples:
         if not window_hit(ifs, target, schedule, n, word):  # needs depth n + xi(n)
             continue
         report.checked += 1
-        if not _hull_relation(rectangle, word, ifs.base, n)[1]:
+        if not hull_test(word)[1]:
             _fail(report, word, "window hit but shifted point outside the enlarged rectangle")
     report.details["window_hits"] = report.checked
     return report
 
 
-def _interior_thresholds(
-    ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int
-) -> None:
+def _interior_thresholds(ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int) -> None:
     """For an interior target, the two-sided margin exponents kz, kw must be
     dominated by the window sizes: lam(n) > kz and xi(n) > kw. The set-relation
     checks apply this rule, and the CLI reads it with their options."""
@@ -268,11 +260,7 @@ def _relation_stage(ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n:
 
 
 def check_set_relation(
-    ifs: GridIFS,
-    target: TargetSpec,
-    schedule: RateSchedule,
-    n: int,
-    samples: Iterable[DigitWord],
+    ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int, samples: Iterable[DigitWord]
 ) -> CheckReport:
     """Rectangle hits versus image-translate hits, on exact sample points.
 
@@ -462,38 +450,41 @@ def oracle_window_report(
 
 @dataclass(frozen=True)
 class CoverFamily:
-    """Distinct level-(n+j) squares occupied by the stage-n window words,
-    each as the integer numerals (x, y) of its lower-left corner, sorted."""
+    """Distinct level-(n+j) squares occupied by the stage-n window words. A
+    corner numeral is prefix * b^j + tail, any level-n prefix and a tail below
+    b^j, so distinct pairs give distinct squares: boxes = |J|^n * |tails|."""
 
+    ifs: GridIFS
     n: int
     j: int
-    corners: tuple[tuple[int, int], ...]
+    tails: frozenset[tuple[int, int]]
+    boxes: int
     cardinality_bound: int
+
+    @cached_property
+    def corners(self) -> tuple[tuple[int, int], ...]:
+        """Each square as the integer numerals (x, y) of its lower-left corner, sorted."""
+        b, scale = self.ifs.base, self.ifs.base ** self.j
+        heads = (pair_value(p, b) for p in itertools.product(self.ifs.sorted_digits(), repeat=self.n))
+        return tuple(sorted((px * scale + tx, py * scale + ty) for px, py in heads for tx, ty in self.tails))
 
 
 def build_cover(
     ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int, j: int
 ) -> CoverFamily:
-    """Enumerate the window words to depth n+j and collect their squares."""
+    """Collect the window tails of depth j, the squares' last j digit pairs,
+    and count the level-(n+j) squares they make with every level-n prefix."""
     lam, xi = schedule.lam(n), schedule.xi(n)
     if not lam <= j <= xi:
         raise ValueError(f"need lam(n) <= j <= xi(n), got j={j} with ({lam}, {xi})")
     require_enumerable(ifs, n)
-    b = ifs.base
     kernel = StageKernel(ifs, target, schedule, n)
-
-    # every slot list has length j, so a corner is prefix * b^j + window tail
-    tails = {
-        pair_value(t, b) for slots in _window_slots(kernel, j) for t in itertools.product(*slots)
-    }
-    scale = b ** j
-    corners: set[tuple[int, int]] = set()
-    for prefix in itertools.product(ifs.sorted_digits(), repeat=n):
-        px, py = pair_value(prefix, b)
-        px, py = px * scale, py * scale
-        corners.update((px + tx, py + ty) for tx, ty in tails)
+    # every slot list has length j
+    tails = frozenset(
+        pair_value(t, ifs.base) for slots in _window_slots(kernel, j) for t in itertools.product(*slots)
+    )
     bound = 9 * len(ifs.digits) ** n * ifs.row_product(kernel.best(j)[1])
-    return CoverFamily(n, j, tuple(sorted(corners)), bound)
+    return CoverFamily(ifs, n, j, tails, len(ifs.digits) ** n * len(tails), bound)
 
 
 # lower-bound measure
@@ -566,9 +557,7 @@ def measure_break_points(
     for k in range(len(bps) - 1):
         tail_sum = sum(schedule.xi(bps[i]) + 2 for i in range(k + 1))
         if not (bps[k + 1] > delta * tail_sum and bps[k + 1] > bps[k] + schedule.xi(bps[k]) + 2):
-            raise BadBreakPointsError(
-                f"break point {bps[k + 1]} too close after {bps[: k + 1]}"
-            )
+            raise BadBreakPointsError(f"break point {bps[k + 1]} too close after {bps[: k + 1]}")
     return bps
 
 
@@ -628,40 +617,52 @@ class HolderSample:
     exponent: float
 
 
-def _expansion(c: Fraction, base: int, depth: int) -> list[int]:
-    """The first `depth` base-b digits of c in [0, 1], whose first L spell
-    min(floor(c b^L), b^L - 1): the greedy digits below 1, all b - 1 at 1."""
+def _expansion(c: Fraction, base: int, depth: int) -> tuple:
+    """c in [0, 1] for `_ball_cells`: its first `depth` base-b digits, the first
+    L spelling min(floor(c b^L), b^L - 1); (rem, q) with c = 0.digits + (rem / q)
+    b^-depth; and runs[k][i], how many 0s (k = 0) or b - 1s (k = 1) in a row end digits[:i]."""
+    p, q, digits = c.numerator, c.denominator, []
     if c == 1:
-        return [base - 1] * depth
-    p, q, out = c.numerator, c.denominator, []
-    for _ in range(depth):
+        p, q, digits = 1, 1, [base - 1] * depth
+    for _ in range(depth - len(digits)):
         d, p = divmod(p * base, q)
-        out.append(d)
-    return out
+        digits.append(d)
+    runs = tuple(list(itertools.accumulate(digits, lambda n, d: n + 1 if d == v else 0, initial=0))
+                 for v in (0, base - 1))
+    return digits, p, q, runs
 
 
-def _runs(digits: list[int], value: int) -> list[int]:
-    """runs[i]: how many of digits[:i] equal `value` in a row at its end."""
-    return list(itertools.accumulate(digits, lambda n, d: n + 1 if d == value else 0, initial=0))
+def _ball_cells(axis: tuple, rho: Fraction, level: int, base: int) -> list[tuple[int, list[int]]]:
+    """The level-L cells along one axis that a ball of radius rho b^-L
+    (1/b < rho <= 1) about c counts, each as (t, the last t digits of its
+    numeral, least significant first), for the smallest t such that it shares
+    its first L - t digits with c's numeral M (`_expansion`). The numerals are
+    M + d in [0, b^L), lo <= d <= hi, with f = c b^L - M, hi = floor(f + rho),
+    lo = ceil(f - rho) - 1: f's digits, c's past the L-th, are read against
+    the other side's up to the first that differs. A borrow runs through the
+    0s before the last digit, a carry through the b - 1s."""
+    digits, rem, q, runs = axis
 
+    def sign(t: Fraction) -> int:  # of f - t, for 0 < t < 1
+        tn, td = t.numerator, t.denominator
+        for d in itertools.islice(digits, level, None):
+            e, tn = divmod(tn * base, td)
+            if d != e:
+                return d - e
+        return rem * td - tn * q
 
-def _ball_cells(
-    c: Fraction, digits: list[int], runs: tuple[list[int], list[int]], r: Fraction, level: int, base: int
-) -> list[tuple[int, list[int]]]:
-    """The level-L cells along one axis that a ball of radius r about the
-    coordinate c counts (b^-(L+1) < r <= b^-L), each as (t, the last t digits of its
-    numeral, least significant first), for the smallest t such that the
-    numeral shares its first L - t digits with the point's own numeral
-    M = min(floor(c b^L), b^L - 1), which `digits` spells (`_expansion`).
-    The numerals are M + d with -2 <= d <= 1; `runs` is `_runs` of the digits
-    for 0 and for b - 1, since a borrow runs through the 0s before the last
-    digit and a carry through the b - 1s."""
-    p, q, rn, rd, scale = c.numerator, c.denominator, r.numerator, r.denominator, base ** level
-    m = min(p * scale // q, scale - 1)
-    lo = max(0, -((rn * q - p * rd) * scale // (q * rd)) - 1)  # ceil((c - r) b^L) - 1
-    hi = min(scale - 1, (p * rd + rn * q) * scale // (q * rd))  # floor((c + r) b^L)
+    if rho == 1:  # then f <= rho, f >= 1 - rho, and lo = -2 when f = 0
+        lo, hi = (-2 if rem == 0 and runs[0][-1] >= len(digits) - level else -1), 1
+    else:
+        lo, hi = (0 if sign(rho) > 0 else -1), (1 if sign(1 - rho) >= 0 else 0)
+    if runs[0][level] == level:  # M = 0
+        lo = 0
+    elif runs[0][level - 1] == level - 1 and digits[level - 1] == 1:  # M = 1
+        lo = max(lo, -1)
+    if runs[1][level] == level:  # M = b^L - 1
+        hi = 0
     out = []
-    for d in range(lo - m, hi - m + 1):
+    for d in range(lo, hi + 1):
         if not d:
             out.append((0, []))
             continue
@@ -694,10 +695,10 @@ def holder_exponent_samples(
     points = []
     for word in sample_points:
         x, y = word.point(b)
-        xd, yd = _expansion(x, b, builder.depth), _expansion(y, b, builder.depth)
-        xruns, yruns = (_runs(xd, 0), _runs(xd, b - 1)), (_runs(yd, 0), _runs(yd, b - 1))
-        reach = sum(1 for _ in itertools.takewhile(bool, map(operator.contains, supports, zip(xd, yd))))
-        points.append((x, y, xd, yd, xruns, yruns, reach))
+        xaxis, yaxis = _expansion(x, b, builder.depth), _expansion(y, b, builder.depth)
+        reach = sum(1 for _ in itertools.takewhile(
+            bool, map(operator.contains, supports, zip(xaxis[0], yaxis[0]))))
+        points.append((x, y, xaxis, yaxis, reach))
     out = []
     for r in radii:
         r = Fraction(r)
@@ -713,9 +714,10 @@ def holder_exponent_samples(
             level -= 1
         while b ** (level + 1) <= inv:
             level += 1
-        for x, y, xd, yd, xruns, yruns, reach in points:
-            xrow = _ball_cells(x, xd, xruns, r, level, b)
-            yrow = _ball_cells(y, yd, yruns, r, level, b)
+        rho, log_r = r * b ** level, math.log(r.numerator) - math.log(r.denominator)
+        for x, y, xaxis, yaxis, reach in points:
+            (xd, *_), (yd, *_) = xaxis, yaxis
+            xrow, yrow = _ball_cells(xaxis, rho, level, b), _ball_cells(yaxis, rho, level, b)
             # every cell keeps the point's first level - t digit pairs; the last
             # t are tested deepest first, where a neighbour mostly leaves
             t = max(k for k, _ in xrow + yrow)
@@ -726,12 +728,7 @@ def holder_exponent_samples(
                 ys = [tail + yd[level - t : level - k][::-1] for k, tail in yrow]
                 inside = sum(all(map(operator.contains, deep, zip(u, v))) for u in xs for v in ys)
             nu = Fraction(inside, builder.sizes[level])
-            if nu == 0:
-                exponent = math.inf
-            else:
-                log_nu = math.log(nu.numerator) - math.log(nu.denominator)
-                log_r = math.log(r.numerator) - math.log(r.denominator)
-                exponent = log_nu / log_r
+            exponent = (math.log(nu.numerator) - math.log(nu.denominator)) / log_r if nu else math.inf
             out.append(HolderSample((x, y), r, level, nu, exponent))
     return out
 
@@ -861,7 +858,7 @@ def set_relation_reports(
 
 def cover_reports(ifs, target, schedule, seed, n, j) -> list[CheckReport]:
     family = build_cover(ifs, target, schedule, n, j)
-    boxes, bound = len(family.corners), family.cardinality_bound
+    boxes, bound = family.boxes, family.cardinality_bound
     return [CheckReport("cover-bound", boxes <= bound, boxes,
                         details={"boxes": boxes, "bound": bound})]
 

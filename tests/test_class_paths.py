@@ -1,11 +1,13 @@
 """The verify checks that decide once per class, against per-word references.
 
-The references below are the word-by-word forms of four paths in `verify`:
+The references below are the word-by-word forms of six paths in `verify`:
 the window oracle's predicate walk over every window, the exhaustive set
 relation over every prefix and constant tail, both containment checks over
-every truncation, and the Holder ball mass as a sum of cell masses. On random
-small systems, eventually periodic targets and linear or table schedules,
-each class path must give the same full report. Each run may also patch the
+every truncation, the containment hull test as rectangle products on each
+word's shifted hull, the cover's count as its enumerated corners, and the
+Holder ball mass as a sum of cell masses. On random small systems,
+eventually periodic targets and linear or table schedules, each class path
+must give the same full report. Each run may also patch the
 predicate a path calls by name with a pure stand-in that fails often, so the
 rebuilt failure records are compared too.
 """
@@ -16,6 +18,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -27,6 +30,7 @@ import carpetdim.verify as verify
 from carpetdim import (
     DigitWord,
     RateSchedule,
+    build_cover,
     build_lower_bound_measure,
     check_containment_backward,
     check_containment_forward,
@@ -105,6 +109,20 @@ def _ref_containment_exhaustive(ifs, target, schedule, n, depth):
     return [check(ifs, target, schedule, n,
                   map(DigitWord.truncation, itertools.product(ifs.sorted_digits(), repeat=depth)))
             for check in (check_containment_forward, check_containment_backward)]
+
+
+def _ref_hull_relation(
+    rectangle: tuple[tuple[int, int, int], ...], word: DigitWord, base: int, n: int
+) -> tuple[bool, bool]:
+    """(inside, meets): does the shift-n hull of the word lie inside the
+    closed rectangle, and does it meet it?"""
+    x, y, den, width = word.shift(n).hull(base)
+    inside = meets = True
+    for v, (lo, hi, rden) in zip((x, y), rectangle):
+        vlo, vhi, lo, hi = v * rden, (v + width) * rden, lo * den, hi * den
+        inside = inside and lo <= vlo and vhi <= hi
+        meets = meets and lo <= vhi and vlo <= hi
+    return inside, meets
 
 
 def _ref_holder_exponent_samples(builder, sample_points, radii):
@@ -252,3 +270,104 @@ def test_shift_of_a_minimal_word_is_minimal(case, n):
     shifted = word.shift(n)
     assert shifted == DigitWord(shifted.preperiod, shifted.period)  # normalising changes nothing
     assert shifted.pairs_up_to(6) == word.pairs_up_to(n + 6)[n:]
+
+
+_COORDINATES = {
+    "boundary": st.sampled_from([Fraction(0), Fraction(1)]),
+    "interior": st.fractions(min_value=0, max_value=1, max_denominator=60).filter(lambda c: 0 < c < 1),
+}
+
+
+@st.composite
+def hull_cases(draw):
+    """A base 2 to 5, a linear, table or alternating schedule, a stage n, a
+    target point with interior or boundary coordinates (the hull test reads
+    only the point), a rectangle scale of 1 or b^2, and words whose shift-n
+    hulls fall near the rectangle's edges: truncations of depth n + xi(n) to
+    n + xi(n) + 6, and eventually periodic words."""
+    b = draw(st.integers(min_value=2, max_value=5))
+    kind = draw(st.sampled_from(["linear", "table", "alternating"]))
+    if kind == "linear":
+        schedule = RateSchedule.linear(*draw(st.sampled_from([(1, 1), (1, 2), (2, 3), ("1/2", "3/2")])))
+    elif kind == "table":
+        lam = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+        schedule = RateSchedule.from_tables(lam, [l + draw(st.integers(0, 2)) for l in lam])
+    else:
+        schedule = RateSchedule.alternating([(1, 2), ("1/2", 1)], block_base=2)
+    n = draw(st.integers(min_value=1, max_value=3))
+    point = tuple(draw(_COORDINATES[draw(st.sampled_from(sorted(_COORDINATES)))]) for _ in "zw")
+    target = SimpleNamespace(point=point)
+    scale = draw(st.sampled_from([1, b * b]))
+    ifs = validate_ifs(b, [(0, 0), (b - 1, b - 1)])
+    edges = [Fraction(lo, den) for axis in verify._stage_rectangle(ifs, target, schedule, n, scale)
+             for lo, den in ((axis[0], axis[2]), (axis[1], axis[2]))]
+    pair = st.tuples(st.integers(0, b - 1), st.integers(0, b - 1))
+    words = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        periodic = draw(st.booleans())
+        k = draw(st.integers(0, schedule.xi(n) + 6)) if periodic else schedule.xi(n) + draw(st.integers(0, 6))
+
+        def numeral(edge):  # a tail numeral of k digits within two squares of an edge
+            near = math.floor(edge * b ** k) + draw(st.integers(-2, 2))
+            return min(max(near, 0), b ** k - 1)
+
+        x = numeral(draw(st.sampled_from(edges[:2])))
+        y = numeral(draw(st.sampled_from(edges[2:])))
+        tail = [(x // b ** i % b, y // b ** i % b) for i in reversed(range(k))]
+        head = draw(st.lists(pair, min_size=n, max_size=n))
+        if periodic:
+            period = draw(st.sampled_from([[(0, 0)], [(b - 1, b - 1)], [(0, b - 1)]])
+                          | st.lists(pair, min_size=1, max_size=2))
+            words.append(DigitWord.periodic(head + tail, period))
+        else:
+            words.append(DigitWord.truncation(head + tail))
+    return ifs, target, schedule, n, scale, words
+
+
+@given(hull_cases())
+@settings(max_examples=300, deadline=None)
+def test_hull_test_matches_the_hull_products(case):
+    ifs, target, schedule, n, scale, words = case
+    test = verify._hull_test(ifs, target, schedule, n, scale)
+    rectangle = verify._stage_rectangle(ifs, target, schedule, n, scale)
+    for word in words:
+        assert test(word) == _ref_hull_relation(rectangle, word, ifs.base, n)
+
+
+@given(systems(), st.integers(min_value=1, max_value=3))
+@settings(max_examples=80, deadline=None)
+def test_cover_count_matches_its_corners(case, n):
+    ifs, target, schedule, _ = case
+    with contextlib.suppress(CarpetError):  # a table schedule may end before n
+        lam, xi = schedule.window(n)
+        for j in range(lam, xi + 1):
+            if len(ifs.digits) ** (n + j) > 20 * LIMIT:
+                break
+            family = build_cover(ifs, target, schedule, n, j)
+            assert family.boxes == len(family.corners) == len(set(family.corners))
+
+
+@given(systems(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_holder_ball_mass_matches_the_cell_sum_at_any_radius(case, data):
+    # points anywhere, on grid lines and at 0 and 1 too, and radii between grid levels
+    ifs, target, _, n0 = case
+    b = ifs.base
+    schedule = RateSchedule.linear(1, 2)
+    builder = build_lower_bound_measure(ifs, target, schedule, [n0, 2 * (schedule.xi(n0) + 2) + 1], 2)
+    pair = st.tuples(st.integers(0, b - 1), st.integers(0, b - 1))
+    period = st.sampled_from([[(0, 0)], [(b - 1, b - 1)], [(0, b - 1)]]) | st.lists(pair, min_size=1, max_size=2)
+    points = [DigitWord.periodic(data.draw(st.lists(pair, max_size=builder.depth)), data.draw(period))
+              for _ in range(3)]
+    finest = Fraction(1, b ** builder.depth)
+    radii = data.draw(st.lists(st.fractions(min_value=finest, max_value=1,
+                                            max_denominator=b ** builder.depth).filter(lambda r: r < 1),
+                               min_size=1, max_size=6))
+    # radii that reach a grid line of some level exactly, where the ball's edge cells tie
+    for c in (c for word in points for c in word.point(b)):
+        level = data.draw(st.integers(0, builder.depth))
+        m = min(math.floor(c * b ** level), b ** level - 1)
+        radii += [r for r in (c - Fraction(m, b ** level), Fraction(m + 1, b ** level) - c)
+                  if finest <= r < 1]
+    assert holder_exponent_samples(builder, points, radii) == (
+        _ref_holder_exponent_samples(builder, points, radii))

@@ -718,6 +718,23 @@ def test_guarded_sizes_exit_0_or_2_under_a_memory_cap(tmp_path, case):
         assert (tmp_path / "out" / "sn.csv").exists()
 
 
+def test_a_cover_at_the_guard_is_counted_under_a_memory_cap(tmp_path):
+    # n = 10 passes the guard (5^10 <= 10^7); enumerating its 7.5 * 10^10
+    # squares ran for minutes past 3.5 GB
+    pytest.importorskip("resource")
+    cfg = write_config(tmp_path, {**BASE_CONFIG, "verify": {"checks": {"cover": {"n": 10, "j": 20}}}})
+    src = str(Path(carpetdim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    start = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-c", _CAPPED, "verify", "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert time.perf_counter() - start < 5.0
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "PASS cover-bound (checked 75000000000, skipped 0)\n"
+
+
 def test_sampled_pairs_up_to_the_guard_are_accepted(tmp_path):
     checks = {"set_relation": {"n": 2, "samples": SIZE_GUARD // 50, "depth": 50}}
     run = RunConfig.from_dict({**BASE_CONFIG, "verify": {"checks": checks}})
@@ -750,9 +767,9 @@ def test_seed_flag_is_the_config_seed(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_a_dimension_stage_reads_its_window_twice(tmp_path, monkeypatch):
-    # the run's range check and the report's each read one window, and the
-    # report hands its windows to the stages
+def test_a_dimension_stage_reads_its_window_once(tmp_path, monkeypatch):
+    # the run's range check reads the windows, and hands them through the
+    # report to the stages
     calls = []
 
     def counted(ratio, n):
@@ -763,7 +780,7 @@ def test_a_dimension_stage_reads_its_window_twice(tmp_path, monkeypatch):
     monkeypatch.setattr(schedules, "_ceil_mul", counted)
     cfg = write_config(tmp_path, BASE_CONFIG)
     assert main(["dimension", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert len(calls) == 2 * 2 * 40
+    assert len(calls) == 1 * 2 * 40
 
 
 def test_a_tiny_linear_rate_exits_0_at_once(tmp_path):
