@@ -5,8 +5,8 @@ Every point of the attractor has between one and four admissible codings
 (each coordinate has at most two base-b expansions). A unique representative
 is selected by maximizing the running product of row sizes along the coding,
 with pair-count tie-breaks; every comparison is the exact sign of an exponent
-vector over the primes of the row sizes (`GridIFS.log_sign`), never a
-floating log and never the products themselves.
+vector over the primes of the row sizes (`GridIFS.log_sign`), never an
+uncertified floating log and never the products' running values.
 """
 
 from __future__ import annotations

@@ -22,9 +22,6 @@ from .schedules import RateSchedule
 LAMBDA_BRANCH = "lambda"
 XI_BRANCH = "xi"
 BOTH_BRANCHES = "both"
-# the float branch sign's error bound in units of k u sum |t_p| (see `_exact_branch`):
-# 3 per term plus k - 1 for the additions, doubled
-_BRANCH_ROUNDING = 8
 
 
 def closed_form_dimension(gamma: float, gamma2: float, lam, xi) -> float:
@@ -113,31 +110,13 @@ def _exact_branch(ifs: GridIFS, freqs: dict[int, Fraction], lam, xi) -> str:
 
     Times log b, the lambda branch less the xi branch is
     (xi - lam) (log #J - (1 + lam) sum_a f_a log r_a) = sum_p w_p log p, a
-    rational combination of prime logs. w = 0 is the exact tie ("both"),
-    since the logs of distinct primes are linearly independent over Q.
-    Otherwise the sign is read from the float sum of t_p = float(w_p / m)
-    log p, where m = max |w_p| keeps every term in range whatever the
-    rates' sizes. Each t_p is within 3u |t_p| of its exact value (u = 2^-53:
-    the correctly rounded quotient, `math.log` within an ulp, the product)
-    plus an underflow of at most 2^-1074, and k additions add at most
-    (k - 1) u sum |t_p|. So a sum past `_BRANCH_ROUNDING` k u sum |t_p| has
-    the exact sign. A closer one, only ever a near-tie, goes to
-    `GridIFS.log_sign`, on w scaled to integers by the lcm of the
-    denominators: its powers grow with that lcm, so a rate like 10^-300
-    would take it hours, where the float sum takes microseconds.
+    rational combination of prime logs. Scaled to integers by the lcm of the
+    denominators, its sign is `GridIFS.log_sign`'s; w = 0 is the exact tie
+    ("both").
     """
     lam, xi = Fraction(lam), Fraction(xi)
     slice_counts = [-(1 + lam) * freqs.get(a, 0) for a in range(ifs.base)]
     w = [(xi - lam) * Fraction(e) for e in ifs.exponents(slice_counts, 1)]
-    if not any(w):
-        return BOTH_BRANCHES
-    top = max(map(abs, w))
-    terms = [float(e / top) * math.log(p) for e, p in zip(w, ifs.primes)]
-    total = sum(terms)
-    bound = _BRANCH_ROUNDING * len(terms) * (2.0**-53 * sum(map(abs, terms)) + 2.0**-1074)
-    if abs(total) > bound:
-        sign = 1 if total > 0 else -1
-    else:
-        scale = math.lcm(*(e.denominator for e in w))
-        sign = ifs.log_sign([int(e * scale) for e in w])
-    return XI_BRANCH if sign > 0 else LAMBDA_BRANCH
+    scale = math.lcm(*(e.denominator for e in w))
+    sign = ifs.log_sign([int(e * scale) for e in w])
+    return BOTH_BRANCHES if sign == 0 else XI_BRANCH if sign > 0 else LAMBDA_BRANCH

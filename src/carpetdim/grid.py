@@ -22,6 +22,10 @@ from .errors import (
     TooFewMapsError,
 )
 
+# the float sign's error bound in units of k u sum |t_p| (see `GridIFS.log_sign`):
+# 3 per term plus k - 1 for the additions, doubled
+_SIGN_ROUNDING = 8
+
 
 class DigitPair(NamedTuple):
     """A (column, row) digit pair; interchangeable with a plain 2-tuple."""
@@ -94,13 +98,26 @@ class GridIFS:
         ]
 
     def log_sign(self, w: Sequence[int]) -> int:
-        """Sign of sum_p w_p log p over `primes`, exactly: the sign of
-        prod_p p^w_p - 1, comparing the positive and the negative powers as
-        big integers. The logs of distinct primes are linearly independent
-        over Q, so only w = 0 gives 0, found in O(#primes) without any powers.
+        """Sign of sum_p w_p log p over `primes`, exactly; reads only `primes`.
+
+        The logs of distinct primes are linearly independent over Q, so only
+        w = 0 gives 0, found in O(#primes). Otherwise the float sum of
+        t_p = float(w_p / m) log p, with m = max |w_p| keeping every term in
+        range, is within 4 k u sum |t_p| of exact (u = 2^-53): 3u |t_p| per
+        term (the correctly rounded quotient, `math.log` within an ulp, the
+        product) and (k - 1) u sum |t_p| for the additions. An underflowed
+        quotient's 2^-1074 (1 + log p) is far below that, as sum |t_p| >= log 2.
+        So a sum past `_SIGN_ROUNDING` k u sum |t_p| has the exact sign. Only a
+        closer one, a near-tie, compares the positive and the negative prime
+        powers as big integers, whose size grows with w.
         """
         if not any(w):
             return 0
+        top = max(map(abs, w))
+        terms = [x / top * math.log(p) for p, x in zip(self.primes, w)]
+        total = sum(terms)
+        if abs(total) > _SIGN_ROUNDING * len(terms) * 2.0**-53 * sum(map(abs, terms)):
+            return 1 if total > 0 else -1
         gain = math.prod(p**x for p, x in zip(self.primes, w) if x > 0)
         loss = math.prod(p**-x for p, x in zip(self.primes, w) if x < 0)
         return (gain > loss) - (gain < loss)
@@ -182,7 +199,18 @@ def validate_ifs(base: int, pairs: Iterable[tuple[int, int]]) -> GridIFS:
 
 def pair_value(pairs: Iterable[tuple[int, int]], base: int) -> tuple[int, int]:
     """The integer base-b numerals (x, y) of a pair string, most significant
-    digit first: x reads the column digits u, y the row digits v."""
+    digit first: x reads the column digits u, y the row digits v. A long
+    string is read by halves, joined by one multiply-add per axis, so a
+    million pairs take a second where one multiply-add per digit on a
+    growing integer takes minutes (`coding._base_digits` splits the other
+    way)."""
+    pairs = tuple(pairs)
+    k = len(pairs)
+    if k > 64:
+        hx, hy = pair_value(pairs[: k // 2], base)
+        lx, ly = pair_value(pairs[k // 2 :], base)
+        scale = base ** (k - k // 2)
+        return hx * scale + lx, hy * scale + ly
     x = y = 0
     for u, v in pairs:
         x = x * base + u

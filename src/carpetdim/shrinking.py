@@ -18,8 +18,9 @@ tie, or two patterns' row products) are exact: #J and every row size factor
 over a few small primes (`GridIFS.primes`), so each comparison is the sign
 of an integer linear form sum_p w_p log p. The logs of distinct primes are
 linearly independent over Q, so w = 0 is an exact tie, found in O(#primes);
-any other w is decided by comparing two big-integer prime powers (see
-`GridIFS.log_sign`).
+any other w is decided by a float sum with a stated rounding bound, and
+only a near-tie inside that bound by comparing two big-integer prime powers
+(`GridIFS.log_sign`), so a comparison costs microseconds at any n.
 
 Every reader of a stage (exponent, row-count surface, agreement length,
 verify constructions) builds one `StageKernel` per stage. The target's digits

@@ -19,8 +19,9 @@ The exhaustive checks decide once per class of inputs, not once per word. The
 oracle tests each head's columns once and each distinct row string once; both
 exhaustive checks cost |J|^(depth-n) tails plus, for the set relation, one
 verdict per prefix and class of valid shifts. The cover counts its squares,
-|J|^n prefixes times the distinct window tails. Failures are rebuilt in
-enumeration order, up to the 20 a report shows.
+|J|^n prefixes times the window tails, summed over the distinct slot lists
+without building a tail. Failures are rebuilt in enumeration order, up to
+the 20 a report shows.
 """
 
 from __future__ import annotations
@@ -451,13 +452,16 @@ def oracle_window_report(
 @dataclass(frozen=True)
 class CoverFamily:
     """Distinct level-(n+j) squares occupied by the stage-n window words. A
-    corner numeral is prefix * b^j + tail, any level-n prefix and a tail below
-    b^j, so distinct pairs give distinct squares: boxes = |J|^n * |tails|."""
+    corner numeral is prefix * b^j + tail, any level-n prefix and a window
+    tail below b^j, so distinct pairs give distinct squares: boxes = |J|^n *
+    |tails|. At each position two slots are equal or disjoint (one pair, one
+    row, or J in every list), so the distinct slot lists have disjoint
+    products, and |tails| is the sum of their slot-size products."""
 
     ifs: GridIFS
     n: int
     j: int
-    tails: frozenset[tuple[int, int]]
+    slots: tuple[tuple[tuple[DigitPair, ...], ...], ...]
     boxes: int
     cardinality_bound: int
 
@@ -466,25 +470,26 @@ class CoverFamily:
         """Each square as the integer numerals (x, y) of its lower-left corner, sorted."""
         b, scale = self.ifs.base, self.ifs.base ** self.j
         heads = (pair_value(p, b) for p in itertools.product(self.ifs.sorted_digits(), repeat=self.n))
-        return tuple(sorted((px * scale + tx, py * scale + ty) for px, py in heads for tx, ty in self.tails))
+        tails = [pair_value(t, b) for s in self.slots for t in itertools.product(*s)]
+        return tuple(sorted((px * scale + tx, py * scale + ty) for px, py in heads for tx, ty in tails))
 
 
 def build_cover(
     ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int, j: int
 ) -> CoverFamily:
-    """Collect the window tails of depth j, the squares' last j digit pairs,
-    and count the level-(n+j) squares they make with every level-n prefix."""
+    """Collect the distinct slot lists of the window tails of depth j, the
+    squares' last j digit pairs, and count the level-(n+j) squares they make
+    with every level-n prefix."""
     lam, xi = schedule.lam(n), schedule.xi(n)
     if not lam <= j <= xi:
         raise ValueError(f"need lam(n) <= j <= xi(n), got j={j} with ({lam}, {xi})")
     require_enumerable(ifs, n)
     kernel = StageKernel(ifs, target, schedule, n)
     # every slot list has length j
-    tails = frozenset(
-        pair_value(t, ifs.base) for slots in _window_slots(kernel, j) for t in itertools.product(*slots)
-    )
+    slots = tuple(dict.fromkeys(map(tuple, _window_slots(kernel, j))))
+    tails = sum(math.prod(map(len, s)) for s in slots)
     bound = 9 * len(ifs.digits) ** n * ifs.row_product(kernel.best(j)[1])
-    return CoverFamily(ifs, n, j, tails, len(ifs.digits) ** n * len(tails), bound)
+    return CoverFamily(ifs, n, j, slots, len(ifs.digits) ** n * tails, bound)
 
 
 # lower-bound measure
@@ -524,10 +529,15 @@ class MeasureBuilder:
 
     def mass_bound_holds(self, k: int) -> bool:
         """point mass <= (#J)^(-n_k (1 - 1/delta)), compared exactly: with
-        delta = p/q, #J^(n_k (p - q)) <= sizes[n_k]^p."""
+        delta = p/q, #J^(n_k (p - q)) <= sizes[n_k]^p, by `GridIFS.log_sign`.
+        A support is J, one pair or one row, so sizes[n_k] factors as well."""
         n_k = self.break_points[k]
         p, q = self.delta.numerator, self.delta.denominator
-        return len(self.ifs.digits) ** (n_k * (p - q)) <= self.sizes[n_k] ** p
+        ifs, levels = self.ifs, self.supports[:n_k]
+        rows = Counter(min(s).v for s in levels if len(s) > 1 and s != ifs.digits)
+        size = ifs.exponents([rows[a] for a in range(ifs.base)], levels.count(ifs.digits))
+        whole = ifs.exponents([0] * ifs.base, n_k * (p - q))
+        return ifs.log_sign([x - p * y for x, y in zip(whole, size)]) <= 0
 
     def support_word(self, upto: int, rng: random.Random | None = None) -> DigitWord:
         """A periodic word whose first `upto` levels all carry positive mass."""

@@ -718,11 +718,10 @@ def test_guarded_sizes_exit_0_or_2_under_a_memory_cap(tmp_path, case):
         assert (tmp_path / "out" / "sn.csv").exists()
 
 
-def test_a_cover_at_the_guard_is_counted_under_a_memory_cap(tmp_path):
-    # n = 10 passes the guard (5^10 <= 10^7); enumerating its 7.5 * 10^10
-    # squares ran for minutes past 3.5 GB
+def _verify_under_a_memory_cap(tmp_path, config):
+    """Run `verify` on the config in a capped child process: (seconds, result)."""
     pytest.importorskip("resource")
-    cfg = write_config(tmp_path, {**BASE_CONFIG, "verify": {"checks": {"cover": {"n": 10, "j": 20}}}})
+    cfg = write_config(tmp_path, config)
     src = str(Path(carpetdim.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     start = time.perf_counter()
@@ -730,9 +729,42 @@ def test_a_cover_at_the_guard_is_counted_under_a_memory_cap(tmp_path):
         [sys.executable, "-c", _CAPPED, "verify", "--config", cfg, "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=300,
     )
-    assert time.perf_counter() - start < 5.0
+    return time.perf_counter() - start, run
+
+
+def test_a_cover_at_the_guard_is_counted_under_a_memory_cap(tmp_path):
+    # n = 10 passes the guard (5^10 <= 10^7); enumerating its 7.5 * 10^10
+    # squares ran for minutes past 3.5 GB
+    config = {**BASE_CONFIG, "verify": {"checks": {"cover": {"n": 10, "j": 20}}}}
+    seconds, run = _verify_under_a_memory_cap(tmp_path, config)
+    assert seconds < 5.0
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout == "PASS cover-bound (checked 75000000000, skipped 0)\n"
+
+
+# checks whose exact comparisons outgrew memory and time: (config override, stdout)
+_EXACT_AT_SCALE = {
+    # sizes^p at p = 10^6 + 1: still running after 20 s
+    "measure-delta-near-1": (
+        {"verify": {"checks": {"measure": {"break_points": [2, 40], "delta": "1000001/1000000"}}}},
+        "PASS measure-normalization (checked 122, skipped 0)\n"
+        "PASS measure-holder (checked 360, skipped 0)\n",
+    ),
+    # 2^25 window tails, each built as a numeral: still running after 60 s
+    "cover-2^25-tails": (
+        {"ifs": {"base": 4, "pairs": [[0, 0], [1, 0]]}, "target": {"point": ["0", "0"]},
+         "verify": {"checks": {"cover": {"n": 23, "j": 46}}}},
+        "PASS cover-bound (checked 281474976710656, skipped 0)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXACT_AT_SCALE))
+def test_exact_checks_at_scale_run_at_once_under_a_memory_cap(tmp_path, case):
+    override, stdout = _EXACT_AT_SCALE[case]
+    seconds, run = _verify_under_a_memory_cap(tmp_path, {**BASE_CONFIG, **override})
+    assert seconds < 5.0
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", stdout)
 
 
 def test_sampled_pairs_up_to_the_guard_are_accepted(tmp_path):

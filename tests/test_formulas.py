@@ -19,7 +19,7 @@ from carpetdim import (
     target_from_word,
     validate_ifs,
 )
-from carpetdim import formulas
+from carpetdim import formulas, grid
 from carpetdim.errors import FrequenciesDoNotExistError, InvalidRatesError
 
 GAMMA = math.log(5) / math.log(3)
@@ -248,8 +248,8 @@ def test_float_branch_sign_matches_log_sign(case):
     lam, xi = schedule.params["lam"], schedule.params["xi"]
     expected = _ref_branch(ifs, freqs, lam, xi)
     assert formulas._exact_branch(ifs, freqs, lam, xi) == expected
-    # an infinite rounding bound sends every nonzero sign to `log_sign`
-    with mock.patch.object(formulas, "_BRANCH_ROUNDING", math.inf):
+    # an infinite rounding bound sends every nonzero sign to the big-integer powers
+    with mock.patch.object(grid, "_SIGN_ROUNDING", math.inf):
         assert formulas._exact_branch(ifs, freqs, lam, xi) == expected
 
 

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,31 @@ class TestProjectPrefix:
         prefixes = list(itertools.product(sorted(vicsek.digits), repeat=3))
         corners = {pair_value(p, vicsek.base) for p in prefixes}
         assert len(corners) == len(prefixes)
+
+
+@given(st.integers(2, 12), st.data())
+@settings(max_examples=80, deadline=None)
+def test_pair_value_reads_each_axis_as_a_numeral(base, data):
+    # lengths on both sides of the split into halves, as a tuple, a list or an iterator
+    digit = st.integers(0, base - 1)
+    size = data.draw(st.integers(0, 200))
+    pairs = data.draw(st.lists(st.tuples(digit, digit), min_size=size, max_size=size))
+    form = data.draw(st.sampled_from([tuple, list, iter]))
+    expected = tuple(
+        int("".join("0123456789ab"[d] for d in axis) or "0", base) for axis in ([u for u, _ in pairs], [v for _, v in pairs])
+    )
+    assert pair_value(form(pairs), base) == expected
+
+
+def test_a_long_period_projects_in_quasi_linear_time():
+    # one multiply-add per digit on a growing integer took 4.3 s at 2 * 10^5 pairs
+    rng = random.Random(5)
+    pairs = sorted(map(DigitPair._make, VICSEK_PAIRS))
+    word = DigitWord.periodic((), tuple(rng.choice(pairs) for _ in range(4 * 10**5)))
+    start = time.perf_counter()
+    x, y, den, width = word.hull(3)
+    assert time.perf_counter() - start < 3.0
+    assert (den, width) == (3 ** len(word.period) - 1, 0) and 0 <= x <= den and 0 <= y <= den
 
 
 @st.composite

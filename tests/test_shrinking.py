@@ -1,12 +1,16 @@
+import decimal
 import itertools
 import math
+import time
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import carpetdim.grid as grid
 import carpetdim.shrinking as shrinking
 from carpetdim import (
     DigitWord,
@@ -356,11 +360,68 @@ def test_exponent_vector_order_matches_big_int_order(case):
 )
 @settings(max_examples=300, deadline=None)
 def test_log_sign_matches_exact_rationals(primes, data):
-    w = data.draw(st.lists(st.integers(-300, 300), min_size=len(primes), max_size=len(primes)))
+    weight = st.integers(-300, 300) | st.integers(-10**5, 10**5)
+    w = data.draw(st.lists(weight, min_size=len(primes), max_size=len(primes)))
     value = math.prod(Fraction(p) ** e for p, e in zip(primes, w))
     ifs = SimpleNamespace(primes=tuple(primes))
     assert GridIFS.log_sign(ifs, w) == (value > 1) - (value < 1)
     assert GridIFS.log_sign(ifs, [0] * len(primes)) == 0
+    # an infinite rounding bound sends every nonzero sign to the big-integer powers
+    with mock.patch.object(grid, "_SIGN_ROUNDING", math.inf):
+        assert GridIFS.log_sign(ifs, w) == (value > 1) - (value < 1)
+
+
+def _power_sign(primes, w):
+    """The sign of prod_p p^w_p - 1 by big-integer powers alone."""
+    gain = math.prod(p**x for p, x in zip(primes, w) if x > 0)
+    loss = math.prod(p**-x for p, x in zip(primes, w) if x < 0)
+    return (gain > loss) - (gain < loss)
+
+
+# convergents q/p of log 3 / log 2: 2^q against 3^p, ever closer ties
+_LOG3_LOG2_CONVERGENTS = [(3, 2), (8, 5), (19, 12), (65, 41), (84, 53), (485, 306), (1054, 665),
+                          (24727, 15601), (50508, 31867), (125743, 79335), (176251, 111202),
+                          (301994, 190537)]
+
+
+@pytest.mark.parametrize("q, p", _LOG3_LOG2_CONVERGENTS)
+def test_log_sign_decides_convergent_near_ties(q, p):
+    ifs = SimpleNamespace(primes=(2, 3))
+    for w in ([q, -p], [-q, p]):
+        assert GridIFS.log_sign(ifs, w) == _power_sign((2, 3), w) != 0
+        with mock.patch.object(grid, "_SIGN_ROUNDING", math.inf):
+            assert GridIFS.log_sign(ifs, w) == _power_sign((2, 3), w)
+
+
+# lattice-reduced near-ties inside the rounding bound, where even the correctly rounded sum
+# of the rounded terms has the wrong sign
+_FLOAT_WRONG_TIES = [
+    ((2, 3, 5, 7), [-363, 32924, -17756, -3773]),
+    ((2, 3, 5, 7, 11), [8880, 2733, 137, -2276, -2064]),
+    ((2, 3, 5, 7, 11, 13), [178, 449, -439, -153, -140, 282]),
+]
+
+
+@pytest.mark.parametrize("primes, w", _FLOAT_WRONG_TIES)
+def test_log_sign_sends_a_tie_inside_the_float_error_to_the_powers(primes, w):
+    top = max(map(abs, w))
+    total = math.fsum(x / top * math.log(p) for p, x in zip(primes, w))
+    assert (total > 0) - (total < 0) != _power_sign(primes, w)
+    assert GridIFS.log_sign(SimpleNamespace(primes=primes), w) == _power_sign(primes, w)
+
+
+@pytest.mark.parametrize("w", [[10**7, -4306765], [-10**7, 4306765], [10**300, -(10**300 * 43067655807 // 10**11)]])
+def test_log_sign_is_a_float_sum_away_from_ties(w):
+    # big-integer powers alone took seconds at 10^7 and could never finish at 10^300;
+    # the reference is the same sum in 400-digit `decimal`
+    ifs = SimpleNamespace(primes=(2, 5))
+    start = time.perf_counter()
+    sign = GridIFS.log_sign(ifs, w)
+    assert time.perf_counter() - start < 0.1
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400
+        total = w[0] * decimal.Decimal(2).ln() + w[1] * decimal.Decimal(5).ln()
+    assert sign == (total > 0) - (total < 0) != 0
 
 
 @given(random_stage_cases(), st.randoms())

@@ -396,9 +396,12 @@ def block_words(draw):
     target = target_from_word(ifs, DigitWord.truncation(word))
     depth = len(word)
     ends = list(accumulate(length for _, length in runs))
+    top = 0
     if draw(st.booleans()):
         schedule = RateSchedule.linear(*draw(_RATES))
-        top = max(n for n in range(1, depth + 2) if schedule.xi(n) - 1 <= depth)
+        # a one-pair word covers no window of the rates with xi(1) = 3: a table schedule then
+        top = max((n for n in range(1, depth + 2) if schedule.xi(n) - 1 <= depth), default=0)
+    if top:
         ns = draw(st.lists(st.integers(1, top), min_size=1, max_size=3, unique=True))
     else:
         lam = draw(st.integers(1, depth + 1))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import operator
@@ -6,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import carpetdim.shrinking as shrinking
@@ -356,6 +357,24 @@ class TestMeasure:
     def test_mass_bound_holds(self, measure):
         assert measure.mass_bound_holds(0)
         assert measure.mass_bound_holds(1)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mass_bound_is_the_big_integer_comparison(self, measure, data):
+        # levels drawn from the three support kinds, so the bound fails too
+        ifs = validate_ifs(4, data.draw(st.sampled_from(
+            [[(0, 0), (1, 0), (2, 0), (0, 1), (3, 3)], [(0, 0), (1, 1), (2, 1), (3, 1), (0, 2), (1, 2)]])))
+        kinds = [ifs.digits] + [frozenset((p,)) for p in ifs.digits] + [
+            ifs.row_set(a) for a in range(4) if ifs.row_size(a) > 1]
+        supports = data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=12))
+        delta = Fraction(data.draw(st.integers(2, 40)), data.draw(st.integers(1, 20)))
+        assume(delta > 1)
+        n_k = data.draw(st.integers(1, len(supports)))
+        sizes = list(itertools.accumulate(map(len, supports), operator.mul, initial=1))
+        builder = dataclasses.replace(measure, ifs=ifs, break_points=(n_k,), delta=delta,
+                                      supports=supports, sizes=sizes)
+        p, q = delta.numerator, delta.denominator
+        assert builder.mass_bound_holds(0) == (len(ifs.digits) ** (n_k * (p - q)) <= sizes[n_k] ** p)
 
     def test_break_point_conditions_enforced(self, vicsek, linear12):
         origin = make_target(vicsek, 0, 0)
