@@ -315,16 +315,14 @@ class TargetSpec:
 
     `frequencies` is None when the coding is a truncation (no limit known).
     `point` is None for truncations as well. `_rows` holds the stage path's
-    digit table of this target (see `shrinking._target_rows`) and `_numerals`
-    its window numerals by (base, length) (see `shrinking.window_hit`); they
-    are not compared, so equality and hashing never read them.
+    digit table of this target (see `shrinking._target_rows`); it is not
+    compared, so equality and hashing never read it.
     """
 
     word: DigitWord
     frequencies: tuple[tuple[int, Fraction], ...] | None
     point: tuple[Fraction, Fraction] | None
     _rows: object = field(default=None, init=False, compare=False, repr=False)
-    _numerals: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def frequency_map(self) -> dict[int, Fraction] | None:
         return dict(self.frequencies) if self.frequencies is not None else None

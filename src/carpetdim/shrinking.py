@@ -180,25 +180,36 @@ def axis_digits_admissible(
     return abs(w - t) <= 1
 
 
+@dataclass(frozen=True)
+class StageWindow:
+    """Stage n's window conditions: the depths lam and xi, and the target's base-b
+    numerals of its columns at window positions 1..lam-1 and rows at 1..xi-1."""
+
+    n: int
+    lam: int
+    xi: int
+    cols: int
+    rows: int
+
+    @classmethod
+    def of(cls, ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int) -> "StageWindow":
+        lam, xi = schedule.window(n)
+        tx, ty = pair_value(target.word.pairs_up_to(xi - 1), ifs.base)
+        return cls(n, lam, xi, tx // ifs.base ** (xi - lam), ty)
+
+    def hit(self, x: int, y: int) -> bool:
+        """Both axis conditions |W - T| <= 1, on a word's numerals x, y of the same digits."""
+        return abs(x - self.cols) <= 1 and abs(y - self.rows) <= 1
+
+
 def window_hit(
     ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int, word: DigitWord
 ) -> bool:
-    """Does the word's offset-n tail satisfy both axis window conditions?
-
-    The numerals of window positions 1..xi-1 are read from one slice of the
-    word and one of the target; the columns keep their first lam - 1 digits.
-    The target's numerals are formed once per stage and kept on the target,
-    since a containment check asks for them once per sample word.
-    """
+    """Does the word's offset-n tail satisfy both axis window conditions? Its
+    numerals of window positions 1..xi-1 are read from one slice of the word."""
     lam, xi = schedule.window(n)
-    b = ifs.base
-    wx, wy = pair_value(word.pairs_up_to(n + xi)[n : n + xi - 1], b)
-    known = target._numerals
-    if (b, xi - 1) not in known:
-        known[b, xi - 1] = pair_value(target.word.pairs_up_to(xi - 1), b)
-    tx, ty = known[b, xi - 1]
-    cut = b ** (xi - lam)
-    return abs(wx // cut - tx // cut) <= 1 and abs(wy - ty) <= 1
+    x, y = pair_value(word.pairs_up_to(n + xi)[n : n + xi - 1], ifs.base)
+    return StageWindow.of(ifs, target, schedule, n).hit(x // ifs.base ** (xi - lam), y)
 
 
 class _TargetRows:

@@ -1,27 +1,28 @@
 """Finite-depth verification of the cover and measure constructions.
 
-Everything here runs in exact rational or integer arithmetic. The containment
-checks ask whether a sample's shift-n hull lies inside the closed stage
-rectangle, or meets it, in integers, so no sample can be misclassified by
-rounding: a truncation's tail numerals are compared with bounds formed once
-per stage and tail length, an eventually periodic word's point
-(`DigitWord.hull`) exactly. They test the window condition |W - T| <= 1 on
-base-b numerals (see `shrinking`). Both set-relation checks feed integer
-samples to one verdict (`_relation_stage`). A grid cell is the base-b
-numerals of its corner, tested against one support per level by
-`_in_supports`: a set-relation witness is a translated level-n cell of the
-digit set, and the lower-bound measure gives a positive level-L cell
-1/size(L), with size(L) the product of the support sizes of levels 1..L. A
-Holder ball shares its centre's digits, read once per sample point, and
-tests only the last digits in which each of its cells differs.
+Everything here runs in exact rational or integer arithmetic. Both
+containment reports come from one pass that reads each sample's tail past n
+once: a truncation's tail numerals are compared in integers with bounds
+formed once per stage and tail length, for the window condition
+|W - T| <= 1 (see `shrinking`), the closed stage rectangle and its
+b^2-enlargement, so no sample can be misclassified by rounding; an
+eventually periodic word's point (`DigitWord.hull`) is compared exactly.
+Both set-relation checks feed integer samples to one verdict
+(`_relation_stage`). A grid cell is the base-b numerals of its corner,
+tested against one support per level by `_in_supports`: a set-relation
+witness is a translated level-n cell of the digit set, and the lower-bound
+measure gives a positive level-L cell 1/size(L), with size(L) the product
+of the support sizes of levels 1..L. A Holder ball shares its centre's
+digits, read once per sample point, and tests only the last digits in
+which each of its cells differs.
 
 The exhaustive checks decide once per class of inputs, not once per word. The
-oracle tests each head's columns once and each distinct row string once; both
-exhaustive checks cost |J|^(depth-n) tails plus, for the set relation, one
-verdict per prefix and class of valid shifts. The cover counts its squares,
-|J|^n prefixes times the window tails, summed over the distinct slot lists
-without building a tail. Failures are rebuilt in enumeration order, up to
-the 20 a report shows.
+oracle tests each head's columns once and each distinct row string once; the
+exhaustive containment pass walks its |J|^(depth-n) tails once, and the
+exhaustive set relation forms one verdict per prefix and class of valid
+shifts. The cover counts its squares, |J|^n prefixes times the window
+tails, summed over the distinct slot lists without building a tail.
+Failures are rebuilt in enumeration order, up to the 20 a report shows.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import (
 )
 from .grid import DigitPair, GridIFS, pair_value
 from .schedules import RateSchedule
-from .shrinking import StageKernel, WindowPattern, stage_exponent, window_hit
+from .shrinking import StageKernel, StageWindow, WindowPattern, stage_exponent
 from .words import DigitWord
 
 ENUMERATION_GUARD = 10 ** 7
@@ -110,27 +111,68 @@ def _stage_rectangle(
     return axis(z, schedule.lam(n)), axis(w, schedule.xi(n))
 
 
-def _hull_test(ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int, scale: int):
-    """A word's (inside, meets): does its shift-n hull lie inside the closed
-    `_stage_rectangle`, and meet it? A truncation's k tail numerals (x, y) are
-    compared with each axis' ceil(lo b^k / den) and floor(hi b^k / den),
-    formed once per k; an eventually periodic word's point exactly."""
-    b, rectangle, bounds = ifs.base, _stage_rectangle(ifs, target, schedule, n, scale), {}
+def _containment_stage(ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int):
+    """A word's verdicts at stage n: (hit, inside, meets, meets_enlarged), its
+    window verdict (`_window_verdict`) and whether its shift-n hull lies
+    inside the closed `_stage_rectangle`, meets it, and meets it enlarged b^2
+    times. A truncation's k tail numerals (x, y) are read once, against the
+    window divisors b^(k-lam+1), b^(k-xi+1) and each axis' ceil(lo b^k / den)
+    and floor(hi b^k / den), formed once per k; an eventually periodic word's
+    window is read from its first xi pairs past n, its point compared exactly."""
+    b = ifs.base
+    rectangles = [_stage_rectangle(ifs, target, schedule, n, scale) for scale in (1, b * b)]
+    window, per_length = StageWindow.of(ifs, target, schedule, n), {}
 
-    def test(word: DigitWord) -> tuple[bool, bool]:
-        if word.period or len(word.preperiod) < n:  # shift(n) refuses a shorter truncation
-            x, y, den, _ = word.shift(n).hull(b)
-            inside = all(lo * den <= v * rden <= hi * den for v, (lo, hi, rden) in zip((x, y), rectangle))
-            return inside, inside
-        tail = word.preperiod[n:]
-        if len(tail) not in bounds:
-            bk = b ** len(tail)
-            bounds[len(tail)] = [(-(-lo * bk // den), hi * bk // den) for lo, hi, den in rectangle]
-        (xl, xh), (yl, yh) = bounds[len(tail)]
+    def verdicts(word: DigitWord) -> tuple[bool, bool, bool, bool]:
+        tail = word.pairs_up_to(n + window.xi)[n:] if word.period else word.preperiod[n:]
+        k = len(tail)
+        if k not in per_length:
+            word.require_depth(n + window.xi)  # a shallower truncation raises
+            per_length[k] = (b ** (k - window.lam + 1), b ** (k - window.xi + 1), *(
+                (-(-lo * b ** k // den), hi * b ** k // den) for r in rectangles for lo, hi, den in r))
+        dx, dy, (xl, xh), (yl, yh), (el, eh), (fl, fh) = per_length[k]
         x, y = pair_value(tail, b)
-        return xl <= x < xh and yl <= y < yh, xl <= x + 1 and x <= xh and yl <= y + 1 and y <= yh
+        hit = _window_verdict(window, word, x // dx, y // dy)
+        if word.period:
+            x, y, den, _ = word.shift(n).hull(b)
+            inside, enlarged = (all(lo * den <= v * rden <= hi * den for v, (lo, hi, rden) in zip((x, y), r))
+                                for r in rectangles)
+            return hit, inside, inside, enlarged
+        return (hit, xl <= x < xh and yl <= y < yh, xl <= x + 1 and x <= xh and yl <= y + 1 and y <= yh,
+                el <= x + 1 and x <= eh and fl <= y + 1 and y <= fh)
 
-    return test
+    return verdicts
+
+
+def _window_verdict(window: StageWindow, word: DigitWord, x: int, y: int) -> bool:
+    """The window verdict on a word whose window numerals are x and y
+    (`StageWindow.hit`), called by name once per word of a containment pass."""
+    return window.hit(x, y)
+
+
+def _containment_pass(
+    ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int, samples: Iterable[DigitWord]
+) -> tuple[CheckReport, CheckReport]:
+    """The forward and backward containment reports, filled in one pass over
+    the samples in their order."""
+    verdicts = _containment_stage(ifs, target, schedule, n)
+    forward = CheckReport("containment-forward", True, 0, details={"inside": 0})
+    backward = CheckReport("containment-backward", True, 0)
+    for word in samples:
+        hit, inside, meets, enlarged = verdicts(word)
+        forward.checked += 1
+        if inside:
+            forward.details["inside"] += 1
+            if not hit:
+                _fail(forward, word, "shifted point inside the rectangle but window miss")
+        elif meets:
+            forward.skipped += 1
+        if hit:
+            backward.checked += 1
+            if not enlarged:
+                _fail(backward, word, "window hit but shifted point outside the enlarged rectangle")
+    backward.details["window_hits"] = backward.checked
+    return forward, backward
 
 
 def check_containment_forward(
@@ -138,38 +180,17 @@ def check_containment_forward(
 ) -> CheckReport:
     """Samples whose shifted hull sits inside the stage rectangle must hit
     the window conditions. Hulls that meet the rectangle without sitting
-    inside it are skipped."""
-    hull_test = _hull_test(ifs, target, schedule, n, 1)
-    depth = n + schedule.xi(n)
-    report = CheckReport("containment-forward", True, 0, details={"inside": 0})
-    for word in samples:
-        word.require_depth(depth)  # a too-shallow word outside the rectangle fails too
-        inside, meets = hull_test(word)
-        report.checked += 1
-        if inside:
-            report.details["inside"] += 1
-            if not window_hit(ifs, target, schedule, n, word):
-                _fail(report, word, "shifted point inside the rectangle but window miss")
-        elif meets:
-            report.skipped += 1
-    return report
+    inside it are skipped. The first report of `_containment_pass`."""
+    return _containment_pass(ifs, target, schedule, n, samples)[0]
 
 
 def check_containment_backward(
     ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int, samples: Iterable[DigitWord]
 ) -> CheckReport:
     """Samples hitting the window conditions must land in the enlarged
-    rectangle (two grid levels wider per axis): their shifted hull must meet it."""
-    hull_test = _hull_test(ifs, target, schedule, n, ifs.base ** 2)
-    report = CheckReport("containment-backward", True, 0)
-    for word in samples:
-        if not window_hit(ifs, target, schedule, n, word):  # needs depth n + xi(n)
-            continue
-        report.checked += 1
-        if not hull_test(word)[1]:
-            _fail(report, word, "window hit but shifted point outside the enlarged rectangle")
-    report.details["window_hits"] = report.checked
-    return report
+    rectangle (two grid levels wider per axis): their shifted hull must meet
+    it. The second report of `_containment_pass`."""
+    return _containment_pass(ifs, target, schedule, n, samples)[1]
 
 
 def _interior_thresholds(ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int) -> None:
@@ -819,15 +840,14 @@ def oracle_reports(ifs, target, schedule, seed, n) -> list[CheckReport]:
 
 def containment_reports(ifs, target, schedule, seed, n, samples, depth) -> list[CheckReport]:
     words = random_words(ifs, target, schedule, n, samples, depth, random.Random(seed))
-    return [check(ifs, target, schedule, n, words)
-            for check in (check_containment_forward, check_containment_backward)]
+    return list(_containment_pass(ifs, target, schedule, n, words))
 
 
 def containment_exhaustive_reports(ifs, target, schedule, seed, n, depth) -> list[CheckReport]:
     """Both containment checks over every depth-`depth` truncation. Their
-    verdicts read only the shift-n tail, so each check runs once per tail
-    behind the lowest prefix, its counts are multiplied by the |J|^n
-    prefixes, and its failures are rebuilt prefix slowest."""
+    verdicts read only the shift-n tail, so one pass runs over the tails
+    behind the lowest prefix, each report's counts are multiplied by the
+    |J|^n prefixes, and its failures are rebuilt prefix slowest."""
     digits = ifs.sorted_digits()
     k = min(n, depth)
     lowest, scale = (digits[0],) * k, len(digits) ** k
@@ -835,11 +855,11 @@ def containment_exhaustive_reports(ifs, target, schedule, seed, n, depth) -> lis
     def tails() -> Iterator[DigitWord]:
         require_enumerable(ifs, depth)
         for tail in itertools.product(digits, repeat=depth - k):
-            yield DigitWord.truncation(lowest + tail)
+            # pairs of the digit set, so the word is minimal as it stands
+            yield DigitWord._minimal(lowest + tail, ())
 
-    reports = []
-    for check in (check_containment_forward, check_containment_backward):
-        report = check(ifs, target, schedule, n, tails())
+    reports = list(_containment_pass(ifs, target, schedule, n, tails()))
+    for report in reports:
         report.checked *= scale
         report.skipped *= scale
         report.details = {key: count * scale for key, count in report.details.items()}
@@ -850,7 +870,6 @@ def containment_exhaustive_reports(ifs, target, schedule, seed, n, depth) -> lis
             for prefix in itertools.product(digits, repeat=k) for f in report.failures
         )
         report.failures = list(itertools.islice(rebuilt, 20))
-        reports.append(report)
     return reports
 
 

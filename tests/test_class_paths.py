@@ -3,13 +3,13 @@
 The references below are the word-by-word forms of six paths in `verify`:
 the window oracle's predicate walk over every window, the exhaustive set
 relation over every prefix and constant tail, both containment checks over
-every truncation, the containment hull test as rectangle products on each
-word's shifted hull, the cover's count as its enumerated corners, and the
-Holder ball mass as a sum of cell masses. On random small systems,
-eventually periodic targets and linear or table schedules, each class path
-must give the same full report. Each run may also patch the
-predicate a path calls by name with a pure stand-in that fails often, so the
-rebuilt failure records are compared too.
+every truncation, the containment pass's verdicts as the window's digit
+walk and rectangle products on each word's shifted hull, the cover's count
+as its enumerated corners, and the Holder ball mass as a sum of cell
+masses. On random small systems, eventually periodic targets and linear or
+table schedules, each class path must give the same full report. Each run
+may also patch the predicate a path calls by name with a pure stand-in that
+fails often, so the rebuilt failure records are compared too.
 """
 
 import contextlib
@@ -38,8 +38,9 @@ from carpetdim import (
     target_from_word,
     validate_ifs,
 )
-from carpetdim.errors import CarpetError
+from carpetdim.errors import CarpetError, InsufficientDepthError
 from carpetdim.grid import pair_value
+from test_stage_reference import _ref_axis_digits_admissible
 
 LIMIT = 3000  # largest per-word enumeration a reference runs
 
@@ -155,8 +156,8 @@ def _digit_sum_not_one_mod_3(base, target_digits, word_digits):
     return sum(word_digits) % 3 != 1
 
 
-def _tail_even(ifs, target, schedule, n, word):
-    return sum(map(sum, word.preperiod[n:])) % 2 == 0
+def _tail_even(window, word, x, y):
+    return sum(map(sum, word.preperiod[window.n:])) % 2 == 0
 
 
 def _shifts_by_residue(num, den, cn, cd, scale):
@@ -239,8 +240,8 @@ def test_exhaustive_containment_matches_the_per_word_checks(case, extra, patched
     depth = n + schedule.xi(n) + extra
     if len(ifs.digits) ** depth > LIMIT:
         return
-    hit = _tail_even if patched else verify.window_hit
-    with mock.patch.object(verify, "window_hit", hit):
+    hit = _tail_even if patched else verify._window_verdict
+    with mock.patch.object(verify, "_window_verdict", hit):
         _same_outcome(
             lambda: _dicts(_ref_containment_exhaustive(ifs, target, schedule, n, depth)),
             lambda: _dicts(verify.containment_exhaustive_reports(ifs, target, schedule, 0, n, depth)),
@@ -281,10 +282,12 @@ _COORDINATES = {
 @st.composite
 def hull_cases(draw):
     """A base 2 to 5, a linear, table or alternating schedule, a stage n, a
-    target point with interior or boundary coordinates (the hull test reads
-    only the point), a rectangle scale of 1 or b^2, and words whose shift-n
-    hulls fall near the rectangle's edges: truncations of depth n + xi(n) to
-    n + xi(n) + 6, and eventually periodic words."""
+    target point with interior or boundary coordinates, a target word (the
+    point's own digits or random digits: the verdicts read the point for the
+    hull and the word for the window), a rectangle scale of 1 or b^2 whose
+    edges the words are drawn near, and words whose shift-n hulls fall near
+    those edges: truncations of depth n + xi(n) to n + xi(n) + 6, and
+    eventually periodic words."""
     b = draw(st.integers(min_value=2, max_value=5))
     kind = draw(st.sampled_from(["linear", "table", "alternating"]))
     if kind == "linear":
@@ -296,12 +299,17 @@ def hull_cases(draw):
         schedule = RateSchedule.alternating([(1, 2), ("1/2", 1)], block_base=2)
     n = draw(st.integers(min_value=1, max_value=3))
     point = tuple(draw(_COORDINATES[draw(st.sampled_from(sorted(_COORDINATES)))]) for _ in "zw")
-    target = SimpleNamespace(point=point)
+    pair = st.tuples(st.integers(0, b - 1), st.integers(0, b - 1))
+    if draw(st.booleans()):  # digit i of c is floor(c b^i) mod b, all b - 1 for c = 1
+        digits = [[min(math.floor(c * b ** i), b ** i - 1) % b for c in point]
+                  for i in range(1, schedule.xi(n))]
+    else:
+        digits = draw(st.lists(pair, min_size=schedule.xi(n) - 1, max_size=schedule.xi(n) - 1))
+    target = SimpleNamespace(point=point, word=DigitWord.truncation(digits))
     scale = draw(st.sampled_from([1, b * b]))
     ifs = validate_ifs(b, [(0, 0), (b - 1, b - 1)])
     edges = [Fraction(lo, den) for axis in verify._stage_rectangle(ifs, target, schedule, n, scale)
              for lo, den in ((axis[0], axis[2]), (axis[1], axis[2]))]
-    pair = st.tuples(st.integers(0, b - 1), st.integers(0, b - 1))
     words = []
     for _ in range(draw(st.integers(min_value=1, max_value=8))):
         periodic = draw(st.booleans())
@@ -321,17 +329,30 @@ def hull_cases(draw):
             words.append(DigitWord.periodic(head + tail, period))
         else:
             words.append(DigitWord.truncation(head + tail))
-    return ifs, target, schedule, n, scale, words
+    return ifs, target, schedule, n, words
 
 
 @given(hull_cases())
 @settings(max_examples=300, deadline=None)
 def test_hull_test_matches_the_hull_products(case):
-    ifs, target, schedule, n, scale, words = case
-    test = verify._hull_test(ifs, target, schedule, n, scale)
-    rectangle = verify._stage_rectangle(ifs, target, schedule, n, scale)
+    """The containment pass's four verdicts per word: the window hit against
+    the digit walk, and the hull's relations to the stage rectangle and to
+    the b^2-enlarged one against the rectangle products."""
+    ifs, target, schedule, n, words = case
+    b, (lam, xi) = ifs.base, schedule.window(n)
+    verdicts = verify._containment_stage(ifs, target, schedule, n)
+    rectangle, enlarged = (verify._stage_rectangle(ifs, target, schedule, n, s) for s in (1, b * b))
+    tcols = [p.u for p in target.word.pairs_up_to(lam - 1)]
+    trows = [p.v for p in target.word.pairs_up_to(xi - 1)]
     for word in words:
-        assert test(word) == _ref_hull_relation(rectangle, word, ifs.base, n)
+        window = word.pairs_up_to(n + xi)[n:]
+        hit = _ref_axis_digits_admissible(b, tcols, [p.u for p in window[: lam - 1]]) and (
+            _ref_axis_digits_admissible(b, trows, [p.v for p in window[: xi - 1]]))
+        inside, meets = _ref_hull_relation(rectangle, word, b, n)
+        assert verdicts(word) == (hit, inside, meets, _ref_hull_relation(enlarged, word, b, n)[1])
+        if not word.period:
+            with pytest.raises(InsufficientDepthError):
+                verdicts(DigitWord.truncation(word.preperiod[: n + xi - 1]))
 
 
 @given(systems(), st.integers(min_value=1, max_value=3))

@@ -2,7 +2,7 @@
 
 Each case pins the SHA-256 of `json.dumps([r.to_dict() for r in reports],
 sort_keys=True)` for `containment_exhaustive_reports` (forward, then
-backward) on one input, run three ways: as is, with `verify.window_hit`
+backward) on one input, run three ways: as is, with `verify._window_verdict`
 patched to always miss, and patched to always hit. The patched runs fail, so
 their digests pin the order, the reasons and the words of the first failure
 records as well as the counts and details.
@@ -26,7 +26,7 @@ PATCHES = {"as-is": None, "always-miss": False, "always-hit": True}
 # input -> (n, depth)
 SIZES = {"vicsek-origin": (2, 7), "corner-origin": (2, 8)}
 
-# (input, window_hit patch) -> digest of both reports
+# (input, _window_verdict patch) -> digest of both reports
 GOLDEN = {
     ("corner-origin", "as-is"):
         "aab0d374c2003a440c0a44ecd9535a220d9241432140c66b92024d0a29353d54",
@@ -48,7 +48,7 @@ def test_containment_exhaustive_reports_are_pinned(vicsek, corner, linear12, mon
     name, patch = case
     ifs = vicsek if name == "vicsek-origin" else corner
     if PATCHES[patch] is not None:
-        monkeypatch.setattr(verify, "window_hit", lambda *args, hit=PATCHES[patch]: hit)
+        monkeypatch.setattr(verify, "_window_verdict", lambda *args, hit=PATCHES[patch]: hit)
     n, depth = SIZES[name]
     reports = containment_exhaustive_reports(ifs, make_target(ifs, 0, 0), linear12, 0, n, depth)
     assert _digest(reports) == GOLDEN[case]

@@ -2,7 +2,7 @@
 
 Each case pins the SHA-256 of `json.dumps(report.to_dict(), sort_keys=True)`
 for the forward and the backward check on one input, run three ways: as is,
-with `verify.window_hit` patched to always miss, and patched to always hit.
+with `verify._window_verdict` patched to always miss, and patched to always hit.
 The patched runs fail, so their digests pin the order, the reasons and the
 words of the failure records as well as the counts and details.
 """
@@ -40,7 +40,7 @@ def _inputs(name, vicsek, corner, schedule):
 
 PATCHES = {"as-is": None, "always-miss": False, "always-hit": True}
 
-# (input, window_hit patch) -> (forward digest, backward digest)
+# (input, _window_verdict patch) -> (forward digest, backward digest)
 GOLDEN = {
     ("corner-origin-exhaustive", "as-is"): (
         "27fa7c9d5e62f2cd9c6df4f777cb4ef94d25c380148d37011d10939668f7aa83",
@@ -74,7 +74,7 @@ def test_containment_reports_are_pinned(vicsek, corner, linear12, monkeypatch, c
     name, patch = case
     ifs, target, n, words = _inputs(name, vicsek, corner, linear12)
     if PATCHES[patch] is not None:
-        monkeypatch.setattr(verify, "window_hit", lambda *args, hit=PATCHES[patch]: hit)
+        monkeypatch.setattr(verify, "_window_verdict", lambda *args, hit=PATCHES[patch]: hit)
     digests = tuple(
         _digest(check(ifs, target, linear12, n, words))
         for check in (check_containment_forward, check_containment_backward)

@@ -3,6 +3,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -104,6 +105,21 @@ class TestContainment:
         assert rep_f.passed and rep_b.passed
         assert rep_f.checked == 5 ** 9
         assert rep_f.details["inside"] > 0 and rep_b.details["window_hits"] == rep_b.checked > 0
+
+    def test_sampled_words_are_read_once(self, vicsek, linear12, monkeypatch):
+        # both reports come from one numeral read per word, plus the target's
+        # window numerals once per stage
+        target, calls = make_target(vicsek, 0, 0), []
+
+        def counted(pairs, base):
+            calls.append(1)
+            return pair_value(pairs, base)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("carpetdim")]:
+            if getattr(module, "pair_value", None) is pair_value:
+                monkeypatch.setattr(module, "pair_value", counted)
+        reports = verify.containment_reports(vicsek, target, linear12, 5, 8, 800, 29)
+        assert all(r.passed for r in reports) and len(calls) <= 800 + 1
 
 
 class TestSetRelation:
