@@ -71,24 +71,32 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("$", "config must be a JSON object")
+        _parse_object(data, "$", ("ifs", "target", "schedule", "n_range", "verify"))
         ifs = _parse_ifs(data.get("ifs"), "ifs")
         target = _parse_target(ifs, data.get("target"), "target")
         schedule = _parse_schedule(data.get("schedule"), "schedule")
         n_values = _parse_n_range(data.get("n_range"), "n_range")
-        verify_cfg = _parse_object(data.get("verify", {}), "verify")
+        verify_cfg = _parse_object(data.get("verify", {}), "verify", ("checks", "seed"))
         return cls(ifs, target, schedule, n_values, verify_cfg)
 
 
-def _parse_object(node, path: str) -> dict:
+def _parse_object(node, path: str, keys=None) -> dict:
+    """node as an object; when `keys` is given, every key of node must be
+    one of them, as a key no reader reads would be ignored without a word."""
     if node is None:
         raise ConfigError(path, "missing")
     if not isinstance(node, dict):
         raise ConfigError(path, f"expected an object, got {node!r}")
+    for key in node if keys is not None else ():
+        if key not in keys:
+            where = key if path == "$" else f"{path}.{key}"
+            raise ConfigError(where, f"unknown key; have {', '.join(keys)}")
     return node
 
 
 def _parse_ifs(node, path: str) -> GridIFS:
     node = _parse_object(node, path)
+    _parse_object(node, path, ("name",) if "name" in node else ("base", "pairs"))
     if "name" in node:
         name = node["name"]
         if not isinstance(name, str) or name not in NAMED_IFS:
@@ -106,7 +114,7 @@ def _parse_ifs(node, path: str) -> GridIFS:
 
 
 def _parse_word(node, path: str) -> DigitWord:
-    node = _parse_object(node, path)
+    node = _parse_object(node, path, ("preperiod", "period"))
     pre, per = node.get("preperiod", []), node.get("period", [])
     if isinstance(pre, list) and isinstance(per, list) and len(pre) + len(per) > SIZE_GUARD:
         raise ConfigError(path, f"{len(pre)} + {len(per)} pairs (preperiod + period), "
@@ -131,7 +139,9 @@ def _parse_target(ifs: GridIFS, node, path: str) -> TargetSpec:
                 )
             kind, extra = NAMED_TARGETS[name]
             if kind == "point":
+                _parse_object(node, path, ("name",))
                 return make_target(ifs, Fraction(extra[0]), Fraction(extra[1]))
+            _parse_object(node, path, ("name", "block_base", "depth"))
             block_base = _parse_int(node.get("block_base", 4), f"{path}.block_base")
             depth = _parse_int(node.get("depth", 16384), f"{path}.depth")
             if depth > SIZE_GUARD:
@@ -139,11 +149,13 @@ def _parse_target(ifs: GridIFS, node, path: str) -> TargetSpec:
             word = alternating_block_word(block_base=block_base, depth=depth)
             return target_from_word(ifs, word)
         if "point" in node:
+            _parse_object(node, path, ("point",))
             z, w = node["point"]
             if isinstance(z, float) or isinstance(w, float):
                 raise ConfigError(f"{path}.point", 'floats are rejected; write "1/3"-style strings')
             return make_target(ifs, Fraction(str(z)), Fraction(str(w)))
         if "word" in node:
+            _parse_object(node, path, ("word",))
             return target_from_word(ifs, _parse_word(node["word"], f"{path}.word"))
     except ConfigError:
         raise
@@ -156,6 +168,8 @@ def _parse_schedule(node, path: str) -> RateSchedule:
     node = _parse_object(node, path)
     kind = node.get("kind", "linear")
     try:
+        if kind in ("linear", "table"):
+            _parse_object(node, path, ("kind", "lam", "xi"))
         if kind == "linear":
             return RateSchedule.linear(
                 _parse_fraction(node["lam"], f"{path}.lam"),
@@ -167,6 +181,7 @@ def _parse_schedule(node, path: str) -> RateSchedule:
                 _parse_int_list(node["xi"], f"{path}.xi"),
             )
         if kind == "alternating":
+            _parse_object(node, path, ("kind", "ratios", "block_base"))
             ratios = [
                 (_parse_fraction(l, f"{path}.ratios[{i}][0]"),
                  _parse_fraction(x, f"{path}.ratios[{i}][1]"))
@@ -236,19 +251,21 @@ def _parse_n_range(node, path: str) -> list[int]:
     """The sampled stages, at most SIZE_GUARD of them."""
     if node is None:
         return list(range(1, 401))
-    if isinstance(node, dict) and "values" in node:
+    if not isinstance(node, dict):
+        raise ConfigError(path, "expected {start, stop} or {values}")
+    if "values" in node:
+        _parse_object(node, path, ("values",))
         values = _parse_int_list(node["values"], f"{path}.values")
         if not values or values[0] < 1 or any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError(path, "values must be nonempty, at least 1 and strictly increasing")
         count = len(values)
-    elif isinstance(node, dict):
+    else:
+        _parse_object(node, path, ("start", "stop"))
         start = _parse_int(node.get("start", 1), f"{path}.start")
         stop = _parse_int(node.get("stop", 400), f"{path}.stop")
         if start < 1 or stop < start:
             raise ConfigError(path, f"bad range [{start}, {stop}]")
         values, count = range(start, stop + 1), stop - start + 1
-    else:
-        raise ConfigError(path, "expected {start, stop} or {values}")
     if count > SIZE_GUARD:
         raise ConfigError(path, f"{count} stages, past the guard {SIZE_GUARD}")
     return list(values)
@@ -424,6 +441,7 @@ def _set_relation_options(o: _CheckOptions) -> dict:
     if not isinstance(exhaustive, bool):
         raise ConfigError(f"{o.path}.exhaustive", f"expected true or false, got {exhaustive!r}")
     if exhaustive:
+        _parse_object(o.node, o.path, ("n", "exhaustive", "depth"))  # draws no samples
         depth = o.opt("depth", 8, least=n, why=" = n")
         o.enumerable("depth", depth)
         return {"n": n, "exhaustive": True, "depth": depth}
@@ -456,15 +474,17 @@ def _measure_options(o: _CheckOptions) -> dict:
             "holder_slack": o.opt("holder_slack", 0.05, _parse_real)}
 
 
-# every verify check, in output order: its option reader and the name of its
-# family in verify.py, looked up when it runs so patched functions are seen
+# every verify check, in output order: its keys, its option reader and the
+# name of its family in verify.py, looked up when it runs so patched functions are seen
 _CHECKS = {
-    "oracle": (_oracle_options, "oracle_reports"),
-    "containment": (_containment_options, "containment_reports"),
-    "containment_exhaustive": (_containment_exhaustive_options, "containment_exhaustive_reports"),
-    "set_relation": (_set_relation_options, "set_relation_reports"),
-    "cover": (_cover_options, "cover_reports"),
-    "measure": (_measure_options, "measure_reports"),
+    "oracle": (("n",), _oracle_options, "oracle_reports"),
+    "containment": (("n", "samples", "depth"), _containment_options, "containment_reports"),
+    "containment_exhaustive": (("n", "depth"), _containment_exhaustive_options,
+                               "containment_exhaustive_reports"),
+    "set_relation": (("n", "exhaustive", "depth", "samples"), _set_relation_options,
+                     "set_relation_reports"),
+    "cover": (("n", "j"), _cover_options, "cover_reports"),
+    "measure": (("break_points", "delta", "holder_slack"), _measure_options, "measure_reports"),
 }
 _DEFAULT_CHECKS = ("oracle", "containment", "set_relation")
 
@@ -472,14 +492,12 @@ _DEFAULT_CHECKS = ("oracle", "containment", "set_relation")
 def _verify_options(config: RunConfig) -> dict[str, dict]:
     """Every verify check's options, parsed with their paths before any check
     runs, so a bad option exits 2 without running a check."""
-    checks = _parse_object(config.verify.get("checks", {}), "verify.checks")
+    checks = _parse_object(config.verify.get("checks", {}), "verify.checks", _CHECKS)
     options = {}
     for name, node in (checks or dict.fromkeys(_DEFAULT_CHECKS, {})).items():
         path = f"verify.checks.{name}"
-        node = _parse_object(node, path)
-        if name not in _CHECKS:
-            raise ConfigError(path, f"unknown check; have {', '.join(_CHECKS)}")
-        options[name] = _CHECKS[name][0](_CheckOptions(config, path, node))
+        keys, read, _ = _CHECKS[name]
+        options[name] = read(_CheckOptions(config, path, _parse_object(node, path, keys)))
     return options
 
 
@@ -487,7 +505,7 @@ def cmd_verify(config: RunConfig, out_dir: Path) -> int:
     options = _verify_options(config)
     seed = _parse_int(config.verify.get("seed", 0), "verify.seed")
     reports: list[verify_mod.CheckReport] = []
-    for name, (_, family) in _CHECKS.items():
+    for name, (*_, family) in _CHECKS.items():
         if name in options:
             run = getattr(verify_mod, family)
             reports += run(config.ifs, config.target, config.schedule, seed, **options[name])

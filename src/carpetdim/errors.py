@@ -89,10 +89,6 @@ class DepthTooLargeError(CarpetError):
     pass
 
 
-class RadiusTooSmallError(CarpetError):
-    pass
-
-
 class ThresholdNotMetError(CarpetError):
     pass
 

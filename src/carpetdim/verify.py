@@ -1,20 +1,18 @@
 """Finite-depth verification of the cover and measure constructions.
 
 Everything here runs in exact rational or integer arithmetic. Both
-containment reports come from one pass that reads each sample's tail past n
-once: a truncation's tail numerals are compared in integers with bounds
-formed once per stage and tail length, for the window condition
-|W - T| <= 1 (see `shrinking`), the closed stage rectangle and its
-b^2-enlargement, so no sample can be misclassified by rounding; an
-eventually periodic word's point (`DigitWord.hull`) is compared exactly.
-Both set-relation checks feed integer samples to one verdict
+containment reports come from one pass that reads each sample truncation's
+tail past n once: its numerals are compared in integers with bounds formed
+once per stage and tail length, for the window condition |W - T| <= 1 (see
+`shrinking`), the closed stage rectangle and its b^2-enlargement, so no
+sample can be misclassified by rounding. Both set-relation checks feed integer samples to one verdict
 (`_relation_stage`). A grid cell is the base-b numerals of its corner,
 tested against one support per level by `_in_supports`: a set-relation
 witness is a translated level-n cell of the digit set, and the lower-bound
 measure gives a positive level-L cell 1/size(L), with size(L) the product
-of the support sizes of levels 1..L. A Holder ball shares its centre's
-digits, read once per sample point, and tests only the last digits in
-which each of its cells differs.
+of the support sizes of levels 1..L. A Holder ball, of radius b^-L at a
+grid level L, shares its centre's digits, read once per sample point, and
+tests only the last digits in which each of its cells differs.
 
 The exhaustive checks decide once per class of inputs, not once per word. The
 oracle tests each head's columns once and each distinct row string once; the
@@ -43,7 +41,6 @@ from .errors import (
     DepthTooLargeError,
     EnumerationTooLargeError,
     InsufficientDepthError,
-    RadiusTooSmallError,
     ThresholdNotMetError,
 )
 from .grid import DigitPair, GridIFS, pair_value
@@ -112,19 +109,20 @@ def _stage_rectangle(
 
 
 def _containment_stage(ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int):
-    """A word's verdicts at stage n: (hit, inside, meets, meets_enlarged), its
-    window verdict (`_window_verdict`) and whether its shift-n hull lies
+    """A truncation's verdicts at stage n: (hit, inside, meets, meets_enlarged),
+    its window verdict (`_window_verdict`) and whether its shift-n square lies
     inside the closed `_stage_rectangle`, meets it, and meets it enlarged b^2
-    times. A truncation's k tail numerals (x, y) are read once, against the
-    window divisors b^(k-lam+1), b^(k-xi+1) and each axis' ceil(lo b^k / den)
-    and floor(hi b^k / den), formed once per k; an eventually periodic word's
-    window is read from its first xi pairs past n, its point compared exactly."""
+    times. Its k tail numerals (x, y) are read once, against the window
+    divisors b^(k-lam+1), b^(k-xi+1) and each axis' ceil(lo b^k / den) and
+    floor(hi b^k / den), formed once per k."""
     b = ifs.base
     rectangles = [_stage_rectangle(ifs, target, schedule, n, scale) for scale in (1, b * b)]
     window, per_length = StageWindow.of(ifs, target, schedule, n), {}
 
     def verdicts(word: DigitWord) -> tuple[bool, bool, bool, bool]:
-        tail = word.pairs_up_to(n + window.xi)[n:] if word.period else word.preperiod[n:]
+        if word.period:
+            raise InsufficientDepthError("containment samples must be truncations")
+        tail = word.preperiod[n:]
         k = len(tail)
         if k not in per_length:
             word.require_depth(n + window.xi)  # a shallower truncation raises
@@ -132,13 +130,8 @@ def _containment_stage(ifs: GridIFS, target: TargetSpec, schedule: RateSchedule,
                 (-(-lo * b ** k // den), hi * b ** k // den) for r in rectangles for lo, hi, den in r))
         dx, dy, (xl, xh), (yl, yh), (el, eh), (fl, fh) = per_length[k]
         x, y = pair_value(tail, b)
-        hit = _window_verdict(window, word, x // dx, y // dy)
-        if word.period:
-            x, y, den, _ = word.shift(n).hull(b)
-            inside, enlarged = (all(lo * den <= v * rden <= hi * den for v, (lo, hi, rden) in zip((x, y), r))
-                                for r in rectangles)
-            return hit, inside, inside, enlarged
-        return (hit, xl <= x < xh and yl <= y < yh, xl <= x + 1 and x <= xh and yl <= y + 1 and y <= yh,
+        return (_window_verdict(window, word, x // dx, y // dy),
+                xl <= x < xh and yl <= y < yh, xl <= x + 1 and x <= xh and yl <= y + 1 and y <= yh,
                 el <= x + 1 and x <= eh and fl <= y + 1 and y <= fh)
 
     return verdicts
@@ -178,18 +171,18 @@ def _containment_pass(
 def check_containment_forward(
     ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int, samples: Iterable[DigitWord]
 ) -> CheckReport:
-    """Samples whose shifted hull sits inside the stage rectangle must hit
-    the window conditions. Hulls that meet the rectangle without sitting
-    inside it are skipped. The first report of `_containment_pass`."""
+    """Truncations whose shifted square sits inside the stage rectangle
+    must hit the window conditions. Squares that meet the rectangle without
+    sitting inside it are skipped. The first report of `_containment_pass`."""
     return _containment_pass(ifs, target, schedule, n, samples)[0]
 
 
 def check_containment_backward(
     ifs: GridIFS, target: TargetSpec, schedule: RateSchedule, n: int, samples: Iterable[DigitWord]
 ) -> CheckReport:
-    """Samples hitting the window conditions must land in the enlarged
-    rectangle (two grid levels wider per axis): their shifted hull must meet
-    it. The second report of `_containment_pass`."""
+    """Truncations hitting the window conditions must land in the enlarged
+    rectangle (two grid levels wider per axis): their shifted square must
+    meet it. The second report of `_containment_pass`."""
     return _containment_pass(ifs, target, schedule, n, samples)[1]
 
 
@@ -650,8 +643,8 @@ class HolderSample:
 
 def _expansion(c: Fraction, base: int, depth: int) -> tuple:
     """c in [0, 1] for `_ball_cells`: its first `depth` base-b digits, the first
-    L spelling min(floor(c b^L), b^L - 1); (rem, q) with c = 0.digits + (rem / q)
-    b^-depth; and runs[k][i], how many 0s (k = 0) or b - 1s (k = 1) in a row end digits[:i]."""
+    L spelling min(floor(c b^L), b^L - 1); rem, 0 when c = 0.digits; and
+    runs[k][i], how many 0s (k = 0) or b - 1s (k = 1) in a row end digits[:i]."""
     p, q, digits = c.numerator, c.denominator, []
     if c == 1:
         p, q, digits = 1, 1, [base - 1] * depth
@@ -660,38 +653,26 @@ def _expansion(c: Fraction, base: int, depth: int) -> tuple:
         digits.append(d)
     runs = tuple(list(itertools.accumulate(digits, lambda n, d: n + 1 if d == v else 0, initial=0))
                  for v in (0, base - 1))
-    return digits, p, q, runs
+    return digits, p, runs
 
 
-def _ball_cells(axis: tuple, rho: Fraction, level: int, base: int) -> list[tuple[int, list[int]]]:
-    """The level-L cells along one axis that a ball of radius rho b^-L
-    (1/b < rho <= 1) about c counts, each as (t, the last t digits of its
-    numeral, least significant first), for the smallest t such that it shares
-    its first L - t digits with c's numeral M (`_expansion`). The numerals are
-    M + d in [0, b^L), lo <= d <= hi, with f = c b^L - M, hi = floor(f + rho),
-    lo = ceil(f - rho) - 1: f's digits, c's past the L-th, are read against
-    the other side's up to the first that differs. A borrow runs through the
-    0s before the last digit, a carry through the b - 1s."""
-    digits, rem, q, runs = axis
-
-    def sign(t: Fraction) -> int:  # of f - t, for 0 < t < 1
-        tn, td = t.numerator, t.denominator
-        for d in itertools.islice(digits, level, None):
-            e, tn = divmod(tn * base, td)
-            if d != e:
-                return d - e
-        return rem * td - tn * q
-
-    if rho == 1:  # then f <= rho, f >= 1 - rho, and lo = -2 when f = 0
-        lo, hi = (-2 if rem == 0 and runs[0][-1] >= len(digits) - level else -1), 1
-    else:
-        lo, hi = (0 if sign(rho) > 0 else -1), (1 if sign(1 - rho) >= 0 else 0)
+def _ball_cells(axis: tuple, level: int, base: int) -> list[tuple[int, list[int]]]:
+    """The level-L cells along one axis that the closed ball of radius b^-L
+    about c counts, each as (t, the last t digits of its numeral, least
+    significant first), for the smallest t such that it shares its first
+    L - t digits with c's numeral M (`_expansion`). The numerals are M + d in
+    [0, b^L) with -1 <= d <= 1, and d = -2 too when c is a level-L grid
+    point. A borrow runs through the 0s before the last digit, a carry
+    through the b - 1s. Grid radii suffice: a ball of radius r in
+    (b^-(L+1), b^-L] lies in this one, so mu(B(c, b^-L)) <= C b^(-Ls) at every
+    L gives mu(B(c, r)) <= C b^s r^s (Falconer, Fractal Geometry, 4.2)."""
+    digits, rem, runs = axis
+    lo = -2 if rem == 0 and runs[0][-1] >= len(digits) - level else -1
     if runs[0][level] == level:  # M = 0
         lo = 0
     elif runs[0][level - 1] == level - 1 and digits[level - 1] == 1:  # M = 1
         lo = max(lo, -1)
-    if runs[1][level] == level:  # M = b^L - 1
-        hi = 0
+    hi = 0 if runs[1][level] == level else 1  # 0 when M = b^L - 1
     out = []
     for d in range(lo, hi + 1):
         if not d:
@@ -710,17 +691,18 @@ def _ball_cells(axis: tuple, rho: Fraction, level: int, base: int) -> list[tuple
 def holder_exponent_samples(
     builder: MeasureBuilder,
     sample_points: Sequence[DigitWord],
-    radii: Sequence[Fraction],
+    levels: Iterable[int],
 ) -> list[HolderSample]:
-    """Mass decay exponents log(mass of ball) / log(radius).
+    """Mass decay exponents log(mass of ball) / log(radius), for the ball of
+    radius b^-L about each point at each level L in 1..depth: a radius
+    between two levels lies in the ball of the coarser one (`_ball_cells`).
 
-    The ball of radius r meets at most nine grid cells at the matching
-    level L, all within two cells of the point's own cell; the ball mass is
-    the count of them inside the supports over sizes[L]. Each coordinate's
-    digits are read once, to the builder's depth (`_expansion`), and so is
-    how many leading levels of the point's own cells lie in the supports. A
-    neighbouring cell differs from the point's cell in its last few digits
-    only (`_ball_cells`), and only those levels are tested again.
+    The ball mass is the count of the level-L cells it meets inside the
+    supports, over sizes[L]. Each coordinate's digits are read once, to the
+    builder's depth (`_expansion`), and so is how many leading levels of the
+    point's own cells lie in the supports. A neighbouring cell differs from
+    the point's cell in its last few digits only, and only those levels are
+    tested again.
     """
     b, supports = builder.ifs.base, builder.supports
     points = []
@@ -731,24 +713,13 @@ def holder_exponent_samples(
             bool, map(operator.contains, supports, zip(xaxis[0], yaxis[0]))))
         points.append((x, y, xaxis, yaxis, reach))
     out = []
-    for r in radii:
-        r = Fraction(r)
-        if not 0 < r < 1:
-            raise RadiusTooSmallError(f"radius {r} outside (0, 1)")
-        if r < Fraction(1, b ** builder.depth):
-            raise RadiusTooSmallError(f"radius {r} finer than depth {builder.depth}")
-        # level L with b^-(L+1) < r <= b^-L: the largest L with b^L <= floor(1/r),
-        # from a float estimate corrected in integers
-        inv = r.denominator // r.numerator
-        level = int(math.log(inv, b))
-        while b ** level > inv:
-            level -= 1
-        while b ** (level + 1) <= inv:
-            level += 1
-        rho, log_r = r * b ** level, math.log(r.numerator) - math.log(r.denominator)
+    for level in levels:
+        if not 1 <= level <= builder.depth:
+            raise DepthTooLargeError(f"level {level} outside 1..{builder.depth}")
+        r, log_r = Fraction(1, b ** level), -math.log(b ** level)
         for x, y, xaxis, yaxis, reach in points:
             (xd, *_), (yd, *_) = xaxis, yaxis
-            xrow, yrow = _ball_cells(xaxis, rho, level, b), _ball_cells(yaxis, rho, level, b)
+            xrow, yrow = _ball_cells(xaxis, level, b), _ball_cells(yaxis, level, b)
             # every cell keeps the point's first level - t digit pairs; the last
             # t are tested deepest first, where a neighbour mostly leaves
             t = max(k for k, _ in xrow + yrow)
@@ -800,8 +771,10 @@ def random_words(
     depth: int,
     rng: random.Random,
 ) -> list[DigitWord]:
-    """Sample truncations biased toward the window boundary: a mix of plain
-    uniform words, exact-match continuations, and pattern-following words.
+    """Sample truncations biased toward the window boundary: word i is
+    uniform when i mod 4 < 2; otherwise its n uniform pairs are followed by
+    one pick per slot of a random pattern pair (`_pair_slots`) when no slot
+    is empty, and then by uniform pairs to the depth.
 
     Every pick goes through `_draw`, which keeps `Random.choice`'s rule
     (getrandbits of the bit length of the sequence's size, retried until it
@@ -927,8 +900,8 @@ def measure_reports(
     points = [builder.support_word(builder.depth)] + [
         builder.support_word(builder.depth, rng) for _ in range(2)
     ]
-    radii = [Fraction(1, ifs.base ** m) for m in range(break_points[0] + 1, builder.depth + 1)]
-    samples = holder_exponent_samples(builder, points, radii)
+    levels = range(break_points[0] + 1, builder.depth + 1)
+    samples = holder_exponent_samples(builder, points, levels)
     threshold = {n_k: (1.0 - 1.0 / float(delta)) * builder.stage_values[n_k] - holder_slack
                  for n_k in break_points}
     bad = [{"level": s.level, "exponent": s.exponent} for s in samples

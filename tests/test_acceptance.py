@@ -184,8 +184,7 @@ def test_criterion_5_measure_construction(vicsek, linear12):
     points = [builder.support_word(builder.depth)] + [
         builder.support_word(builder.depth, rng) for _ in range(2)
     ]
-    radii = [Fraction(1, 3 ** m) for m in range(5, builder.depth + 1)]
-    samples = holder_exponent_samples(builder, points, radii)
+    samples = holder_exponent_samples(builder, points, range(5, builder.depth + 1))
     holder_ok = True
     worst = math.inf
     for s in samples:

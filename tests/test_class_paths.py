@@ -4,12 +4,13 @@ The references below are the word-by-word forms of six paths in `verify`:
 the window oracle's predicate walk over every window, the exhaustive set
 relation over every prefix and constant tail, both containment checks over
 every truncation, the containment pass's verdicts as the window's digit
-walk and rectangle products on each word's shifted hull, the cover's count
-as its enumerated corners, and the Holder ball mass as a sum of cell
-masses. On random small systems, eventually periodic targets and linear or
-table schedules, each class path must give the same full report. Each run
-may also patch the predicate a path calls by name with a pure stand-in that
-fails often, so the rebuilt failure records are compared too.
+walk and rectangle products on each truncation's shifted square, the
+cover's count as its enumerated corners, and the Holder ball mass at every
+grid level as a sum of cell masses. On random small systems, eventually
+periodic targets and linear or table schedules, each class path must give
+the same full report. Each run may also patch the predicate a path calls by
+name with a pure stand-in that fails often, so the rebuilt failure records
+are compared too.
 """
 
 import contextlib
@@ -126,17 +127,16 @@ def _ref_hull_relation(
     return inside, meets
 
 
-def _ref_holder_exponent_samples(builder, sample_points, radii):
-    """Holder samples with each ball's mass summed cell by cell."""
+def _ref_holder_exponent_samples(builder, sample_points, levels):
+    """Holder samples with the mass of each closed ball of radius b^-L summed
+    over the level-L cells it meets."""
     b = builder.ifs.base
     out = []
-    for r in map(Fraction, radii):
-        level = 0
-        while Fraction(1, b ** (level + 1)) >= r:
-            level += 1
+    for level in levels:
+        scale = b ** level
+        r = Fraction(1, scale)
         for word in sample_points:
             x, y = word.point(b)
-            scale = b ** level
             nu = Fraction(0)
             for kx in range(max(0, math.ceil((x - r) * scale) - 1),
                             min(scale - 1, math.floor((x + r) * scale)) + 1):
@@ -258,9 +258,9 @@ def test_holder_ball_mass_matches_the_cell_sum(case, rate, seed):
     assert verify._supports_follow_spines(builder)
     rng = random.Random(seed)
     points = [builder.support_word(builder.depth, rng) for _ in range(2)]
-    radii = [Fraction(1, ifs.base ** m) for m in range(1, builder.depth + 1)] + [Fraction(2, 5)]
-    assert holder_exponent_samples(builder, points, radii) == (
-        _ref_holder_exponent_samples(builder, points, radii))
+    levels = range(1, builder.depth + 1)
+    assert holder_exponent_samples(builder, points, levels) == (
+        _ref_holder_exponent_samples(builder, points, levels))
 
 
 @given(systems(), st.integers(min_value=0, max_value=8))
@@ -284,10 +284,9 @@ def hull_cases(draw):
     """A base 2 to 5, a linear, table or alternating schedule, a stage n, a
     target point with interior or boundary coordinates, a target word (the
     point's own digits or random digits: the verdicts read the point for the
-    hull and the word for the window), a rectangle scale of 1 or b^2 whose
-    edges the words are drawn near, and words whose shift-n hulls fall near
-    those edges: truncations of depth n + xi(n) to n + xi(n) + 6, and
-    eventually periodic words."""
+    rectangle and the word for the window), a rectangle scale of 1 or b^2
+    whose edges the words are drawn near, and truncations of depth n + xi(n)
+    to n + xi(n) + 6 whose shift-n squares fall near those edges."""
     b = draw(st.integers(min_value=2, max_value=5))
     kind = draw(st.sampled_from(["linear", "table", "alternating"]))
     if kind == "linear":
@@ -312,8 +311,7 @@ def hull_cases(draw):
              for lo, den in ((axis[0], axis[2]), (axis[1], axis[2]))]
     words = []
     for _ in range(draw(st.integers(min_value=1, max_value=8))):
-        periodic = draw(st.booleans())
-        k = draw(st.integers(0, schedule.xi(n) + 6)) if periodic else schedule.xi(n) + draw(st.integers(0, 6))
+        k = schedule.xi(n) + draw(st.integers(0, 6))
 
         def numeral(edge):  # a tail numeral of k digits within two squares of an edge
             near = math.floor(edge * b ** k) + draw(st.integers(-2, 2))
@@ -323,21 +321,17 @@ def hull_cases(draw):
         y = numeral(draw(st.sampled_from(edges[2:])))
         tail = [(x // b ** i % b, y // b ** i % b) for i in reversed(range(k))]
         head = draw(st.lists(pair, min_size=n, max_size=n))
-        if periodic:
-            period = draw(st.sampled_from([[(0, 0)], [(b - 1, b - 1)], [(0, b - 1)]])
-                          | st.lists(pair, min_size=1, max_size=2))
-            words.append(DigitWord.periodic(head + tail, period))
-        else:
-            words.append(DigitWord.truncation(head + tail))
+        words.append(DigitWord.truncation(head + tail))
     return ifs, target, schedule, n, words
 
 
 @given(hull_cases())
 @settings(max_examples=300, deadline=None)
 def test_hull_test_matches_the_hull_products(case):
-    """The containment pass's four verdicts per word: the window hit against
-    the digit walk, and the hull's relations to the stage rectangle and to
-    the b^2-enlarged one against the rectangle products."""
+    """The containment pass's four verdicts per truncation: the window hit
+    against the digit walk, and the shifted square's relations to the stage
+    rectangle and to the b^2-enlarged one against the rectangle products. A
+    truncation cut below n + xi(n) pairs, or continued periodically, raises."""
     ifs, target, schedule, n, words = case
     b, (lam, xi) = ifs.base, schedule.window(n)
     verdicts = verify._containment_stage(ifs, target, schedule, n)
@@ -350,9 +344,10 @@ def test_hull_test_matches_the_hull_products(case):
             _ref_axis_digits_admissible(b, trows, [p.v for p in window[: xi - 1]]))
         inside, meets = _ref_hull_relation(rectangle, word, b, n)
         assert verdicts(word) == (hit, inside, meets, _ref_hull_relation(enlarged, word, b, n)[1])
-        if not word.period:
-            with pytest.raises(InsufficientDepthError):
-                verdicts(DigitWord.truncation(word.preperiod[: n + xi - 1]))
+        with pytest.raises(InsufficientDepthError):
+            verdicts(DigitWord.truncation(word.preperiod[: n + xi - 1]))
+        with pytest.raises(InsufficientDepthError, match="must be truncations"):
+            verdicts(DigitWord.periodic(word.preperiod, [(0, 0)]))
 
 
 @given(systems(), st.integers(min_value=1, max_value=3))
@@ -368,27 +363,36 @@ def test_cover_count_matches_its_corners(case, n):
             assert family.boxes == len(family.corners) == len(set(family.corners))
 
 
+def _grid_point(x, y, level, b):
+    """The word of the point (x, y) / b^level, for 0 <= x, y <= b^level."""
+    (x, u), (y, v) = ((c, 0) if c < b ** level else (c - 1, b - 1) for c in (x, y))
+    return DigitWord.periodic([(x // b ** i % b, y // b ** i % b) for i in reversed(range(level))],
+                              [(u, v)])
+
+
 @given(systems(), st.data())
 @settings(max_examples=40, deadline=None)
-def test_holder_ball_mass_matches_the_cell_sum_at_any_radius(case, data):
-    # points anywhere, on grid lines and at 0 and 1 too, and radii between grid levels
+def test_holder_ball_mass_matches_the_cell_sum_at_any_centre(case, data):
+    # centres anywhere: level-L grid points (a period of 0s, whose ball also
+    # reaches the cell two below), the top or right edge (a period of b - 1s,
+    # or the point 1), and long runs of 0 or b - 1 (a neighbour's borrow or carry)
     ifs, target, _, n0 = case
     b = ifs.base
     schedule = RateSchedule.linear(1, 2)
-    builder = build_lower_bound_measure(ifs, target, schedule, [n0, 2 * (schedule.xi(n0) + 2) + 1], 2)
-    pair = st.tuples(st.integers(0, b - 1), st.integers(0, b - 1))
-    period = st.sampled_from([[(0, 0)], [(b - 1, b - 1)], [(0, b - 1)]]) | st.lists(pair, min_size=1, max_size=2)
-    points = [DigitWord.periodic(data.draw(st.lists(pair, max_size=builder.depth)), data.draw(period))
-              for _ in range(3)]
-    finest = Fraction(1, b ** builder.depth)
-    radii = data.draw(st.lists(st.fractions(min_value=finest, max_value=1,
-                                            max_denominator=b ** builder.depth).filter(lambda r: r < 1),
-                               min_size=1, max_size=6))
-    # radii that reach a grid line of some level exactly, where the ball's edge cells tie
-    for c in (c for word in points for c in word.point(b)):
-        level = data.draw(st.integers(0, builder.depth))
-        m = min(math.floor(c * b ** level), b ** level - 1)
-        radii += [r for r in (c - Fraction(m, b ** level), Fraction(m + 1, b ** level) - c)
-                  if finest <= r < 1]
-    assert holder_exponent_samples(builder, points, radii) == (
-        _ref_holder_exponent_samples(builder, points, radii))
+    bps = [n0, 2 * (schedule.xi(n0) + 2) + 1]
+    builder = build_lower_bound_measure(ifs, target, schedule, bps, 2)
+    pair = st.sampled_from([(0, 0), (b - 1, b - 1), (0, b - 1), (b - 1, 0)]) | st.tuples(
+        st.integers(0, b - 1), st.integers(0, b - 1))
+    runs = st.lists(st.tuples(pair, st.integers(1, builder.depth)), max_size=4)
+    period = st.sampled_from([[(0, 0)], [(b - 1, b - 1)], [(0, b - 1)]]) | st.lists(
+        pair, min_size=1, max_size=2)
+    points = [DigitWord.periodic([p for p, k in data.draw(runs) for _ in range(k)],
+                                 data.draw(period)) for _ in range(3)]
+    # level-L grid points two cells past a positive cell, whose balls reach back to it
+    level = data.draw(st.integers(1, builder.depth))
+    kx, ky = pair_value(builder.support_word(level, random.Random(level)).pairs_up_to(level), b)
+    points += [_grid_point(min(kx + sx, b ** level), min(ky + sy, b ** level), level, b)
+               for sx, sy in ((2, 2), (2, 0), (0, 2))]
+    levels = range(1, builder.depth + 1)
+    assert holder_exponent_samples(builder, points, levels) == (
+        _ref_holder_exponent_samples(builder, points, levels))

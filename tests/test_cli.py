@@ -515,6 +515,69 @@ class TestVerifyCommand:
         assert not payload["passed"]
 
 
+_VERIFY_ORACLE = {"checks": {"oracle": {"n": 2}}}
+_CORNER = {"ifs": {"name": "corner"}}
+# a stray key in each object of a config, which no reader reads: (override, field)
+_STRAY_KEYS = {
+    "top": ({"n_rnage": {"start": 1, "stop": 3}}, "n_rnage"),
+    "ifs-name": ({"ifs": {"name": "vicsek", "base": 3}}, "ifs.base"),
+    "ifs-pairs": ({"ifs": {"base": 3, "pairs": [[0, 0], [2, 0], [0, 2]], "nmae": "corner"}},
+                  "ifs.nmae"),
+    "target-named-point": ({"target": {"name": "vicsek-origin", "depth": 12}}, "target.depth"),
+    "target-blocks": ({**_CORNER, "target": {"name": "corner-blocks", "dpeth": 12}},
+                      "target.dpeth"),
+    "target-point": ({"target": {"point": ["0", "0"], "word": {"period": [[0, 0]]}}},
+                     "target.word"),
+    "target-word": ({"target": {"word": {"period": [[0, 0]]}, "perod": [[0, 0]]}},
+                    "target.perod"),
+    "word": ({"target": {"word": {"preperiod": [[1, 1]], "period": [[0, 0]],
+                                  "perod": [[2, 2]]}}}, "target.word.perod"),
+    "schedule-linear": ({"schedule": {"kind": "linear", "lam": "1", "xi": "2", "block_base": 4}},
+                        "schedule.block_base"),
+    "schedule-table": ({"schedule": {"kind": "table", "lam": [1, 2], "xi": [2, 4], "lamda": [1]}},
+                       "schedule.lamda"),
+    "schedule-alternating": ({"schedule": {"kind": "alternating", "ratios": [["1", "2"]],
+                                           "xi": "2"}}, "schedule.xi"),
+    "n-range-start-stop": ({"n_range": {"start": 1, "stop": 3, "step": 2}}, "n_range.step"),
+    "n-range-values": ({"n_range": {"values": [1, 2], "stop": 3}}, "n_range.stop"),
+    "verify": ({"verify": {**_VERIFY_ORACLE, "sede": 3}}, "verify.sede"),
+    "checks": ({"verify": {"checks": {"oracle": {"n": 2}, "oracel": {}}}},
+               "verify.checks.oracel"),
+    "oracle": ({"verify": {"checks": {"oracle": {"n": 2, "depth": 3}}}},
+               "verify.checks.oracle.depth"),
+    "containment": ({"verify": {"checks": {"containment": {"sampels": 5}}}},
+                    "verify.checks.containment.sampels"),
+    "containment-exhaustive": ({"verify": {"checks": {"containment_exhaustive": {
+        "n": 2, "depth": 6, "samples": 5}}}}, "verify.checks.containment_exhaustive.samples"),
+    "set-relation": ({"verify": {"checks": {"set_relation": {"n": 3, "exhautive": True}}}},
+                     "verify.checks.set_relation.exhautive"),
+    "set-relation-exhaustive": ({"verify": {"checks": {"set_relation": {
+        "n": 3, "exhaustive": True, "depth": 5, "samples": 4}}}},
+        "verify.checks.set_relation.samples"),
+    "cover": ({"verify": {"checks": {"cover": {"n": 2, "k": 3}}}}, "verify.checks.cover.k"),
+    "measure": ({"verify": {"checks": {"measure": {"break_points": [3, 17], "slack": 0.1}}}},
+                "verify.checks.measure.slack"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STRAY_KEYS))
+def test_a_key_no_reader_reads_exits_2_at_its_path(tmp_path, capsys, case):
+    override, field = _STRAY_KEYS[case]
+    cfg = write_config(tmp_path, {**BASE_CONFIG, "verify": _VERIFY_ORACLE, **override})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().out.startswith(f"error: {field}: unknown key; have ")
+    assert not (out / "verify.json").exists()
+    # without the stray key the same config runs
+    key = field.rsplit(".", 1)[-1]
+    node = json.loads(Path(cfg).read_text())
+    parent = node
+    for part in field.split(".")[:-1]:
+        parent = parent[part]
+    del parent[key]
+    assert main(["verify", "--config", write_config(tmp_path, node), "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("command", ["dimension", "sn-table"])
 def test_truncated_target_bounds_the_stages(tmp_path, capsys, command):
     # xi(n) = 2n, so a depth-100 word covers every window up to n = 50

@@ -71,9 +71,9 @@ def test_measure_reports_are_pinned(vicsek, linear12, case):
     points = [builder.support_word(builder.depth)] + [
         builder.support_word(builder.depth, rng) for _ in range(2)
     ]
-    radii = [Fraction(1, 3 ** m) for m in range(bps[0] + 1, builder.depth + 1)]
+    levels = range(bps[0] + 1, builder.depth + 1)
     samples = [
         [[str(c) for c in s.point], str(s.radius), s.level, str(s.ball_mass), repr(s.exponent)]
-        for s in holder_exponent_samples(builder, points, radii)
+        for s in holder_exponent_samples(builder, points, levels)
     ]
     assert (*reports, _digest(samples)) == GOLDEN[case]

@@ -36,7 +36,7 @@ from carpetdim.errors import (
     BadBreakPointsError,
     DepthTooLargeError,
     EnumerationTooLargeError,
-    RadiusTooSmallError,
+    InsufficientDepthError,
     ThresholdNotMetError,
 )
 
@@ -56,8 +56,9 @@ def corner_origin(corner):
 
 class TestContainment:
     def test_exact_continuation_inside_and_member(self, vicsek, origin, linear12):
+        # the shifted square [0, 3^-8]^2 sits at the target point
         n = 3
-        word = DigitWord.periodic([(1, 1)] * 3, [(0, 0)])
+        word = DigitWord.truncation([(1, 1)] * 3 + [(0, 0)] * 8)
         rep_f = check_containment_forward(vicsek, origin, linear12, n, [word])
         assert rep_f.passed and rep_f.details["inside"] == 1
         rep_b = check_containment_backward(vicsek, origin, linear12, n, [word])
@@ -74,12 +75,19 @@ class TestContainment:
     def test_hulls_on_the_rectangle_edge(self, vicsek, origin, linear12):
         # at n = 3 the closed rectangle is [-1/27, 1/27] x [-1/729, 1/729]
         n = 3
-        # shifted point (0.000222..., 0) = (1/27, 0) on the edge: inside
-        on_edge = DigitWord.periodic([(1, 1)] * 3 + [(0, 0)] * 3, [(2, 0)])
+        # shifted square [1/27 - 3^-8, 1/27] x [0, 3^-8], whose right side is
+        # the edge x = 1/27: inside
+        on_edge = DigitWord.truncation([(1, 1)] * 3 + [(0, 0)] * 3 + [(2, 0)] * 5)
         # shifted square [1/729, 1/729 + 3^-8]^2 meets the edge y = 1/729 only: skipped
         touching = DigitWord.truncation([(1, 1)] * 3 + [(0, 0)] * 5 + [(1, 1)] + [(0, 0)] * 2)
         rep = check_containment_forward(vicsek, origin, linear12, n, [on_edge, touching])
         assert rep.passed and rep.details["inside"] == 1 and rep.skipped == 1
+
+    def test_periodic_samples_are_refused(self, vicsek, origin, linear12):
+        word = DigitWord.periodic([(1, 1)] * 3, [(0, 0)])
+        for check in (check_containment_forward, check_containment_backward):
+            with pytest.raises(InsufficientDepthError, match="must be truncations"):
+                check(vicsek, origin, linear12, 3, [word])
 
     def test_random_sampling_has_no_violations(self, vicsek, origin, linear12):
         n = 4
@@ -441,8 +449,7 @@ class TestMeasure:
 
     def test_holder_exponents_clear_threshold(self, measure):
         points = [measure.support_word(measure.depth)]
-        radii = [Fraction(1, 3 ** m) for m in range(4, measure.depth + 1)]
-        samples = holder_exponent_samples(measure, points, radii)
+        samples = holder_exponent_samples(measure, points, range(4, measure.depth + 1))
         for s in samples:
             k = max(i for i, n_k in enumerate(measure.break_points) if n_k < s.level)
             threshold = 0.5 * measure.stage_values[measure.break_points[k]] - 0.05
@@ -452,8 +459,7 @@ class TestMeasure:
         # inside the follow-the-word phase the ball meets one positive box
         word = measure.support_word(measure.depth)
         level = measure.break_points[0] + 2
-        r = Fraction(1, 3 ** level)
-        (sample,) = holder_exponent_samples(measure, [word], [r])
+        (sample,) = holder_exponent_samples(measure, [word], [level])
         point_mass = Fraction(1, measure.sizes[measure.break_points[0]])
         assert point_mass == _point_phase_mass_explicit(measure, 0)
         assert point_mass <= sample.ball_mass <= 9 * point_mass
@@ -462,30 +468,28 @@ class TestMeasure:
         st.lists(st.tuples(st.sampled_from([(u, v) for u in range(3) for v in range(3)]),
                            st.integers(min_value=1, max_value=25)), max_size=4),
         st.lists(st.sampled_from([(0, 0), (2, 2), (2, 0), (1, 1), (0, 1)]), min_size=1, max_size=2),
-        st.integers(min_value=0, max_value=52),
-        st.integers(min_value=334, max_value=1000),
+        st.integers(min_value=1, max_value=53),
     )
     @settings(max_examples=300, deadline=None)
-    def test_ball_mass_is_the_cell_sum(self, measure, runs, period, m, permille):
-        # any point, also on the top or right edge and with long runs of 0 or 2
-        # (the carries of a neighbouring cell), and radii between the powers of 3
+    def test_ball_mass_is_the_cell_sum(self, measure, runs, period, level):
+        # any point, also a level-L grid point (a period of 0s), on the top or
+        # right edge and with long runs of 0 or 2 (the carries of a neighbouring cell)
         word = DigitWord.periodic([p for p, k in runs for _ in range(k)], period)
-        r = Fraction(min(permille, 999 if m == 0 else 1000), 1000 * 3 ** m)
-        (sample,) = holder_exponent_samples(measure, [word], [r])
+        (sample,) = holder_exponent_samples(measure, [word], [level])
         x, y = word.point(3)
-        scale = 3 ** sample.level
-        assert Fraction(1, 3 * scale) < r <= Fraction(1, scale)
-        cells = [range(max(0, math.ceil((c - r) * scale) - 1), min(scale - 1, math.floor((c + r) * scale)) + 1)
+        scale = 3 ** level
+        assert sample.level == level and sample.radius == Fraction(1, scale)
+        cells = [range(max(0, math.ceil(c * scale) - 2), min(scale, math.floor(c * scale) + 2))
                  for c in (x, y)]
-        assert sample.ball_mass == sum(measure.mass(kx, ky, sample.level)
+        assert sample.ball_mass == sum(measure.mass(kx, ky, level)
                                        for kx in cells[0] for ky in cells[1])
 
-    def test_radius_guards(self, measure):
+    def test_level_guards(self, measure):
         word = measure.support_word(measure.depth)
-        with pytest.raises(RadiusTooSmallError):
-            holder_exponent_samples(measure, [word], [Fraction(1, 3 ** (measure.depth + 1))])
-        with pytest.raises(RadiusTooSmallError):
-            holder_exponent_samples(measure, [word], [Fraction(2)])
+        assert holder_exponent_samples(measure, [word], [1, measure.depth])
+        for level in (0, measure.depth + 1):
+            with pytest.raises(DepthTooLargeError):
+                holder_exponent_samples(measure, [word], [level])
 
 
 class TestDraw:
